@@ -9,12 +9,12 @@ The package is organized around the optimization pipeline:
   asymptotic forms, plus the 2D tile generalization.
 - :mod:`rispart.asymptotic` -- the asymptotic rate-maximization problem:
   effective path coefficients, rate function, optimal path pairing.
-- :mod:`rispart.solver` -- water-filling, KKT pattern analysis, the 1D grid
-  search, and the Levenberg-Marquardt alternative.
+- :mod:`rispart.solver` -- water-filling, KKT pattern analysis, and the
+  exact dual solve that stands in for the paper's 1D grid search.
 - :mod:`rispart.finite` -- mapping the asymptotic solution back to a
   finite-size system and evaluating the exact log-det rate.
-- :mod:`rispart.oracle` -- brute-force references for desk-scale
-  verification.
+- :mod:`rispart.oracle` -- brute-force references and a Levenberg-Marquardt
+  cross-check for desk-scale verification.
 - :mod:`rispart.harness` -- Monte-Carlo experiment orchestration and the
   property-suite runner behind the CLI.
 """
@@ -27,6 +27,8 @@ from rispart.channel import (
     SimulationConfig,
     effective_channel,
     path_loss,
+    realization_rng,
+    realize_channels,
     ris_response,
     sample_paths,
     steering_vector,
@@ -55,13 +57,11 @@ from rispart.asymptotic import (
     rate,
 )
 from rispart.solver import (
-    GridSearchConfig,
     KktResidual,
-    cubic_roots,
-    grid_search,
+    budget_residual,
+    dual_bracket,
     kkt_residual,
-    lm_solve,
-    search_bounds,
+    largest_root,
     solve,
     solve_p32,
     water_filling,
@@ -82,6 +82,8 @@ __all__ = [
     "SimulationConfig",
     "effective_channel",
     "path_loss",
+    "realization_rng",
+    "realize_channels",
     "ris_response",
     "sample_paths",
     "steering_vector",
@@ -104,13 +106,11 @@ __all__ = [
     "coefficients",
     "optimal_pairing",
     "rate",
-    "GridSearchConfig",
     "KktResidual",
-    "cubic_roots",
-    "grid_search",
+    "budget_residual",
+    "dual_bracket",
     "kkt_residual",
-    "lm_solve",
-    "search_bounds",
+    "largest_root",
     "solve",
     "solve_p32",
     "water_filling",

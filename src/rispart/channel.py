@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import configparser
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -220,6 +220,17 @@ _CONFIG_KEYS = {
 }
 
 
+def _integer(name: str, raw: str) -> int:
+    """Integer config value; integral floats such as ``1e3`` are accepted."""
+    try:
+        return int(raw)
+    except ValueError:
+        value = float(raw)
+    if not value.is_integer():
+        raise ValueError(f"{name} must be an integer, got {raw!r}")
+    return int(value)
+
+
 def load_config(path: str, ignore_sections: tuple[str, ...] = ()) -> SimulationConfig:
     """Read a flat sectioned ``key = value`` config file.
 
@@ -246,7 +257,7 @@ def load_config(path: str, ignore_sections: tuple[str, ...] = ()) -> SimulationC
             else:
                 for name, (attr, cast) in _CONFIG_KEYS.items():
                     if key == name.lower():
-                        kwargs[attr] = cast(float(raw)) if cast is int \
+                        kwargs[attr] = _integer(name, raw) if cast is int \
                             else cast(raw)
                         break
                 else:

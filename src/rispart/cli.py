@@ -16,9 +16,9 @@ import sys
 import numpy as np
 
 from rispart.asymptotic import AsymptoticProblem
-from rispart.harness import (ExperimentSpec, fig3_regions, load_experiment,
-                             run_experiment, verify)
-from rispart.solver import GridSearchConfig, solve
+from rispart.harness import (fig3_regions, load_experiment, run_experiment,
+                             verify)
+from rispart.solver import solve
 
 
 def _parse_problem_file(path: str) -> AsymptoticProblem:
@@ -46,8 +46,6 @@ def _cmd_simulate(args) -> int:
     updates = {}
     if args.out:
         updates["out"] = args.out
-    if args.solver:
-        updates["solver"] = args.solver
     if args.psi:
         updates["psi_mode"] = args.psi
     if args.seed is not None:
@@ -73,9 +71,8 @@ def _cmd_solve(args) -> int:
     except (OSError, ValueError, KeyError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    method = args.solver or "grid"
     try:
-        sol = solve(problem, GridSearchConfig(), method=method)
+        sol = solve(problem)
     except Exception as exc:
         print(f"solve failed: {exc}", file=sys.stderr)
         return 1
@@ -161,8 +158,6 @@ def main(argv=None) -> int:
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=None)
         p.add_argument("--jobs", type=int, default=1)
-        p.add_argument("--solver", choices=["grid", "lm", "both"],
-                       default=None)
         p.add_argument("--psi", choices=["random", "refine"], default=None)
 
     args = parser.parse_args(argv)

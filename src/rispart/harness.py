@@ -4,8 +4,9 @@ An experiment sweeps one parameter (RIS size, antenna count, power, or
 transmit SNR), solving and finite-evaluating many seeded channel
 realizations per sweep value, and emits a CSV table plus a JSON metadata
 sidecar.  The verify suites re-run the analytical properties (gain
-identities, KKT lemmas, pairing/pattern optimality, solver agreement,
-finite-size behavior) against the brute-force oracles with fixed seeds.
+identities, KKT lemmas, pairing/pattern optimality, agreement with the
+Levenberg-Marquardt cross-check, finite-size behavior) against the oracles
+with fixed seeds.
 """
 
 from __future__ import annotations
@@ -21,27 +22,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from rispart.asymptotic import (Allocation, AsymptoticProblem, coefficients,
+from rispart.asymptotic import (AsymptoticProblem, coefficients,
                                 optimal_pairing, rate)
 from rispart.channel import (SimulationConfig, dbm_to_watts, load_config,
                              realization_rng, realize_channels)
 from rispart.finite import adapt_solution, refine_common_phases
-from rispart.oracle import (GridSpec, brute_force_p3, enumerate_pairings,
+from rispart.oracle import (LmDivergenceError, brute_force_p3,
+                            enumerate_pairings, lm_cold_start,
                             snap_allocation)
 from rispart.partition import (PartitionPlan, PhaseGradient, RisGeometry,
                                build_theta, gain_closed_form,
                                gain_direct_sum)
-from rispart.solver import (GridSearchConfig, LmDivergenceError,
-                            _pattern_sum, grid_search, lm_solve, solve,
-                            solve_p32, water_filling)
+from rispart.solver import _pattern_sum, solve, solve_p32, water_filling
 
 SWEEPS = ("N", "M", "P", "SNR")
-SOLVERS = ("grid", "lm", "both")
 PSI_MODES = ("random", "refine")
 
-CSV_COLUMNS = ["seed", "sweep_value", "solver", "rate_asymptotic",
-               "rate_finite", "activated_cascaded", "activated_direct",
-               "s_min_star", "wall_ms", "error"]
+CSV_COLUMNS = ["seed", "sweep_value", "rate_asymptotic", "rate_finite",
+               "activated_cascaded", "activated_direct", "s_min_star",
+               "wall_ms", "error"]
+EXPERIMENT_KEYS = ("sweep", "values", "psi", "realizations", "out")
 
 
 @dataclass
@@ -51,7 +51,6 @@ class ExperimentSpec:
     config: SimulationConfig
     sweep: str
     values: list[float]
-    solver: str = "grid"
     psi_mode: str = "random"
     out: str | None = None
     realizations: int | None = None
@@ -61,8 +60,6 @@ class ExperimentSpec:
             raise ValueError(f"unknown sweep variable {self.sweep!r}")
         if not self.values:
             raise ValueError("sweep value list must be nonempty")
-        if self.solver not in SOLVERS:
-            raise ValueError(f"unknown solver {self.solver!r}")
         if self.psi_mode not in PSI_MODES:
             raise ValueError(f"unknown psi mode {self.psi_mode!r}")
         if self.realizations is not None and self.realizations < 1:
@@ -79,7 +76,6 @@ class ResultRow:
 
     seed: int
     sweep_value: float
-    solver: str
     rate_asymptotic: float
     rate_finite: float
     activated_cascaded: int
@@ -91,14 +87,17 @@ class ResultRow:
 
 def load_experiment(path: str) -> ExperimentSpec:
     """Read an experiment file: simulation keys plus an [experiment]
-    section with ``sweep``, ``values``, and optional ``solver``, ``psi``,
-    ``realizations``, ``out``."""
+    section with ``sweep``, ``values``, and optional ``psi``,
+    ``realizations``, ``out``; any other key there is an error."""
     parser = configparser.ConfigParser()
     if not parser.read(path):
         raise FileNotFoundError(path)
     if "experiment" not in parser:
         raise ValueError("missing [experiment] section")
     exp = parser["experiment"]
+    unknown = sorted(set(exp) - set(EXPERIMENT_KEYS))
+    if unknown:
+        raise ValueError(f"unknown [experiment] keys {unknown}")
     config = load_config(path, ignore_sections=("experiment",))
     kwargs = {}
     if "realizations" in exp:
@@ -109,7 +108,6 @@ def load_experiment(path: str) -> ExperimentSpec:
         config=config,
         sweep=exp["sweep"],
         values=[float(x) for x in exp["values"].split(",")],
-        solver=exp.get("solver", "grid"),
         psi_mode=exp.get("psi", "random"),
         **kwargs)
 
@@ -132,7 +130,7 @@ def _apply_sweep(config: SimulationConfig, sweep: str,
 
 
 def _run_one(task) -> ResultRow:
-    config, sweep, value, index, solver, psi_mode = task
+    config, sweep, value, index, psi_mode = task
     start = time.perf_counter()
     try:
         cfg = _apply_sweep(config, sweep, value)
@@ -140,20 +138,20 @@ def _run_one(task) -> ResultRow:
         realization = realize_channels(cfg, rng)
         pairing = optimal_pairing(cfg.l1, cfg.l2)
         problem = coefficients(realization, pairing, cfg)
-        sol = solve(problem, method=solver)
+        sol = solve(problem)
         ev = adapt_solution(sol, realization, cfg.ris_geometry, rng)
         if psi_mode == "refine":
             ev = refine_common_phases(ev)
         wall = (time.perf_counter() - start) * 1e3
         return ResultRow(
-            seed=index, sweep_value=value, solver=solver,
+            seed=index, sweep_value=value,
             rate_asymptotic=sol.rate, rate_finite=ev.rate,
             activated_cascaded=len(sol.s_active),
             activated_direct=len(sol.i_active),
             s_min_star=sol.s_min_star, wall_ms=wall)
     except Exception as exc:  # flag and keep sweeping
         wall = (time.perf_counter() - start) * 1e3
-        return ResultRow(seed=index, sweep_value=value, solver=solver,
+        return ResultRow(seed=index, sweep_value=value,
                          rate_asymptotic=0.0, rate_finite=0.0,
                          activated_cascaded=0, activated_direct=0,
                          s_min_star=0, wall_ms=wall,
@@ -170,7 +168,7 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1,
     """
     runs = spec.runs_per_value
     tasks = [(spec.config, spec.sweep, value, vi * runs + r,
-              spec.solver, spec.psi_mode)
+              spec.psi_mode)
              for vi, value in enumerate(spec.values)
              for r in range(runs)]
     if jobs > 1:
@@ -217,7 +215,7 @@ def write_results(spec: ExperimentSpec, rows: list[ResultRow],
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
         for r in rows:
-            writer.writerow([r.seed, repr(r.sweep_value), r.solver,
+            writer.writerow([r.seed, repr(r.sweep_value),
                              repr(r.rate_asymptotic), repr(r.rate_finite),
                              r.activated_cascaded, r.activated_direct,
                              r.s_min_star, f"{r.wall_ms:.3f}", r.error])
@@ -225,7 +223,6 @@ def write_results(spec: ExperimentSpec, rows: list[ResultRow],
         "config": dataclasses.asdict(spec.config),
         "sweep": spec.sweep,
         "values": spec.values,
-        "solver": spec.solver,
         "psi_mode": spec.psi_mode,
         "realizations": spec.runs_per_value,
         "git": _git_describe(),
@@ -316,7 +313,7 @@ def _suite_lemmas(rng: np.random.Generator) -> list[tuple[str, bool, str]]:
     worst_lin, worst_ord, worst_pat = 0.0, 0.0, 0.0
     for _ in range(200):
         problem = _random_problem(rng)
-        sol = solve(problem, method="both")
+        sol = solve(problem)
         a = sol.allocation
         p_tot = a.p_r.sum()
         if p_tot > 0:
@@ -350,14 +347,14 @@ def _suite_propositions(rng: np.random.Generator,
     for _ in range(25):
         problem = _random_problem(rng, s_max=int(rng.integers(1, 4)),
                                   l3=int(rng.integers(0, 3)))
-        sol = grid_search(problem)
+        sol = solve(problem)
         oracle_rate, _ = brute_force_p3(problem)
         snapped = snap_allocation(problem, sol.allocation)
         bound = sol.rate - rate(problem, snapped, validate=False)
         if sol.rate < oracle_rate * (1 - 1e-3) \
                 or oracle_rate < sol.rate - bound - 1e-9:
             ok = False
-            detail = (f"grid {sol.rate:.6f} vs oracle {oracle_rate:.6f}")
+            detail = (f"solve {sol.rate:.6f} vs oracle {oracle_rate:.6f}")
             break
     checks.append(("pattern pruning vs brute force (25 instances)", ok,
                    detail or "within resolution bound"))
@@ -396,19 +393,20 @@ def _suite_solvers(rng: np.random.Generator) -> list[tuple[str, bool, str]]:
                 np.abs(1.0 / v - 1.0 / m[active] - p[active]))) / budget)
     checks.append(("water-filling budget/slackness (100 draws)",
                    worst < 1e-12, f"worst {worst:.2e}"))
-    # grid vs LM agreement
+    # exact solve vs cold-started LM over every activated block
     agree = 0
     total = 50
     for _ in range(total):
         problem = _random_problem(rng)
-        g = grid_search(problem)
+        sol = solve(problem)
         try:
-            l = solve(problem, method="lm")
+            lm = lm_cold_start(problem)
         except LmDivergenceError:
             continue
-        if l.rate >= g.rate * (1 - 5e-3):
+        if lm.rate >= sol.rate * (1 - 5e-3):
             agree += 1
-    checks.append((f"LM within 0.5% of grid ({total} draws)",
+    checks.append((f"cold-started LM within 0.5% of the solve "
+                   f"({total} draws)",
                    agree >= 0.95 * total, f"{agree}/{total}"))
     return checks
 

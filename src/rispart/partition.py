@@ -14,7 +14,7 @@ rectangular 2D shapes.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -500,7 +500,6 @@ def tile_plan_gain_asymptotic(tiles: TilePlan, zeta: tuple[float, float],
             if first.size == 0:
                 continue
             mx, my = first[0]
-            ex_off = 0.0  # aligned: position phase offset cancels
-            psi = tiles.psi_tiles[mx, my] - ex_off
-            total += np.exp(1j * psi) * mu[s]
+            # aligned: the position phase offset cancels
+            total += np.exp(1j * tiles.psi_tiles[mx, my]) * mu[s]
     return complex(total)

@@ -1,44 +1,30 @@
 """Solution machinery for the asymptotic power/partition problem.
 
-The problem separates, at a KKT point, into a water-filling power step and
-a partition-ratio step whose candidates follow a small family of patterns
-(zero, plus-root, or minus-root per sub-surface).  The full joint optimum
-is found by a 1D grid search over the power dual v: for each candidate
-activated set, every grid value of v yields the direct-path powers in
-closed form and the cascaded powers as roots of a cubic, and the power
-budget selects the consistent points.  A Levenberg-Marquardt root finder
-on the same nonlinear system is provided as an alternative/polish step.
+At a KKT point the problem separates into water-filling over the direct
+paths, ``p_d,i = max(0, 1/v - 1/m_d,i)`` for the power dual v, and the
+linear ratio/power relation ``t_s = p_s / P_r`` over the cascaded paths,
+where ``P_r`` is their total power and each cascaded power is the largest
+root of ``p^3 - p^2/v + P_r^2/m_s = 0``.  Only that root meets the
+validity floor ``p >= 1/(2v)``, so for an activated prefix of k cascaded
+paths the budget residual ``sum_s p_s(v) - P_r(v)`` is one strictly
+decreasing function of v.  The paper scans v on a 1D grid; here the root
+of that residual is bracketed and bisected to adjacent floats for every k
+at once (bracketed root finding, Brent 1973), which gives an exact KKT
+point per activated set.  The best of these and the single-active
+water-filling point is the solution.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from rispart.asymptotic import Allocation, AsymptoticProblem, Solution, rate
 
-
-class LmDivergenceError(RuntimeError):
-    """Raised when the Levenberg-Marquardt iteration stops making progress."""
-
-
-@dataclass(frozen=True)
-class GridSearchConfig:
-    """Grid step for the dual search and the budget-accuracy tolerance.
-
-    ``grid_size`` of ``None`` resolves to 1/2000 of each search interval.
-    """
-
-    grid_size: float | None = None
-    acc_tol: float = 1e-3
-
-    def __post_init__(self):
-        if self.grid_size is not None and self.grid_size <= 0:
-            raise ValueError("grid size must be positive")
-        if self.acc_tol <= 0:
-            raise ValueError("accuracy tolerance must be positive")
+# y^3 - y^2 + a = 0 has a root in [2/3, 1] iff 0 <= a <= 4/27
+A_MAX = 4.0 / 27.0
+_MAX_HALVINGS = 200
 
 
 @dataclass
@@ -87,71 +73,13 @@ def water_filling(m, budget: float) -> tuple[np.ndarray, float]:
         level = (budget + inv[:k].sum()) / k
         if level >= inv[k - 1]:
             break
-    p = np.maximum(0.0, level - inv)
-    p[k:] = 0.0
+    # level - inv_i written as a sum of differences, so that the budget
+    # holds to rounding even when 1/m dwarfs it
+    p = np.zeros(m.size)
+    head = inv[:k]
+    p[:k] = np.maximum(0.0, (budget + (head[None, :] - head[:, None])
+                             .sum(axis=1)) / k)
     return p, float(1.0 / level)
-
-
-def _real_cubic_roots(b, d):
-    """Real roots of x^3 + b*x^2 + d = 0, vectorized over b and d.
-
-    Returns an array of shape (3,) + broadcast shape with NaN in unused
-    slots.  Trigonometric branch for three real roots, Cardano for one.
-    """
-    b = np.asarray(b, dtype=float)
-    d = np.asarray(d, dtype=float)
-    b, d = np.broadcast_arrays(b, d)
-    out_shape = (3,) + b.shape
-    b, d = np.atleast_1d(b), np.atleast_1d(d)
-    p = -b ** 2 / 3.0
-    q = 2.0 * b ** 3 / 27.0 + d
-    disc = (q / 2.0) ** 2 + (p / 3.0) ** 3
-    roots = np.full((3,) + b.shape, np.nan)
-
-    three = disc <= 0
-    if np.any(three):
-        pp, qq = p[three], q[three]
-        r = np.sqrt(np.maximum(-pp / 3.0, 0.0))
-        # p == 0 with disc <= 0 forces q == 0: triple root at y = 0
-        arg = np.zeros_like(pp)
-        nz = r > 0
-        arg[nz] = np.clip(3.0 * qq[nz] / (2.0 * pp[nz] * r[nz]), -1.0, 1.0)
-        theta = np.arccos(arg)
-        for i in range(3):
-            roots[i][three] = (2.0 * r * np.cos((theta - 2.0 * np.pi * i) / 3.0)
-                               - b[three] / 3.0)
-
-    one = ~three
-    if np.any(one):
-        sq = np.sqrt(disc[one])
-        y = np.cbrt(-q[one] / 2.0 + sq) + np.cbrt(-q[one] / 2.0 - sq)
-        roots[0][one] = y - b[one] / 3.0
-
-    # Newton polish against the original polynomial
-    for _ in range(3):
-        x = roots
-        f = x ** 3 + b * x ** 2 + d
-        fp = 3.0 * x ** 2 + 2.0 * b * x
-        with np.errstate(invalid="ignore", divide="ignore"):
-            step = np.where(np.abs(fp) > 0, f / fp, 0.0)
-        roots = np.where(np.isnan(x), x, x - step)
-    return roots.reshape(out_shape)
-
-
-def cubic_roots(v: float, p_r_total: float, m: float,
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """Real roots of p^3 - (1/v) p^2 + P_r^2/m = 0 with validity flags.
-
-    A root is a valid cascaded power only when
-    ``p >= max(4 v^2 P_r^2 / m, 1/(2v))`` (the square root in the
-    partition-ratio expression must be real).
-    """
-    if v <= 0 or m <= 0 or p_r_total < 0:
-        raise ValueError("v and m must be positive, P_r nonnegative")
-    roots = _real_cubic_roots(-1.0 / v, p_r_total ** 2 / m)
-    floor = max(4.0 * v ** 2 * p_r_total ** 2 / m, 1.0 / (2.0 * v))
-    valid = ~np.isnan(roots) & (roots >= floor * (1 - 1e-9))
-    return roots, valid
 
 
 def _pattern_sum(w, m_tilde_head):
@@ -211,30 +139,6 @@ def solve_p32(m_tilde) -> tuple[np.ndarray, float]:
     return best_t, float(best_w)
 
 
-def search_bounds(s_active, i_active, m_r, m_d, power: float,
-                  ) -> tuple[float, float]:
-    """Dual-search interval for one (activated-cascaded, activated-direct)
-    block.
-
-    Lower bound from the cascaded-power budget and p >= 1/(2v); upper
-    bound from t <= 1 and from nonnegativity of the weakest activated
-    direct power.  An empty direct set drops the direct terms from both
-    bounds.
-    """
-    m_r = np.asarray(m_r, dtype=float)
-    m_d = np.asarray(m_d, dtype=float)
-    k, j = len(s_active), len(i_active)
-    if k < 1:
-        raise ValueError("at least one cascaded path must be activated")
-    inv_d = np.sum(1.0 / m_d[list(i_active)]) if j else 0.0
-    inv_r = np.sum(1.0 / m_r[list(s_active)])
-    b_l = max(j / (power + inv_d) if j else 0.0, 1.0 / (2.0 * power))
-    b_u = (j + k) / (power + inv_d + inv_r)
-    if j:
-        b_u = min(b_u, float(m_d[max(i_active)]))
-    return float(b_l), float(b_u)
-
-
 def _seed_solution(problem: AsymptoticProblem) -> Solution:
     """Water-filling solution with the single-active partition t=[1,0,...]."""
     coeffs = np.concatenate([[problem.m_r[0]], problem.m_d])
@@ -255,195 +159,84 @@ def _seed_solution(problem: AsymptoticProblem) -> Solution:
                     i_active=[i for i in range(problem.l3) if p_d[i] > 0])
 
 
-def grid_search(problem: AsymptoticProblem,
-                cfg: GridSearchConfig | None = None) -> Solution:
-    """1D dual grid search for the joint power/partition optimum.
+def largest_root(a):
+    """Largest real root y of ``y^3 - y^2 + a = 0``, vectorized over a.
 
-    Seeds with the single-active water-filling solution, then for every
-    prefix pair of activated sets scans v over its feasibility interval:
-    direct powers follow in closed form, cascaded powers are valid cubic
-    roots, and grid points meeting the power budget within the accuracy
-    tolerance become candidates.  Returns the best candidate by rate
-    (ties keep the fewest activated paths).
+    This is the cascaded-power cubic in normalized form: with y = v p and
+    ``a = v^3 P_r^2 / m`` the power is ``p = y / v``.  The root exists for
+    ``0 <= a <= 4/27`` and falls from 1 to 2/3 over that range; the
+    trigonometric form keeps it accurate at any scale of v, P_r and m.
     """
-    cfg = cfg or GridSearchConfig()
-    best = _seed_solution(problem)
-    best_rate = best.rate
-    P = problem.power
-
-    for k in range(2, problem.s_max + 1):
-        s_active = list(range(k))
-        m_head = problem.m_r[:k]
-        for j in range(0, problem.l3 + 1):
-            i_active = list(range(j))
-            b_l, b_u = search_bounds(s_active, i_active, problem.m_r,
-                                     problem.m_d, P)
-            if b_u <= b_l:
-                continue
-            step = cfg.grid_size or (b_u - b_l) / 2000.0
-            grid = np.arange(b_l, b_u, step)
-            grid = np.append(grid, b_u)
-            inv_v = 1.0 / grid
-
-            if j:
-                p_d_grid = inv_v[None, :] - (1.0 / problem.m_d[:j])[:, None]
-                ok = np.all(p_d_grid >= -1e-15, axis=0)
-                p_r_tot = P - np.clip(p_d_grid, 0.0, None).sum(axis=0)
-            else:
-                p_d_grid = np.zeros((0, grid.size))
-                ok = np.ones(grid.size, dtype=bool)
-                p_r_tot = np.full(grid.size, P)
-            ok &= p_r_tot > 0
-            if not np.any(ok):
-                continue
-
-            # roots[s]: (3, nv) candidate cascaded powers for path s
-            roots, valid = [], []
-            for s in range(k):
-                r = _real_cubic_roots(-inv_v, p_r_tot ** 2 / m_head[s])
-                floor = np.maximum(4.0 * grid ** 2 * p_r_tot ** 2 / m_head[s],
-                                   inv_v / 2.0)
-                valid.append(~np.isnan(r) & (r >= floor[None, :] * (1 - 1e-9))
-                             & ok[None, :])
-                roots.append(np.where(np.isnan(r), 0.0, r))
-
-            for combo in itertools.product(range(3), repeat=k):
-                mask = ok.copy()
-                total = np.zeros(grid.size)
-                for s in range(k):
-                    mask &= valid[s][combo[s]]
-                    total += roots[s][combo[s]]
-                mask &= np.abs(total - p_r_tot) < cfg.acc_tol * P
-                if not np.any(mask):
-                    continue
-                for idx in np.nonzero(mask)[0]:
-                    p_r = np.zeros(problem.s_max)
-                    for s in range(k):
-                        p_r[s] = roots[s][combo[s]][idx]
-                    # optimality requires non-increasing cascaded powers
-                    if np.any(np.diff(p_r[:k]) > 1e-12 * P):
-                        continue
-                    # rescale onto the exact budget
-                    p_r[:k] *= p_r_tot[idx] / p_r[:k].sum()
-                    p_d = np.zeros(problem.l3)
-                    if j:
-                        p_d[:j] = np.clip(p_d_grid[:, idx], 0.0, None)
-                    t = np.zeros(problem.s_max)
-                    t[:k] = p_r[:k] / p_r_tot[idx]
-                    alloc = Allocation(p_r=p_r, p_d=p_d, t=t)
-                    c = rate(problem, alloc)
-                    if c > best_rate + 1e-12:
-                        best_rate = c
-                        best = Solution(
-                            problem=problem, allocation=alloc,
-                            v=float(grid[idx]),
-                            w=float(2.0 * grid[idx] * p_r_tot[idx]),
-                            rate=c, s_active=s_active,
-                            i_active=[i for i in i_active if p_d[i] > 0])
-    return best
+    a = np.asarray(a, dtype=float)
+    if np.any(~(a >= 0.0)) or np.any(a > A_MAX):
+        raise ValueError("a must lie in [0, 4/27]")
+    c = np.clip(1.0 - 13.5 * a, -1.0, 1.0)
+    return 1.0 / 3.0 + 2.0 / 3.0 * np.cos(np.arccos(c) / 3.0)
 
 
-def _lm_residual(x, m_r, m_d, power):
-    k, j = m_r.size, m_d.size
-    p_r = x[:k]
-    p_d = x[k:k + j]
-    t = x[k + j:2 * k + j]
-    v, w = x[-2], x[-1]
-    r = np.empty(3 * k + j + 2)
-    r[:k] = (p_r - (1.0 / v - 1.0 / (m_r * t ** 2))) / power
-    r[k:k + j] = (p_d - (1.0 / v - 1.0 / m_d)) / power
-    # squared form of the plus-root ratio equation (avoids sqrt domain)
-    r[k + j:2 * k + j] = t ** 2 - 2.0 * t / w + 1.0 / (m_r * p_r)
-    r[2 * k + j:3 * k + j] = t - 2.0 * v * p_r / w
-    r[-2] = (p_r.sum() + p_d.sum() - power) / power
-    r[-1] = t.sum() - 1.0
-    return r
+def dual_bracket(m_d, power: float, k) -> tuple[np.ndarray, np.ndarray]:
+    """Power-dual interval (lo, hi) holding the root of the budget residual
+    of the first k cascaded paths, vectorized over k.
 
-
-def lm_solve(problem: AsymptoticProblem, s_active, i_active,
-             initial: Allocation | None = None,
-             max_iter: int = 500) -> tuple[Solution, KktResidual]:
-    """Levenberg-Marquardt root finding on the KKT nonlinear system.
-
-    Unknowns are the activated powers, ratios, and duals (v, w); residuals
-    are the stationarity/consistency/budget equations of the activated
-    block.  Damping grows tenfold on a rejected step and shrinks tenfold
-    on acceptance; negative unknowns are projected back to a small
-    positive floor.  Raises :class:`LmDivergenceError` after 50
-    consecutive rejections, letting the caller fall back to the grid
-    search.
+    At ``lo`` the direct paths alone use the whole budget (their
+    water-filling level; k/(2P) without direct paths), so the residual is
+    positive.  At ``hi`` every direct path is off and the cascaded powers
+    sum to at most P/2, so it is negative.
     """
-    k, j = len(s_active), len(i_active)
-    if k < 1:
+    k = np.asarray(k)
+    if np.any(k < 1):
         raise ValueError("at least one cascaded path must be activated")
-    m_r = problem.m_r[list(s_active)]
-    m_d = problem.m_d[list(i_active)] if j else np.empty(0)
-    P = problem.power
+    if power <= 0:
+        raise ValueError("power budget must be positive")
+    m_d = np.asarray(m_d, dtype=float)
+    hi = 2.0 * k / power
+    if not m_d.size:
+        return k / (2.0 * power), hi
+    lo = np.full(k.shape, water_filling(m_d, power)[1])
+    return lo, np.maximum(hi, m_d[0])
 
-    if initial is not None:
-        p_r0 = np.maximum(initial.p_r[list(s_active)], 1e-6 * P)
-        p_d0 = (np.maximum(initial.p_d[list(i_active)], 1e-6 * P)
-                if j else np.empty(0))
-        t0 = np.maximum(initial.t[list(s_active)], 1e-6)
-    else:
-        share = P / (k + j)
-        p_r0 = np.full(k, share)
-        p_d0 = np.full(j, share)
-        t0 = np.full(k, 1.0 / k)
-    v0 = 1.0 / (p_r0[0] + 1.0 / (m_r[0] * t0[0] ** 2))
-    w0 = 2.0 * v0 * p_r0.sum()
-    x = np.concatenate([p_r0, p_d0, t0, [v0, w0]])
-    floor = 1e-12 * np.maximum(np.abs(x), 1e-30)
 
-    lam = 1e-3
-    r = _lm_residual(x, m_r, m_d, P)
-    norm = np.linalg.norm(r)
-    stall = 0
-    for _ in range(max_iter):
-        if norm < 1e-10:
+def _block_powers(problem: AsymptoticProblem, v, k):
+    """Cascaded powers, direct powers, cascaded budget and normalized cubic
+    constants at dual v with the first k cascaded paths active (paths on
+    the last axis).
+
+    ``a`` past 4/27 is clipped, which continues each power as 2/(3v) and
+    keeps the budget residual strictly decreasing beyond the point where
+    the weakest active root ceases to exist.
+    """
+    v = np.asarray(v, dtype=float)[..., None]
+    p_d = np.maximum(0.0, 1.0 / v - 1.0 / problem.m_d)
+    budget_r = problem.power - p_d.sum(axis=-1, keepdims=True)
+    a = v ** 3 * np.maximum(budget_r, 0.0) ** 2 / problem.m_r
+    head = np.arange(problem.s_max) < np.asarray(k)[..., None]
+    p_r = np.where(head, largest_root(np.minimum(a, A_MAX)) / v, 0.0)
+    return p_r, p_d, budget_r[..., 0], a
+
+
+def budget_residual(problem: AsymptoticProblem, v, k) -> np.ndarray:
+    """``sum_s p_s(v) - P_r(v)`` over the first k cascaded paths, strictly
+    decreasing in v above the water level of the direct paths."""
+    p_r, _, budget_r, _ = _block_powers(problem, v, k)
+    return p_r.sum(axis=-1) - budget_r
+
+
+def _dual_roots(problem: AsymptoticProblem, k: np.ndarray) -> np.ndarray:
+    """Root of the budget residual for every k, bisected down to adjacent
+    floats (geometric midpoints while the bracket spans a factor of 2)."""
+    lo, hi = dual_bracket(problem.m_d, problem.power, k)
+    for _ in range(_MAX_HALVINGS):
+        mid = np.where(hi > 2.0 * lo, np.sqrt(lo) * np.sqrt(hi),
+                       0.5 * (lo + hi))
+        inside = (mid > lo) & (mid < hi)
+        if not inside.any():
             break
-        # forward-difference Jacobian
-        jac = np.empty((r.size, x.size))
-        for c in range(x.size):
-            h = 1e-7 * max(abs(x[c]), 1e-7)
-            xp = x.copy()
-            xp[c] += h
-            jac[:, c] = (_lm_residual(xp, m_r, m_d, P) - r) / h
-        jtj = jac.T @ jac
-        g = jac.T @ r
-        try:
-            delta = np.linalg.solve(jtj + lam * np.diag(np.diag(jtj)), -g)
-        except np.linalg.LinAlgError:
-            delta = np.linalg.lstsq(jtj + lam * np.eye(x.size), -g,
-                                    rcond=None)[0]
-        x_new = np.maximum(x + delta, floor)
-        r_new = _lm_residual(x_new, m_r, m_d, P)
-        norm_new = np.linalg.norm(r_new)
-        if norm_new < norm:
-            x, r, norm = x_new, r_new, norm_new
-            lam = max(lam / 10.0, 1e-15)
-            stall = 0
-        else:
-            lam *= 10.0
-            stall += 1
-            if stall >= 50:
-                raise LmDivergenceError(
-                    f"no progress for 50 iterations (residual {norm:.3e})")
-    if norm >= 1e-8:
-        raise LmDivergenceError(f"not converged (residual {norm:.3e})")
-
-    p_r = np.zeros(problem.s_max)
-    p_r[list(s_active)] = x[:k]
-    p_d = np.zeros(problem.l3)
-    if j:
-        p_d[list(i_active)] = x[k:k + j]
-    t = np.zeros(problem.s_max)
-    t[list(s_active)] = x[k + j:2 * k + j]
-    alloc = Allocation(p_r=p_r, p_d=p_d, t=t)
-    sol = Solution(problem=problem, allocation=alloc, v=float(x[-2]),
-                   w=float(x[-1]), rate=rate(problem, alloc),
-                   s_active=list(s_active), i_active=list(i_active))
-    return sol, kkt_residual(problem, sol)
+        positive = budget_residual(problem, mid, k) > 0.0
+        lo = np.where(inside & positive, mid, lo)
+        hi = np.where(inside & ~positive, mid, hi)
+    nearer_lo = (np.abs(budget_residual(problem, lo, k))
+                 <= np.abs(budget_residual(problem, hi, k)))
+    return np.where(nearer_lo, lo, hi)
 
 
 def kkt_residual(problem: AsymptoticProblem, solution: Solution,
@@ -500,41 +293,31 @@ def classify_pattern(solution: Solution, tol: float = 1e-6) -> list[str]:
     return labels
 
 
-def solve(problem: AsymptoticProblem, cfg: GridSearchConfig | None = None,
-          method: str = "grid") -> Solution:
-    """Top-level solve: grid search, optional LM polish, sanity checks.
+def solve(problem: AsymptoticProblem) -> Solution:
+    """Exact joint power/partition optimum over all activated sets.
 
-    ``method`` is 'grid', 'lm' (cold-started over all activated-set
-    blocks, grid fallback on divergence), or 'both' (grid followed by a
-    warm-started LM polish kept only when it improves the rate).
-    Verifies the linear ratio/power relation and the non-increasing
-    ordering on the returned solution.
+    Starts from the single-active water-filling point, then solves the
+    budget equation of every cascaded prefix k = 2..S at once and keeps
+    each block whose weakest root exists at its dual.  Returns the best
+    point by rate (ties keep the fewest activated paths) after checking
+    the linear ratio/power relation and the non-increasing ordering.
     """
-    if method not in ("grid", "lm", "both"):
-        raise ValueError(f"unknown method {method!r}")
-    sol = grid_search(problem, cfg)
-    if method == "lm":
-        best = _seed_solution(problem)
-        for k in range(1, problem.s_max + 1):
-            for j in range(0, problem.l3 + 1):
-                try:
-                    cand, _ = lm_solve(problem, list(range(k)),
-                                       list(range(j)))
-                except LmDivergenceError:
-                    continue
-                if cand.rate > best.rate + 1e-12:
-                    best = cand
-        sol = best if best.rate >= sol.rate - 1e-12 else sol
-    elif method == "both" and sol.s_active:
-        try:
-            cand, _ = lm_solve(problem, sol.s_active,
-                               sol.i_active, sol.allocation)
-            # the exact system solution may differ from the grid point by
-            # rounding; keep it unless it is genuinely worse
-            if cand.rate > sol.rate - 1e-9 * max(1.0, abs(sol.rate)):
-                sol = cand
-        except LmDivergenceError:
-            pass
+    sol = _seed_solution(problem)
+    if problem.s_max > 1:
+        k = np.arange(2, problem.s_max + 1)
+        v = _dual_roots(problem, k)
+        p_r, p_d, _, a = _block_powers(problem, v, k)
+        exists = a[np.arange(k.size), k - 1] <= A_MAX * (1.0 + 1e-12)
+        for b in np.flatnonzero(exists):
+            total = p_r[b].sum()
+            alloc = Allocation(p_r=p_r[b], p_d=p_d[b], t=p_r[b] / total)
+            c = rate(problem, alloc)
+            if c > sol.rate + 1e-12:
+                sol = Solution(
+                    problem=problem, allocation=alloc, v=float(v[b]),
+                    w=float(2.0 * v[b] * total), rate=c,
+                    s_active=list(range(k[b])),
+                    i_active=[i for i in range(problem.l3) if p_d[b, i] > 0])
 
     a = sol.allocation
     p_r_tot = a.p_r.sum()

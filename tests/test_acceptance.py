@@ -15,13 +15,13 @@ from rispart.channel import (RisGeometry, SimulationConfig, dbm_to_watts,
                              realization_rng, realize_channels)
 from rispart.finite import adapt_solution
 from rispart.harness import fig3_regions
-from rispart.oracle import (GridSpec, brute_force_p3, enumerate_pairings,
+from rispart.oracle import (GridSpec, LmDivergenceError, _lm_residual,
+                            brute_force_p3, enumerate_pairings, lm_solve,
                             snap_allocation)
 from rispart.partition import (PartitionPlan, PhaseGradient, TilePlan,
                                build_theta, gain_closed_form,
                                gain_direct_sum, tile_plan_gain)
-from rispart.solver import (LmDivergenceError, _lm_residual, grid_search,
-                            lm_solve, solve, water_filling)
+from rispart.solver import solve, water_filling
 
 # Total transmit power of the reference setup before array normalization;
 # per-antenna-product budget P0/(M_t*M_r) keeps the received SNR fixed
@@ -96,14 +96,14 @@ def test_criterion_03_grid_vs_brute_force(criterion):
     for i in range(100):
         problem = _random_problem(rng, s_max=int(rng.integers(1, 4)),
                                   l3=int(rng.integers(0, 3)))
-        sol = grid_search(problem)
+        sol = solve(problem)
         oracle_rate, _ = brute_force_p3(problem, grid)
         # two-sided: never below the oracle by >1e-3 relative, and the
         # oracle is at least the solver point snapped onto its own lattice
         snapped = snap_allocation(problem, sol.allocation, grid)
         resolution_loss = sol.rate - rate(problem, snapped, validate=False)
         if sol.rate < oracle_rate * (1 - 1e-3):
-            ok, detail = False, (f"instance {i}: grid {sol.rate:.6f} below "
+            ok, detail = False, (f"instance {i}: solve {sol.rate:.6f} below "
                                  f"oracle {oracle_rate:.6f}")
             break
         if oracle_rate < sol.rate - resolution_loss - 1e-9:
@@ -112,7 +112,7 @@ def test_criterion_03_grid_vs_brute_force(criterion):
             break
     elapsed = time.perf_counter() - start
     ok = ok and elapsed < 120.0
-    criterion(3, "grid search within brute-force resolution bound on 100 "
+    criterion(3, "dual solve within brute-force resolution bound on 100 "
                  "instances (S <= 3, L3 <= 2), < 2 min", ok,
               detail or f"{elapsed:.1f} s")
 
@@ -146,7 +146,7 @@ def test_criterion_05_kkt_invariants(criterion):
     worst_lin, worst_ord, worst_pat = 0.0, 0.0, 0.0
     for _ in range(200):
         problem = _random_problem(rng)
-        sol = solve(problem, method="both")
+        sol = solve(problem)
         a = sol.allocation
         p_tot = a.p_r.sum()
         if p_tot > 0:
@@ -177,7 +177,7 @@ def test_criterion_06_lm_agreement(criterion):
     worst_residual = 0.0
     for _ in range(total):
         problem = _random_problem(rng)
-        g = grid_search(problem)
+        g = solve(problem)
         if not g.s_active:
             agree += 1  # nothing for the cascaded refiner to solve
             continue
@@ -207,7 +207,7 @@ def test_criterion_06_lm_agreement(criterion):
                 break
         agree += instance_ok
     ok = agree >= 0.95 * total
-    criterion(6, "warm- and cold-started LM within 0.5% of the grid search "
+    criterion(6, "warm- and cold-started LM within 0.5% of the dual solve "
                  "with residual norm < 1e-10 on >= 95% of 200 instances", ok,
               f"{agree}/{total} agreed, worst converged residual "
               f"{worst_residual:.2e}")

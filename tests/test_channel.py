@@ -264,3 +264,15 @@ class TestConfig:
         path.write_text("[sim]\nbogus = 1\n")
         with pytest.raises(ValueError):
             load_config(str(path))
+
+    def test_non_integral_integer_key_rejected(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_text("[sim]\nM_t = 32.7\n")
+        with pytest.raises(ValueError, match="M_t must be an integer"):
+            load_config(str(path))
+
+    def test_integral_float_accepted(self, tmp_path):
+        path = tmp_path / "sim.cfg"
+        path.write_text("[sim]\nM_t = 32.0\nrealizations = 1e3\n")
+        cfg = load_config(str(path))
+        assert cfg.m_t == 32 and cfg.realizations == 1000

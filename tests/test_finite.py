@@ -20,7 +20,7 @@ def pipeline(seed=0, m=16, n_x=10, n_y=12, l1=2, l2=2, l3=2, **cfg_kw):
                            l3=l3, power_watts=P0 / (m * m), **cfg_kw)
     re = realize_channels(cfg, realization_rng(seed, 0))
     prob = coefficients(re, optimal_pairing(l1, l2), cfg)
-    sol = solve(prob, method="both")
+    sol = solve(prob)
     return cfg, re, prob, sol
 
 

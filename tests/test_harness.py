@@ -43,7 +43,7 @@ def small_spec(**kw):
 
 
 def row_key(r):
-    return (r.seed, r.sweep_value, r.solver, r.rate_asymptotic,
+    return (r.seed, r.sweep_value, r.rate_asymptotic,
             r.rate_finite, r.activated_cascaded, r.activated_direct,
             r.s_min_star, r.error)
 
@@ -80,7 +80,7 @@ class TestExperimentSpec:
         with pytest.raises(ValueError):
             small_spec(values=[])
         with pytest.raises(ValueError):
-            small_spec(solver="newton")
+            small_spec(psi_mode="sometimes")
 
     def test_load_experiment(self, tmp_path):
         path = tmp_path / "exp.cfg"
@@ -90,6 +90,12 @@ class TestExperimentSpec:
         assert spec.values == [20.0, 30.0]
         assert spec.runs_per_value == 2
         assert spec.config.m_t == 8 and spec.config.seed == 1
+
+    def test_load_rejects_unknown_experiment_key(self, tmp_path):
+        path = tmp_path / "exp.cfg"
+        path.write_text(EXPERIMENT_TEXT + "solver = lm\n")
+        with pytest.raises(ValueError, match="solver"):
+            load_experiment(str(path))
 
     def test_load_requires_experiment_section(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -133,7 +139,8 @@ class TestRunExperiment:
             table = list(csv.reader(fh))
         assert table[0] == CSV_COLUMNS
         assert len(table) == 1 + len(rows)
-        assert float(table[1][3]) == rows[0].rate_asymptotic
+        column = CSV_COLUMNS.index("rate_asymptotic")
+        assert float(table[1][column]) == rows[0].rate_asymptotic
         meta = json.loads((tmp_path / "results.csv.meta.json").read_text())
         assert meta["sweep"] == "P"
         assert meta["config"]["m_t"] == 8
@@ -192,6 +199,14 @@ class TestCli:
 
     def test_solve_missing_file(self, tmp_path, capsys):
         assert main(["solve", str(tmp_path / "nope.txt")]) == 2
+
+    def test_simulate_config_errors_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "exp.cfg"
+        path.write_text(EXPERIMENT_TEXT.replace("M_t = 8", "M_t = 8.5"))
+        assert main(["simulate", str(path)]) == 2
+        assert "M_t must be an integer" in capsys.readouterr().err
+        path.write_text(EXPERIMENT_TEXT + "solver = grid\n")
+        assert main(["simulate", str(path)]) == 2
 
     def test_simulate(self, tmp_path, capsys):
         path = tmp_path / "exp.cfg"

@@ -88,7 +88,7 @@ class TestBruteForceP3:
                 m_d=np.sort(10.0 ** rng.uniform(0, 2.5, l3))[::-1],
                 power=1.0)
             oracle, _ = brute_force_p3(prob, grid)
-            sol = solve(prob, method="both")
+            sol = solve(prob)
             assert sol.rate >= oracle * (1 - 1e-3)
             snapped = snap_allocation(prob, sol.allocation, grid)
             assert oracle >= rate(prob, snapped, validate=False) - 1e-9
@@ -134,7 +134,7 @@ class TestExhaustivePsi:
                                power_watts=dbm_to_watts(60.1030) / (m * m))
         re = realize_channels(cfg, realization_rng(seed, 0))
         prob = coefficients(re, optimal_pairing(l1, l2), cfg)
-        sol = solve(prob, method="both")
+        sol = solve(prob)
         return adapt_solution(sol, re, cfg.ris_geometry,
                               rng=np.random.default_rng(seed + 100))
 

@@ -1,15 +1,20 @@
-"""Solver tests: water-filling, cubic roots, fixed-power partition ratios,
-the dual grid search, and the Levenberg-Marquardt refiner."""
+"""Solver tests: water-filling, the cascaded-power cubic, fixed-power
+partition ratios, the exact dual solve, and its Levenberg-Marquardt
+cross-check."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rispart.asymptotic import (Allocation, AsymptoticProblem, Solution,
                                 rate, validate_allocation)
-from rispart.solver import (GridSearchConfig, LmDivergenceError,
-                            classify_pattern, cubic_roots, grid_search,
-                            kkt_residual, lm_solve, search_bounds, solve,
+from rispart.oracle import LmDivergenceError, lm_cold_start, lm_solve
+from rispart.solver import (A_MAX, budget_residual, classify_pattern,
+                            dual_bracket, kkt_residual, largest_root, solve,
                             solve_p32, water_filling)
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def random_problem(rng, s_max=None, l3=None, power=1.0):
@@ -58,6 +63,11 @@ class TestWaterFilling:
                                        1.0 / v, rtol=1e-10)
             assert np.all(1.0 / m[~active] >= 1.0 / v - 1e-12)
 
+    def test_budget_when_inverse_gains_dwarf_it(self):
+        for m, budget in (([1e-4], 1e-4), ([2e-6, 1e-6], 1e-4)):
+            p, v = water_filling(m, budget)
+            assert abs(p.sum() - budget) <= 1e-15 * budget
+
     def test_input_validation(self):
         with pytest.raises(ValueError):
             water_filling([], 1.0)
@@ -68,38 +78,50 @@ class TestWaterFilling:
 
 
 class TestCubicRoots:
+    """The largest root of the normalized cascaded-power cubic."""
+
     def test_zero_cascaded_total(self):
-        roots, valid = cubic_roots(v=2.0, p_r_total=0.0, m=4.0)
-        # roots of p^3 - p^2/2 = 0 are {0 (double), 1/2}; only 1/2 is a
-        # feasible cascaded power
-        finite = roots[~np.isnan(roots)]
-        assert np.all((np.abs(finite) < 1e-12)
-                      | (np.abs(finite - 0.5) < 1e-12))
-        np.testing.assert_allclose(roots[valid], [0.5], atol=1e-12)
+        # P_r = 0: p^3 - p^2/v = 0 has roots {0 (double), 1/v}; only 1/v
+        # is a feasible cascaded power
+        v, p_r_total, m = 2.0, 0.0, 4.0
+        y = largest_root(v ** 3 * p_r_total ** 2 / m)
+        assert y == 1.0
+        assert abs(y / v - 0.5) < 1e-15
 
     def test_polynomial_residual(self):
         rng = np.random.default_rng(1)
-        for _ in range(50):
-            v = float(10.0 ** rng.uniform(-2, 2))
-            pr = float(10.0 ** rng.uniform(-3, 1))
-            m = float(10.0 ** rng.uniform(-1, 3))
-            roots, valid = cubic_roots(v, pr, m)
-            for x in roots[~np.isnan(roots)]:
-                res = x ** 3 - x ** 2 / v + pr ** 2 / m
-                scale = max(abs(x) ** 3, pr ** 2 / m, 1e-30)
-                assert abs(res) < 1e-9 * scale
+        a = np.concatenate([[0.0, A_MAX], rng.uniform(0.0, A_MAX, 500),
+                            A_MAX * (1.0 - 10.0 ** rng.uniform(-15, -1, 100))])
+        y = largest_root(a)
+        assert np.all(np.abs(y ** 3 - y ** 2 + a) < 1e-15)
+        assert np.all((y >= 2.0 / 3.0) & (y <= 1.0))
+        assert np.all(np.diff(y[np.argsort(a)]) <= 0.0)
+        for ai, yi in zip(a[:200], y[:200]):
+            roots = np.roots([1.0, -1.0, 0.0, ai])
+            real = roots[np.abs(roots.imag) <= 1e-7].real
+            assert abs(yi - real.max()) < 1e-7
+
+    def test_unnormalized_cubic_at_any_scale(self):
+        rng = np.random.default_rng(2)
+        for _ in range(200):
+            m = 10.0 ** rng.uniform(-6, 18)
+            p_r_total = 10.0 ** rng.uniform(-4, 4)
+            # a dual v anywhere the root exists
+            v = (rng.uniform(0.0, A_MAX) * m / p_r_total ** 2) ** (1.0 / 3.0)
+            p = largest_root(v ** 3 * p_r_total ** 2 / m) / v
+            res = p ** 3 - p ** 2 / v + p_r_total ** 2 / m
+            assert abs(res) <= 1e-14 * max(p ** 3, p ** 2 / v)
 
     def test_validity_floor(self):
-        v, pr, m = 1.0, 0.2, 10.0
-        roots, valid = cubic_roots(v, pr, m)
-        floor = max(4.0 * v ** 2 * pr ** 2 / m, 0.5 / v)
-        assert np.all(roots[valid] >= floor * (1 - 1e-9))
+        # p = y/v >= max(4 v^2 P_r^2 / m, 1/(2v)) reads y >= max(4a, 1/2)
+        a = np.linspace(0.0, A_MAX, 1001)
+        y = largest_root(a)
+        assert np.all(y >= np.maximum(4.0 * a, 0.5) * (1 - 1e-12))
 
     def test_input_validation(self):
-        with pytest.raises(ValueError):
-            cubic_roots(0.0, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            cubic_roots(1.0, -1.0, 1.0)
+        for bad in (-1e-3, A_MAX * (1 + 1e-9), np.nan):
+            with pytest.raises(ValueError):
+                largest_root(bad)
 
 
 class TestSolveP32:
@@ -142,35 +164,54 @@ class TestSolveP32:
 
 
 class TestSearchBounds:
+    """The power-dual bracket of the budget residual."""
+
     def test_with_direct(self):
-        b_l, b_u = search_bounds([0], [0], [4.0], [1.0], 1.0)
-        assert abs(b_l - 0.5) < 1e-12
-        assert abs(b_u - 2.0 / 2.25) < 1e-12
+        lo, hi = dual_bracket([1.0], 1.0, 2)
+        # the direct path alone: p = 1/v - 1 = 1 at v = 1/2
+        assert abs(lo - 0.5) < 1e-12
+        assert hi == 4.0
+        prob = AsymptoticProblem(m_r=[4.0, 2.0], m_d=[1.0], power=1.0)
+        assert budget_residual(prob, lo * (1 + 1e-12), 2) > 0
+        assert budget_residual(prob, hi, 2) < 0
 
     def test_direct_cap(self):
-        b_l, b_u = search_bounds([0], [0], [4.0], [0.2], 1.0)
-        assert abs(b_u - 0.2) < 1e-12
+        lo, hi = dual_bracket([10.0], 1.0, 2)
+        assert hi == 10.0  # every direct path is off from v = m_d[0] on
 
     def test_without_direct(self):
-        b_l, b_u = search_bounds([0, 1], [], [4.0, 2.0], [], 2.0)
-        assert abs(b_l - 0.25) < 1e-12
-        assert abs(b_u - 2.0 / (2.0 + 0.25 + 0.5)) < 1e-12
+        lo, hi = dual_bracket([], 2.0, np.array([2, 3]))
+        np.testing.assert_array_equal(lo, [0.5, 0.75])
+        np.testing.assert_array_equal(hi, [2.0, 3.0])
 
     def test_needs_cascaded(self):
         with pytest.raises(ValueError):
-            search_bounds([], [0], [4.0], [1.0], 1.0)
+            dual_bracket([1.0], 1.0, 0)
+
+    def test_residual_decreases_across_bracket(self):
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            prob = random_problem(rng, s_max=int(rng.integers(2, 6)))
+            k = np.arange(2, prob.s_max + 1)
+            lo, hi = dual_bracket(prob.m_d, prob.power, k)
+            v = lo[:, None] * (hi / lo)[:, None] ** np.linspace(1e-9, 1, 200)
+            res = budget_residual(prob, v, k[:, None])
+            assert np.all(res[:, 0] > 0) and np.all(res[:, -1] < 0)
+            assert np.all(np.diff(res, axis=1) < 0)
 
 
 class TestGridSearch:
+    """The exact dual solve that takes the place of the paper's grid."""
+
     def test_single_cascaded_only(self):
-        sol = grid_search(AsymptoticProblem(m_r=[16.0], m_d=[], power=1.0))
+        sol = solve(AsymptoticProblem(m_r=[16.0], m_d=[], power=1.0))
         np.testing.assert_allclose(sol.allocation.p_r, [1.0], atol=1e-12)
         np.testing.assert_allclose(sol.allocation.t, [1.0], atol=1e-12)
         assert abs(sol.rate - np.log2(17.0)) < 1e-12
 
     def test_negligible_cascade_reduces_to_water_filling(self):
         prob = AsymptoticProblem(m_r=[1e-9], m_d=[4.0, 1.0], power=1.0)
-        sol = grid_search(prob)
+        sol = solve(prob)
         p, _ = water_filling([4.0, 1.0], 1.0)
         expected = np.sum(np.log2(1 + np.array([4.0, 1.0]) * p))
         assert abs(sol.rate - expected) < 1e-6
@@ -179,31 +220,33 @@ class TestGridSearch:
         rng = np.random.default_rng(4)
         for _ in range(30):
             prob = random_problem(rng)
-            sol = grid_search(prob)
+            sol = solve(prob)
             validate_allocation(prob, sol.allocation)
             assert np.all(np.diff(sol.allocation.p_r) <= 1e-9)
             assert np.all(np.diff(sol.allocation.t) <= 1e-9)
 
     def test_deterministic(self):
         prob = random_problem(np.random.default_rng(5))
-        a = grid_search(prob)
-        b = grid_search(prob)
+        a = solve(prob)
+        b = solve(prob)
         np.testing.assert_array_equal(a.allocation.p_r, b.allocation.p_r)
         assert a.rate == b.rate
 
 
 class TestLmSolve:
+    """The Levenberg-Marquardt cross-check in the oracle module."""
+
     def test_cold_start_single_block(self):
         prob = AsymptoticProblem(m_r=[16.0], m_d=[], power=1.0)
         sol, res = lm_solve(prob, [0], [])
         assert abs(sol.rate - np.log2(17.0)) < 1e-9
         assert res.max_abs < 1e-6
 
-    def test_warm_start_matches_grid(self):
+    def test_warm_start_matches_solve(self):
         rng = np.random.default_rng(6)
         for _ in range(20):
             prob = random_problem(rng)
-            g = grid_search(prob)
+            g = solve(prob)
             if not g.s_active:
                 continue
             try:
@@ -251,32 +294,36 @@ class TestKktResidual:
 
 
 class TestSolve:
-    def test_rejects_unknown_method(self):
-        prob = AsymptoticProblem(m_r=[4.0], m_d=[], power=1.0)
-        with pytest.raises(ValueError):
-            solve(prob, method="newton")
-
-    def test_both_at_least_as_good_as_grid(self):
+    def test_lm_polish_does_not_improve(self):
         rng = np.random.default_rng(7)
         for _ in range(15):
             prob = random_problem(rng)
-            g = solve(prob, method="grid")
-            b = solve(prob, method="both")
-            assert b.rate >= g.rate - 1e-9 * max(1.0, abs(g.rate))
+            sol = solve(prob)
+            if not sol.s_active:
+                continue
+            try:
+                polished, _ = lm_solve(prob, sol.s_active, sol.i_active,
+                                       sol.allocation)
+            except LmDivergenceError:
+                continue
+            assert polished.rate <= sol.rate + 1e-9 * max(1.0, sol.rate)
 
-    def test_lm_method_close_to_grid(self):
+    def test_lm_cold_start_close_to_solve(self):
         rng = np.random.default_rng(8)
-        for _ in range(10):
-            prob = random_problem(rng)
-            g = solve(prob, method="grid")
-            l = solve(prob, method="lm")
-            assert l.rate >= g.rate - 5e-3 * max(1.0, abs(g.rate))
+        # the last problem's optimum activates no cascaded path
+        problems = [random_problem(rng) for _ in range(10)] + [
+            AsymptoticProblem(m_r=[1e-9, 1e-10], m_d=[4.0, 1.0], power=1.0)]
+        for prob in problems:
+            sol = solve(prob)
+            lm = lm_cold_start(prob)
+            assert lm.rate >= sol.rate - 5e-3 * max(1.0, abs(sol.rate))
+            assert lm.rate <= sol.rate + 1e-9 * max(1.0, sol.rate)
 
     def test_ratio_power_relation(self):
         rng = np.random.default_rng(9)
         for _ in range(20):
             prob = random_problem(rng)
-            sol = solve(prob, method="both")
+            sol = solve(prob)
             p_r_tot = sol.allocation.p_r.sum()
             if p_r_tot > 0:
                 np.testing.assert_allclose(
@@ -287,5 +334,31 @@ class TestSolve:
         sol = solve(AsymptoticProblem(m_r=[3.0, 2.0], m_d=[], power=1.0))
         assert classify_pattern(sol) == ["+", "0"]
         sol = solve(AsymptoticProblem(m_r=[200.0, 180.0], m_d=[],
-                                      power=1.0), method="both")
+                                      power=1.0))
         assert classify_pattern(sol) == ["+", "+"]
+
+
+def _coefficients(max_size):
+    exponents = st.lists(st.floats(min_value=-6.0, max_value=18.0),
+                         min_size=0, max_size=max_size)
+    return exponents.map(lambda e: 10.0 ** np.sort(np.array(e))[::-1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(m_r=_coefficients(8).filter(len), m_d=_coefficients(4),
+       power_exp=st.floats(min_value=-4.0, max_value=4.0))
+def test_exact_kkt_point_over_the_whole_range(m_r, m_d, power_exp):
+    prob = AsymptoticProblem(m_r=m_r, m_d=m_d, power=10.0 ** power_exp)
+    sol = solve(prob)
+    a = sol.allocation
+    validate_allocation(prob, a)
+    res = kkt_residual(prob, sol)
+    stationarity = max(np.max(np.abs(res.stationarity_p_r)),
+                       np.max(np.abs(res.stationarity_p_d), initial=0.0))
+    assert stationarity <= 1e-9 * sol.v
+    if sol.w > 0:
+        assert np.max(np.abs(res.stationarity_t)) <= 1e-9 * sol.w
+    assert np.all(np.diff(a.p_r) <= 0.0) and np.all(np.diff(a.t) <= 0.0)
+    if a.p_r.sum() > 0:
+        np.testing.assert_allclose(a.t, a.p_r / a.p_r.sum(), rtol=0.0,
+                                   atol=1e-12)
