@@ -15,8 +15,10 @@ The package is organized around the optimization pipeline:
   finite-size system and evaluating the exact log-det rate.
 - :mod:`rispart.oracle` -- brute-force references and a Levenberg-Marquardt
   cross-check for desk-scale verification.
+- :mod:`rispart.checks` -- property checks of the paper's claims over
+  random draws, shared by the acceptance tests and ``rispart verify``.
 - :mod:`rispart.harness` -- Monte-Carlo experiment orchestration and the
-  property-suite runner behind the CLI.
+  pattern existence/optimality region tables.
 """
 
 from rispart.channel import (

@@ -151,7 +151,8 @@ def adapt_solution(solution: Solution, realization: ChannelRealization,
                             rewaterfilled=rewaterfilled)
 
 
-def _rate_with_psi(evaluation: FiniteEvaluation, psi: np.ndarray) -> float:
+def rate_with_psi(evaluation: FiniteEvaluation, psi: np.ndarray) -> float:
+    """Log-det rate of ``evaluation`` with its common phases set to psi."""
     plan = PartitionPlan(t=evaluation.plan.t,
                          gradients=evaluation.plan.gradients,
                          psi=psi,
@@ -180,7 +181,7 @@ def refine_common_phases(evaluation: FiniteEvaluation, sweeps: int = 2,
             for cand in grid:
                 trial = psi.copy()
                 trial[s] = cand
-                r = _rate_with_psi(evaluation, trial)
+                r = rate_with_psi(evaluation, trial)
                 if r > best_rate:
                     best_rate = r
                     psi = trial

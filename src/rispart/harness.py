@@ -1,12 +1,9 @@
-"""Monte-Carlo experiment orchestration and property-suite runner.
+"""Monte-Carlo experiment orchestration and pattern region tables.
 
 An experiment sweeps one parameter (RIS size, antenna count, power, or
 transmit SNR), solving and finite-evaluating many seeded channel
 realizations per sweep value, and emits a CSV table plus a JSON metadata
-sidecar.  The verify suites re-run the analytical properties (gain
-identities, KKT lemmas, pairing/pattern optimality, agreement with the
-Levenberg-Marquardt cross-check, finite-size behavior) against the oracles
-with fixed seeds.
+sidecar.
 """
 
 from __future__ import annotations
@@ -22,18 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from rispart.asymptotic import (AsymptoticProblem, coefficients,
-                                optimal_pairing, rate)
+from rispart.asymptotic import coefficients, optimal_pairing
 from rispart.channel import (SimulationConfig, dbm_to_watts, load_config,
                              realization_rng, realize_channels)
 from rispart.finite import adapt_solution, refine_common_phases
-from rispart.oracle import (LmDivergenceError, brute_force_p3,
-                            enumerate_pairings, lm_cold_start,
-                            snap_allocation)
-from rispart.partition import (PartitionPlan, PhaseGradient, RisGeometry,
-                               build_theta, gain_closed_form,
-                               gain_direct_sum)
-from rispart.solver import _pattern_sum, solve, solve_p32, water_filling
+from rispart.solver import all_plus_exists, solve, solve_p32
 
 SWEEPS = ("N", "M", "P", "SNR")
 PSI_MODES = ("random", "refine")
@@ -251,7 +241,7 @@ def fig3_regions(m, snr_lo: float = 0.0, snr_hi: float = 10.0,
     optimal_at = None
     for snr in np.arange(snr_lo, snr_hi + step / 2.0, step):
         m_tilde = m * 10.0 ** (snr / 10.0)
-        exists = _pattern_sum(np.sqrt(m_tilde[-1]), m_tilde) <= 1.0
+        exists = all_plus_exists(m_tilde)
         t, _ = solve_p32(m_tilde)
         k_opt = int(np.count_nonzero(t))
         rows.append({"snr_db": float(snr), "all_plus_exists": bool(exists),
@@ -263,201 +253,3 @@ def fig3_regions(m, snr_lo: float = 0.0, snr_hi: float = 10.0,
     return {"rows": rows, "all_plus_exists_db": exist_at,
             "all_plus_optimal_db": optimal_at}
 
-
-# ---------------------------------------------------------------------------
-# verification suites
-
-
-def _random_problem(rng: np.random.Generator, s_max: int | None = None,
-                    l3: int | None = None,
-                    power: float = 1.0) -> AsymptoticProblem:
-    s = int(s_max or rng.integers(1, 5))
-    j = int(rng.integers(0, 4)) if l3 is None else l3
-    m_r = np.sort(10.0 ** rng.uniform(-0.5, 3.0, size=s))[::-1]
-    m_d = np.sort(10.0 ** rng.uniform(-0.5, 3.0, size=j))[::-1] \
-        if j else np.empty(0)
-    return AsymptoticProblem(m_r=m_r, m_d=m_d, power=power)
-
-
-def _random_plan(rng: np.random.Generator, ny: int) -> PartitionPlan:
-    s = int(rng.integers(1, min(4, ny) + 1))
-    cuts = np.sort(rng.choice(np.arange(1, ny), size=s - 1, replace=False))
-    counts = np.diff(np.concatenate([[0], cuts, [ny]])).astype(int)
-    gradients = [PhaseGradient(rng.uniform(-2, 2), rng.uniform(-2, 2))
-                 for _ in range(s)]
-    return PartitionPlan(t=counts / ny, gradients=gradients,
-                         psi=rng.uniform(0, 2 * np.pi, size=s),
-                         column_counts=counts)
-
-
-def _suite_gains(rng: np.random.Generator) -> list[tuple[str, bool, str]]:
-    checks = []
-    worst = 0.0
-    for _ in range(50):
-        nx = int(rng.integers(2, 17))
-        ny = int(rng.integers(2, 17))
-        ris = RisGeometry(nx=nx, ny=ny, element_spacing=0.5, wavelength=1.0)
-        plan = _random_plan(rng, ny)
-        theta = build_theta(plan, ris)
-        for zeta in [(rng.uniform(-2, 2), rng.uniform(-2, 2)),
-                     (plan.gradients[0].g_x, plan.gradients[0].g_y)]:
-            gap = abs(gain_direct_sum(theta, ris, zeta)
-                      - gain_closed_form(plan, ris, zeta))
-            worst = max(worst, gap)
-    checks.append(("direct-sum vs closed-form gain (50 plans)",
-                   worst < 1e-10, f"worst gap {worst:.2e}"))
-    return checks
-
-
-def _suite_lemmas(rng: np.random.Generator) -> list[tuple[str, bool, str]]:
-    worst_lin, worst_ord, worst_pat = 0.0, 0.0, 0.0
-    for _ in range(200):
-        problem = _random_problem(rng)
-        sol = solve(problem)
-        a = sol.allocation
-        p_tot = a.p_r.sum()
-        if p_tot > 0:
-            worst_lin = max(worst_lin,
-                            float(np.max(np.abs(a.t - a.p_r / p_tot))))
-        worst_ord = max(worst_ord, float(np.max(np.diff(a.t), initial=0.0)),
-                        float(np.max(np.diff(a.p_r), initial=0.0)))
-        if sol.w > 0:
-            for s in sol.s_active:
-                m_tilde = problem.m_r[s] * a.p_r[s]
-                root = np.sqrt(max(1.0 / sol.w ** 2 - 1.0 / m_tilde, 0.0))
-                gap = min(abs(a.t[s] - (1.0 / sol.w + root)),
-                          abs(a.t[s] - (1.0 / sol.w - root)))
-                worst_pat = max(worst_pat, gap)
-    return [
-        ("linear ratio/power relation (200 instances)", worst_lin < 1e-6,
-         f"worst {worst_lin:.2e}"),
-        ("non-increasing ordering", worst_ord <= 1e-9,
-         f"worst {worst_ord:.2e}"),
-        ("pattern-form membership", worst_pat < 1e-6,
-         f"worst {worst_pat:.2e}"),
-    ]
-
-
-def _suite_propositions(rng: np.random.Generator,
-                        ) -> list[tuple[str, bool, str]]:
-    checks = []
-    # pattern pruning against the brute-force lattice
-    ok = True
-    detail = ""
-    for _ in range(25):
-        problem = _random_problem(rng, s_max=int(rng.integers(1, 4)),
-                                  l3=int(rng.integers(0, 3)))
-        sol = solve(problem)
-        oracle_rate, _ = brute_force_p3(problem)
-        snapped = snap_allocation(problem, sol.allocation)
-        bound = sol.rate - rate(problem, snapped, validate=False)
-        if sol.rate < oracle_rate * (1 - 1e-3) \
-                or oracle_rate < sol.rate - bound - 1e-9:
-            ok = False
-            detail = (f"solve {sol.rate:.6f} vs oracle {oracle_rate:.6f}")
-            break
-    checks.append(("pattern pruning vs brute force (25 instances)", ok,
-                   detail or "within resolution bound"))
-    # sorted pairing vs all permutations
-    ok = True
-    detail = ""
-    for _ in range(25):
-        tx = (rng.standard_normal(3) + 1j * rng.standard_normal(3))
-        rx = (rng.standard_normal(3) + 1j * rng.standard_normal(3))
-        tx = tx[np.argsort(-np.abs(tx))]
-        rx = rx[np.argsort(-np.abs(rx))]
-        table = enumerate_pairings(tx, rx, power=1.0, scale=100.0)
-        sorted_rate = dict((p, r) for p, r in table)[
-            tuple(zip(range(3), range(3)))]
-        if table[0][1] > sorted_rate + 1e-8:
-            ok = False
-            detail = f"beaten by {table[0][0]}"
-            break
-    checks.append(("sorted pairing optimal (25 instances)", ok,
-                   detail or "never beaten"))
-    return checks
-
-
-def _suite_solvers(rng: np.random.Generator) -> list[tuple[str, bool, str]]:
-    checks = []
-    # water-filling budget and slackness
-    worst = 0.0
-    for _ in range(100):
-        m = np.sort(10.0 ** rng.uniform(-1, 2, size=rng.integers(1, 6)))[::-1]
-        budget = float(10.0 ** rng.uniform(-1, 1))
-        p, v = water_filling(m, budget)
-        worst = max(worst, abs(p.sum() - budget) / budget)
-        active = p > 0
-        if np.any(active):
-            worst = max(worst, float(np.max(
-                np.abs(1.0 / v - 1.0 / m[active] - p[active]))) / budget)
-    checks.append(("water-filling budget/slackness (100 draws)",
-                   worst < 1e-12, f"worst {worst:.2e}"))
-    # exact solve vs cold-started LM over every activated block
-    agree = 0
-    total = 50
-    for _ in range(total):
-        problem = _random_problem(rng)
-        sol = solve(problem)
-        try:
-            lm = lm_cold_start(problem)
-        except LmDivergenceError:
-            continue
-        if lm.rate >= sol.rate * (1 - 5e-3):
-            agree += 1
-    checks.append((f"cold-started LM within 0.5% of the solve "
-                   f"({total} draws)",
-                   agree >= 0.95 * total, f"{agree}/{total}"))
-    return checks
-
-
-def _suite_finite(rng: np.random.Generator) -> list[tuple[str, bool, str]]:
-    config = SimulationConfig(m_t=16, m_r=16, n_x=12, n_y=24,
-                              l1=2, l2=3, l3=2, realizations=1, seed=7)
-    checks = []
-    ok = True
-    detail = ""
-    for i in range(5):
-        run_rng = realization_rng(config.seed, i)
-        realization = realize_channels(config, run_rng)
-        problem = coefficients(realization, optimal_pairing(config.l1,
-                                                            config.l2),
-                               config)
-        sol = solve(problem)
-        ev = adapt_solution(sol, realization, config.ris_geometry, run_rng)
-        refined = refine_common_phases(ev, sweeps=1, grid_points=16)
-        if refined.rate < ev.rate - 1e-12 or ev.rate < 0:
-            ok = False
-            detail = f"rate decreased at seed {i}"
-            break
-    checks.append(("phase refinement monotone (5 realizations)", ok,
-                   detail or "monotone"))
-    return checks
-
-
-_SUITES = {
-    "gains": _suite_gains,
-    "lemmas": _suite_lemmas,
-    "propositions": _suite_propositions,
-    "solvers": _suite_solvers,
-    "finite": _suite_finite,
-}
-
-
-def verify(suite: str, seed: int = 0) -> tuple[bool, list[str]]:
-    """Run a named property suite; returns (all passed, report lines)."""
-    if suite == "all":
-        names = list(_SUITES)
-    elif suite in _SUITES:
-        names = [suite]
-    else:
-        raise ValueError(f"unknown suite {suite!r}")
-    passed = True
-    lines = []
-    for name in names:
-        rng = np.random.default_rng(seed)
-        for check, ok, detail in _SUITES[name](rng):
-            passed &= ok
-            lines.append(f"[{'PASS' if ok else 'FAIL'}] {name}: "
-                         f"{check} ({detail})")
-    return passed, lines

@@ -9,14 +9,14 @@ the solver modules can be validated independently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations, product
 
 import numpy as np
 
 from rispart.asymptotic import (Allocation, AsymptoticProblem, Solution,
                                 rate)
-from rispart.finite import FiniteEvaluation, _rate_with_psi
+from rispart.finite import FiniteEvaluation, rate_with_psi
+from rispart.partition import largest_remainder
 from rispart.solver import KktResidual, kkt_residual, solve, water_filling
 
 
@@ -24,16 +24,8 @@ class LmDivergenceError(RuntimeError):
     """Raised when the Levenberg-Marquardt iteration stops making progress."""
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Lattice resolutions (points per simplex dimension) for brute force."""
-
-    t_resolution: int = 16
-    p_resolution: int = 16
-
-    def __post_init__(self):
-        if self.t_resolution < 8 or self.p_resolution < 8:
-            raise ValueError("resolutions must be at least 8")
+# lattice points per simplex dimension for the ratios and the powers
+RESOLUTION = 16
 
 
 def simplex_lattice(dim: int, resolution: int) -> np.ndarray:
@@ -57,25 +49,18 @@ def simplex_lattice(dim: int, resolution: int) -> np.ndarray:
 
 def snap_to_lattice(values: np.ndarray, resolution: int) -> np.ndarray:
     """Nearest unit-sum lattice point (largest-remainder rounding)."""
-    values = np.asarray(values, dtype=float)
-    shares = values * resolution
-    base = np.floor(shares).astype(int)
-    short = resolution - base.sum()
-    order = np.argsort(-(shares - base), kind="stable")
-    base[order[:short]] += 1
-    return base / resolution
+    return largest_remainder(np.asarray(values, dtype=float),
+                             resolution) / resolution
 
 
 def brute_force_p3(problem: AsymptoticProblem,
-                   grid: GridSpec | None = None,
                    ) -> tuple[float, Allocation]:
     """Exhaustive joint maximization over the ratio and power simplices."""
-    grid = grid or GridSpec()
     s, l3 = problem.s_max, problem.l3
     if s > 3 or l3 > 2:
         raise ValueError("oracle limited to S <= 3 and L3 <= 2")
-    t_lat = simplex_lattice(s, grid.t_resolution)          # (nt, s)
-    p_lat = simplex_lattice(s + l3, grid.p_resolution) * problem.power
+    t_lat = simplex_lattice(s, RESOLUTION)                 # (nt, s)
+    p_lat = simplex_lattice(s + l3, RESOLUTION) * problem.power
     p_r = p_lat[:, :s]                                     # (np, s)
     p_d = p_lat[:, s:]
     # rate on the (nt, np) product grid, vectorized per channel
@@ -90,20 +75,20 @@ def brute_force_p3(problem: AsymptoticProblem,
     return float(total[it, ip]), best
 
 
-def snap_allocation(problem: AsymptoticProblem, alloc: Allocation,
-                    grid: GridSpec | None = None) -> Allocation:
+def snap_allocation(problem: AsymptoticProblem,
+                    alloc: Allocation) -> Allocation:
     """Project an allocation onto the oracle lattice (for resolution
     bounds: the oracle maximum is at least the rate of the snapped point).
     """
-    grid = grid or GridSpec()
-    t = snap_to_lattice(alloc.t, grid.t_resolution)
+    t = snap_to_lattice(alloc.t, RESOLUTION)
     p = snap_to_lattice(
         np.concatenate([alloc.p_r, alloc.p_d]) / problem.power,
-        grid.p_resolution) * problem.power
+        RESOLUTION) * problem.power
     return Allocation(p_r=p[:problem.s_max], p_d=p[problem.s_max:], t=t)
 
 
-def _lm_residual(x, m_r, m_d, power):
+def lm_residual(x, m_r, m_d, power):
+    """KKT residuals at x = (cascaded p, direct p, ratios, v, w)."""
     k, j = m_r.size, m_d.size
     p_r = x[:k]
     p_d = x[k:k + j]
@@ -155,7 +140,7 @@ def lm_solve(problem: AsymptoticProblem, s_active, i_active,
     floor = 1e-12 * np.maximum(np.abs(x), 1e-30)
 
     lam = 1e-3
-    r = _lm_residual(x, m_r, m_d, P)
+    r = lm_residual(x, m_r, m_d, P)
     norm = np.linalg.norm(r)
     stall = 0
     for _ in range(max_iter):
@@ -167,7 +152,7 @@ def lm_solve(problem: AsymptoticProblem, s_active, i_active,
             h = 1e-7 * max(abs(x[c]), 1e-7)
             xp = x.copy()
             xp[c] += h
-            jac[:, c] = (_lm_residual(xp, m_r, m_d, P) - r) / h
+            jac[:, c] = (lm_residual(xp, m_r, m_d, P) - r) / h
         jtj = jac.T @ jac
         g = jac.T @ r
         try:
@@ -176,7 +161,7 @@ def lm_solve(problem: AsymptoticProblem, s_active, i_active,
             delta = np.linalg.lstsq(jtj + lam * np.eye(x.size), -g,
                                     rcond=None)[0]
         x_new = np.maximum(x + delta, floor)
-        r_new = _lm_residual(x_new, m_r, m_d, P)
+        r_new = lm_residual(x_new, m_r, m_d, P)
         norm_new = np.linalg.norm(r_new)
         if norm_new < norm:
             x, r, norm = x_new, r_new, norm_new
@@ -236,12 +221,12 @@ def lm_cold_start(problem: AsymptoticProblem) -> Solution:
 
 
 def enumerate_pairings(tx_gains, rx_gains, power: float, scale: float = 1.0,
-                       m_d=(), solver=None,
                        ) -> list[tuple[tuple[tuple[int, int], ...], float]]:
     """Solve every injective path pairing to optimality.
 
-    Cascaded coefficients are ``scale * |tx_gain * rx_gain|^2`` per pair.
-    Returns (pairing, rate) tuples sorted by rate, best first.
+    Cascaded coefficients are ``scale * |tx_gain * rx_gain|^2`` per pair,
+    with no direct path.  Returns (pairing, rate) tuples sorted by rate,
+    best first.
     """
     tx_gains = np.asarray(tx_gains)
     rx_gains = np.asarray(rx_gains)
@@ -251,9 +236,6 @@ def enumerate_pairings(tx_gains, rx_gains, power: float, scale: float = 1.0,
     s = l1
     if s > 4:
         raise ValueError("pairing enumeration limited to min(L1, L2) <= 4")
-    solver = solver or (lambda prob: solve(prob))
-    m_d = np.sort(np.asarray(m_d, dtype=float))[::-1] if len(m_d) \
-        else np.empty(0)
 
     table = []
     for vs in permutations(range(l2), s):
@@ -261,9 +243,9 @@ def enumerate_pairings(tx_gains, rx_gains, power: float, scale: float = 1.0,
         m = np.array([scale * abs(tx_gains[u] * rx_gains[v]) ** 2
                       for u, v in pairs])
         order = np.argsort(-m, kind="stable")
-        problem = AsymptoticProblem(m_r=m[order], m_d=m_d, power=power,
+        problem = AsymptoticProblem(m_r=m[order], m_d=np.empty(0), power=power,
                                     pairs=[pairs[i] for i in order])
-        table.append((pairs, solver(problem).rate))
+        table.append((pairs, solve(problem).rate))
     table.sort(key=lambda row: -row[1])
     return table
 
@@ -283,7 +265,7 @@ def exhaustive_psi(evaluation: FiniteEvaluation, grid_points: int,
     best_rate = -np.inf
     for combo in product(grid, repeat=s):
         psi = np.array(combo)
-        r = _rate_with_psi(evaluation, psi)
+        r = rate_with_psi(evaluation, psi)
         if r > best_rate:
             best_rate = r
             best_psi = psi

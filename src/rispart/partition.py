@@ -42,9 +42,6 @@ class PhaseGradient:
             g_y=np.sin(phi_v) * np.sin(th_v) - np.sin(phi_u) * np.sin(th_u),
         )
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.g_x, self.g_y])
-
 
 class PairingMatrix:
     """Binary L1 x L2 matrix pairing Tx-RIS paths with RIS-Rx paths.
@@ -115,7 +112,8 @@ class RoundingResult:
     dropped: list[int]
 
 
-def _largest_remainder(t: np.ndarray, total: int) -> np.ndarray:
+def largest_remainder(t: np.ndarray, total: int) -> np.ndarray:
+    """Integer shares of ``total`` by largest remainder of ``t * total``."""
     shares = t * total
     base = np.floor(shares).astype(int)
     short = total - base.sum()
@@ -141,7 +139,7 @@ def round_partition(t, ny: int) -> RoundingResult:
     dropped: list[int] = []
     while True:
         sub = t[active] / t[active].sum()
-        counts_sub = _largest_remainder(sub, ny)
+        counts_sub = largest_remainder(sub, ny)
         zero = [active[i] for i in range(len(active)) if counts_sub[i] == 0]
         if not zero:
             break
@@ -161,15 +159,13 @@ class PartitionPlan:
 
     ``t`` holds partition ratios summing to 1.  ``column_counts`` is the
     realized integer split (``None`` while the plan is still continuous).
-    ``gradients`` and ``psi`` are per sub-surface; ``pairing`` records which
-    path pair each gradient serves (optional).
+    ``gradients`` and ``psi`` are per sub-surface.
     """
 
     t: np.ndarray
     gradients: list[PhaseGradient]
     psi: np.ndarray
     column_counts: np.ndarray | None = None
-    pairing: PairingMatrix | None = None
 
     def __post_init__(self):
         self.t = np.asarray(self.t, dtype=float)
@@ -212,36 +208,7 @@ class PartitionPlan:
             gradients=[self.gradients[i] for i in keep],
             psi=self.psi[keep],
             column_counts=counts,
-            pairing=self.pairing,
         )
-
-    def to_text(self) -> str:
-        lines = [f"S = {self.s}"]
-        lines.append("t = " + " ".join(repr(float(x)) for x in self.t))
-        if self.column_counts is not None:
-            lines.append("columns = "
-                         + " ".join(str(int(c)) for c in self.column_counts))
-        lines.append("gradients = " + " ".join(
-            f"{g.g_x!r},{g.g_y!r}" for g in self.gradients))
-        lines.append("psi = " + " ".join(repr(float(x)) for x in self.psi))
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "PartitionPlan":
-        fields: dict[str, str] = {}
-        for line in text.strip().splitlines():
-            key, _, value = line.partition("=")
-            fields[key.strip()] = value.strip()
-        t = np.array([float(x) for x in fields["t"].split()])
-        psi = np.array([float(x) for x in fields["psi"].split()])
-        gradients = []
-        for token in fields["gradients"].split():
-            gx, gy = token.split(",")
-            gradients.append(PhaseGradient(float(gx), float(gy)))
-        counts = None
-        if "columns" in fields:
-            counts = np.array([int(x) for x in fields["columns"].split()])
-        return cls(t=t, gradients=gradients, psi=psi, column_counts=counts)
 
 
 def column_assignment(plan: PartitionPlan, ny: int) -> np.ndarray:

@@ -88,6 +88,12 @@ def _pattern_sum(w, m_tilde_head):
                                                - 1.0 / m_tilde_head, 0.0)))
 
 
+def all_plus_exists(m_tilde_head) -> bool:
+    """Whether the all-plus pattern over ``m_tilde_head`` (sorted
+    non-increasing) has a ratio-sum root w in (0, sqrt(min m_tilde)]."""
+    return bool(_pattern_sum(np.sqrt(m_tilde_head[-1]), m_tilde_head) <= 1.0)
+
+
 def solve_p32(m_tilde) -> tuple[np.ndarray, float]:
     """Globally optimal partition ratios for fixed powers.
 
@@ -114,9 +120,9 @@ def solve_p32(m_tilde) -> tuple[np.ndarray, float]:
 
     for k in range(2, s + 1):
         head = m_tilde[:k]
+        if not all_plus_exists(head):
+            continue
         w_max = np.sqrt(head[-1])
-        if _pattern_sum(w_max, head) > 1.0:
-            continue  # pattern does not exist at this k
         lo = w_max
         while _pattern_sum(lo, head) < 1.0:
             lo /= 2.0

@@ -6,7 +6,6 @@ import pytest
 from rispart.asymptotic import (Allocation, AsymptoticProblem, coefficients,
                                 optimal_pairing, rate, validate_allocation)
 from rispart.channel import ChannelRealization, PathSet, SimulationConfig
-from rispart.partition import PairingMatrix
 
 
 def make_realization(n=24, m_t=4, m_r=4, l1=2, l2=2, l3=2, seed=0,

@@ -4,8 +4,8 @@ mapping an asymptotic solution onto a physical RIS."""
 import numpy as np
 import pytest
 
-from rispart.asymptotic import (Allocation, AsymptoticProblem, Solution,
-                                coefficients, optimal_pairing, rate)
+from rispart.asymptotic import (Allocation, Solution, coefficients,
+                                optimal_pairing, rate)
 from rispart.channel import (SimulationConfig, dbm_to_watts, realization_rng,
                              realize_channels, ula_response)
 from rispart.finite import (adapt_solution, eigenmode_covariance,

@@ -1,17 +1,16 @@
 """Experiment-harness tests: sweep application, deterministic orchestration,
-result output, region tables, verification suites, and the CLI."""
+result output, region tables, the property-check suites, and the CLI."""
 
 import csv
 import json
 
-import numpy as np
 import pytest
 
 from rispart.channel import SimulationConfig, dbm_to_watts
+from rispart.checks import SUITES, verify
 from rispart.cli import main
 from rispart.harness import (CSV_COLUMNS, ExperimentSpec, _apply_sweep,
-                             fig3_regions, load_experiment, run_experiment,
-                             verify)
+                             fig3_regions, load_experiment, run_experiment)
 
 EXPERIMENT_TEXT = """\
 [sim]
@@ -186,8 +185,20 @@ class TestCli:
         assert main(["fig3", "--snr", "nonsense"]) == 2
 
     def test_verify(self, capsys):
-        assert main(["verify", "gains"]) == 0
-        assert "[PASS]" in capsys.readouterr().out
+        assert main(["verify", "all", "--seed", "0"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert all(line.startswith("[PASS]") for line in out)
+        assert {line.split()[1].rstrip(":") for line in out} == set(SUITES)
+
+    def test_flags_only_where_used(self, tmp_path):
+        problem = tmp_path / "problem.txt"
+        problem.write_text("m_r = 16,4\nm_d = 2\nP = 1\n")
+        for argv in (["solve", str(problem), "--jobs", "2"],
+                     ["fig3", "--psi", "refine"],
+                     ["verify", "gains", "--out", "x.csv"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
 
     def test_solve(self, tmp_path, capsys):
         problem = tmp_path / "problem.txt"

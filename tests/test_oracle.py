@@ -6,12 +6,12 @@ from math import comb
 import numpy as np
 import pytest
 
-from rispart.asymptotic import (Allocation, AsymptoticProblem, coefficients,
+from rispart.asymptotic import (AsymptoticProblem, coefficients,
                                 optimal_pairing, rate)
 from rispart.channel import (SimulationConfig, dbm_to_watts, realization_rng,
                              realize_channels)
-from rispart.finite import adapt_solution
-from rispart.oracle import (GridSpec, brute_force_p3, enumerate_pairings,
+from rispart.finite import adapt_solution, rate_with_psi
+from rispart.oracle import (brute_force_p3, enumerate_pairings,
                             exhaustive_psi, simplex_lattice, snap_allocation,
                             snap_to_lattice)
 from rispart.solver import solve
@@ -63,7 +63,7 @@ class TestBruteForceP3:
 
     def test_symmetric_pair_on_lattice(self):
         prob = AsymptoticProblem(m_r=[1000.0, 1000.0], m_d=[], power=1.0)
-        best, alloc = brute_force_p3(prob, GridSpec(16, 16))
+        best, alloc = brute_force_p3(prob)
         # the even split lies exactly on the lattice and beats one-hot
         assert best >= 2 * np.log2(1 + 1000.0 * 0.5 * 0.25) - 1e-12
         np.testing.assert_allclose(np.sort(alloc.t), [0.5, 0.5])
@@ -79,7 +79,6 @@ class TestBruteForceP3:
 
     def test_solver_beats_oracle_up_to_resolution(self):
         rng = np.random.default_rng(1)
-        grid = GridSpec(16, 16)
         for _ in range(5):
             s = int(rng.integers(1, 4))
             l3 = int(rng.integers(0, 3))
@@ -87,10 +86,10 @@ class TestBruteForceP3:
                 m_r=np.sort(10.0 ** rng.uniform(0, 2.5, s))[::-1],
                 m_d=np.sort(10.0 ** rng.uniform(0, 2.5, l3))[::-1],
                 power=1.0)
-            oracle, _ = brute_force_p3(prob, grid)
+            oracle, _ = brute_force_p3(prob)
             sol = solve(prob)
             assert sol.rate >= oracle * (1 - 1e-3)
-            snapped = snap_allocation(prob, sol.allocation, grid)
+            snapped = snap_allocation(prob, sol.allocation)
             assert oracle >= rate(prob, snapped, validate=False) - 1e-9
 
 
@@ -162,7 +161,6 @@ class TestExhaustivePsi:
             grid = np.linspace(0, 2 * np.pi, 8, endpoint=False)
             # spot-check: no sampled grid combination beats the reported max
             rng = np.random.default_rng(4)
-            from rispart.finite import _rate_with_psi
             for _ in range(10):
                 psi = rng.choice(grid, size=ev.plan.s)
-                assert _rate_with_psi(ev, psi) <= best + 1e-12
+                assert rate_with_psi(ev, psi) <= best + 1e-12

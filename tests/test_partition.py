@@ -128,15 +128,6 @@ class TestPartitionPlan:
         np.testing.assert_array_equal(realized.column_counts, [10])
         assert realized.gradients[0].g_x == 0.0
 
-    def test_text_roundtrip(self):
-        plan = random_plan(np.random.default_rng(1), 3, 30)
-        back = PartitionPlan.from_text(plan.to_text())
-        np.testing.assert_array_equal(back.t, plan.t)
-        np.testing.assert_array_equal(back.psi, plan.psi)
-        np.testing.assert_array_equal(back.column_counts, plan.column_counts)
-        assert all(a.g_x == b.g_x and a.g_y == b.g_y
-                   for a, b in zip(back.gradients, plan.gradients))
-
     def test_column_assignment(self):
         plan = PartitionPlan(t=[0.5, 0.5],
                              gradients=[PhaseGradient(0, 0)] * 2,
