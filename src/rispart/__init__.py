@@ -2,8 +2,9 @@
 
 The package is organized around the optimization pipeline:
 
-- :mod:`rispart.channel` -- geometric mmWave channel synthesis (steering
-  vectors, random path sampling, path losses, effective channel).
+- :mod:`rispart.channel` -- geometric mmWave channel model (steering
+  vectors, random path sets, path losses; dense channel synthesis for the
+  reference model).
 - :mod:`rispart.partition` -- structured sub-surface phase shifts and the
   normalized passive beamforming gain in direct-sum, closed-form, and
   asymptotic forms, plus the 2D tile generalization.
@@ -12,7 +13,8 @@ The package is organized around the optimization pipeline:
 - :mod:`rispart.solver` -- water-filling, KKT pattern analysis, and the
   exact dual solve that stands in for the paper's 1D grid search.
 - :mod:`rispart.finite` -- mapping the asymptotic solution back to a
-  finite-size system and evaluating the exact log-det rate.
+  finite-size system and evaluating the exact log-det rate in the path
+  domain.
 - :mod:`rispart.oracle` -- brute-force references and a Levenberg-Marquardt
   cross-check for desk-scale verification.
 - :mod:`rispart.checks` -- property checks of the paper's claims over
@@ -27,6 +29,7 @@ from rispart.channel import (
     PathSet,
     RisGeometry,
     SimulationConfig,
+    dense_channels,
     effective_channel,
     path_loss,
     realization_rng,
@@ -82,6 +85,7 @@ __all__ = [
     "PathSet",
     "RisGeometry",
     "SimulationConfig",
+    "dense_channels",
     "effective_channel",
     "path_loss",
     "realization_rng",

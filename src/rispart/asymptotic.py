@@ -109,11 +109,9 @@ def coefficients(realization: ChannelRealization, pairing: PairingMatrix,
     """
     tx = realization.path_sets["tx_ris"]
     rx = realization.path_sets["ris_rx"]
-    direct = realization.path_sets.get("tx_rx")
+    direct = realization.path_sets["tx_rx"]
     sigma2 = realization.noise_power
-    n = realization.h1.shape[0]
-    m_t = realization.h1.shape[1]
-    m_r_dim = realization.h2.shape[0]
+    n, m_t, m_r_dim = realization.n, realization.m_t, realization.m_r
 
     scale_r = (realization.pl_r * m_t * m_r_dim * n ** 2
                / (tx.count * rx.count * sigma2))
@@ -123,13 +121,8 @@ def coefficients(realization: ChannelRealization, pairing: PairingMatrix,
     m_r, perm_r = _sorted_desc(m_r)
     pairs = [pairs[i] for i in perm_r]
 
-    if direct is not None and direct.count:
-        scale_d = (realization.pl_d * m_t * m_r_dim
-                   / (direct.count * sigma2))
-        m_d = scale_d * np.abs(direct.gains) ** 2
-        m_d, d_perm = _sorted_desc(m_d)
-    else:
-        m_d, d_perm = np.empty(0), np.empty(0, dtype=int)
+    scale_d = realization.pl_d * m_t * m_r_dim / (direct.count * sigma2)
+    m_d, d_perm = _sorted_desc(scale_d * np.abs(direct.gains) ** 2)
 
     return AsymptoticProblem(m_r=m_r, m_d=m_d, power=config.power_watts,
                              pairs=pairs, d_perm=d_perm)

@@ -1,6 +1,12 @@
 """Geometric mmWave channel model: steering vectors, random path generation,
 and synthesis of the Tx-RIS, RIS-Rx, Tx-Rx, and effective channels.
 
+A :class:`ChannelRealization` holds the three hops as path sets, never as
+dense matrices: the finite model evaluates them in the path domain, so its
+cost does not grow with the RIS element count N.  :func:`dense_channels`
+and :func:`effective_channel` synthesize the dense N-column matrices for
+the reference model in :mod:`rispart.oracle` and for the tests.
+
 Conventions
 -----------
 * Steering vectors store entries ``exp(+j*pi*m*phi)/sqrt(M)`` (the conjugate
@@ -17,10 +23,13 @@ Conventions
 from __future__ import annotations
 
 import configparser
+import logging
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
+
+logger = logging.getLogger("rispart")
 
 SPEED_OF_LIGHT = 299_792_458.0
 
@@ -112,25 +121,33 @@ class PathSet:
 
 @dataclass
 class ChannelRealization:
-    """One draw of the three channel matrices plus losses and noise power."""
+    """One draw of the three hops' path sets plus losses and noise power.
 
-    h1: np.ndarray  # N x M_t
-    h2: np.ndarray  # M_r x N
-    h3: np.ndarray  # M_r x M_t
+    ``m_t``, ``m_r`` and ``n`` are the Tx, Rx and RIS element counts.
+    ``draws`` is the number of whole path sets the sampler drew and
+    ``margin`` the kept draw's smallest path separation in units of the
+    terminal resolution, ``min(gap * M)`` (the sampler's target is 2).
+    """
+
+    path_sets: dict[str, PathSet]
     pl_r: float
     pl_d: float
     noise_power: float
-    path_sets: dict[str, PathSet]
+    m_t: int
+    m_r: int
+    n: int
+    draws: int
+    margin: float
 
     def __post_init__(self):
         if self.pl_r <= 0 or self.pl_d <= 0:
             raise ValueError("path losses must be positive")
         if self.noise_power <= 0:
             raise ValueError("noise power must be positive")
-        n, m_t = self.h1.shape
-        m_r, n2 = self.h2.shape
-        if n2 != n or self.h3.shape != (m_r, m_t):
-            raise ValueError("channel matrix dimensions are inconsistent")
+        if min(self.m_t, self.m_r, self.n) < 1:
+            raise ValueError("array sizes must be positive")
+        if set(self.path_sets) != set(HOP_KINDS):
+            raise ValueError(f"path sets needed for exactly {HOP_KINDS}")
 
 
 @dataclass
@@ -380,17 +397,39 @@ def path_loss(config: SimulationConfig) -> tuple[float, float]:
     return pl_r, pl_d
 
 
-def effective_channel(realization: ChannelRealization,
+def dense_channels(realization: ChannelRealization, ris: RisGeometry,
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Dense ``(H1, H2, H3)``: N x M_t, M_r x N and M_r x M_t.
+
+    The terminal ULAs share the RIS element spacing and wavelength, as
+    :class:`SimulationConfig` builds them.
+    """
+    if ris.n != realization.n:
+        raise ValueError("RIS geometry does not match the realization")
+    tx = ArrayGeometry(realization.m_t, ris.element_spacing, ris.wavelength)
+    rx = ArrayGeometry(realization.m_r, ris.element_spacing, ris.wavelength)
+    paths = realization.path_sets
+    return (synth_channel(paths[HOP_TX_RIS], tx, ris),
+            synth_channel(paths[HOP_RIS_RX], ris, rx),
+            synth_channel(paths[HOP_TX_RX], tx, rx))
+
+
+def effective_channel(realization: ChannelRealization, channels,
                       theta: np.ndarray) -> np.ndarray:
-    """Effective Tx-Rx channel ``sqrt(PL_r)*H2*diag(theta)*H1 + sqrt(PL_d)*H3``."""
+    """Effective Tx-Rx channel ``sqrt(PL_r)*H2*diag(theta)*H1 + sqrt(PL_d)*H3``.
+
+    ``channels`` is the dense ``(H1, H2, H3)`` triple of
+    :func:`dense_channels`; the path losses come from ``realization``.
+    """
+    h1, h2, h3 = channels
     theta = np.asarray(theta, dtype=complex)
-    if theta.shape != (realization.h1.shape[0],):
+    if theta.shape != (h1.shape[0],):
         raise ValueError("theta length must equal the RIS element count")
     if np.any(np.abs(np.abs(theta) - 1.0) > 1e-9):
         raise ValueError("theta entries must have unit modulus")
-    cascaded = realization.h2 @ (theta[:, None] * realization.h1)
+    cascaded = h2 @ (theta[:, None] * h1)
     return (np.sqrt(realization.pl_r) * cascaded
-            + np.sqrt(realization.pl_d) * realization.h3)
+            + np.sqrt(realization.pl_d) * h3)
 
 
 def realization_rng(master_seed: int, index: int) -> np.random.Generator:
@@ -419,18 +458,20 @@ def _min_cosine_gap(angles: np.ndarray, scale: float) -> float:
 
 def realize_channels(config: SimulationConfig, rng: np.random.Generator,
                      max_tries: int = 1000) -> ChannelRealization:
-    """Sample all three hops and synthesize the channel matrices.
+    """Sample the path sets of all three hops.
 
     Path counts L denote *resolvable* paths, so a draw is accepted only
     when the direction cosines of all paths seen by each terminal array
     are separated by that array's resolution (2/M in steering-argument
     units).  If no draw within ``max_tries`` meets the target, the
-    best-separated draw is kept.
+    best-separated draw is kept and a DEBUG record is logged.
     """
+    if max_tries < 1:
+        raise ValueError("max_tries must be >= 1")
     scale = 2.0 * config.spacing / config.wavelength
     best = None
     best_gap = -np.inf
-    for _ in range(max_tries):
+    for draws in range(1, max_tries + 1):
         p1 = sample_paths(rng, config.l1, HOP_TX_RIS, config)
         p2 = sample_paths(rng, config.l2, HOP_RIS_RX, config)
         p3 = sample_paths(rng, config.l3, HOP_TX_RX, config)
@@ -444,13 +485,14 @@ def realize_channels(config: SimulationConfig, rng: np.random.Generator,
             best = (p1, p2, p3)
         if margin >= 2.0:
             break
+    else:
+        logger.debug("no path set in %d draws is 2/M separated; keeping "
+                     "margin %.3g", max_tries, best_gap)
     p1, p2, p3 = best
-    ris = config.ris_geometry
-    h1 = synth_channel(p1, config.tx_geometry, ris)
-    h2 = synth_channel(p2, ris, config.rx_geometry)
-    h3 = synth_channel(p3, config.tx_geometry, config.rx_geometry)
     pl_r, pl_d = path_loss(config)
-    return ChannelRealization(h1=h1, h2=h2, h3=h3, pl_r=pl_r, pl_d=pl_d,
+    return ChannelRealization(path_sets={HOP_TX_RIS: p1, HOP_RIS_RX: p2,
+                                         HOP_TX_RX: p3},
+                              pl_r=pl_r, pl_d=pl_d,
                               noise_power=config.noise_watts,
-                              path_sets={HOP_TX_RIS: p1, HOP_RIS_RX: p2,
-                                         HOP_TX_RX: p3})
+                              m_t=config.m_t, m_r=config.m_r, n=config.n,
+                              draws=draws, margin=float(best_gap))

@@ -122,15 +122,21 @@ def _apply_sweep(config: SimulationConfig, sweep: str,
 def _run_one(task) -> ResultRow:
     config, sweep, value, index, psi_mode = task
     start = time.perf_counter()
+    stage = "config"
     try:
         cfg = _apply_sweep(config, sweep, value)
+        stage = "realize_channels"
         rng = realization_rng(cfg.seed, index)
         realization = realize_channels(cfg, rng)
+        stage = "coefficients"
         pairing = optimal_pairing(cfg.l1, cfg.l2)
         problem = coefficients(realization, pairing, cfg)
+        stage = "solve"
         sol = solve(problem)
+        stage = "adapt_solution"
         ev = adapt_solution(sol, realization, cfg.ris_geometry, rng)
         if psi_mode == "refine":
+            stage = "refine_common_phases"
             ev = refine_common_phases(ev)
         wall = (time.perf_counter() - start) * 1e3
         return ResultRow(
@@ -145,7 +151,7 @@ def _run_one(task) -> ResultRow:
                          rate_asymptotic=0.0, rate_finite=0.0,
                          activated_cascaded=0, activated_direct=0,
                          s_min_star=0, wall_ms=wall,
-                         error=f"{type(exc).__name__}: {exc}")
+                         error=f"{stage}: {type(exc).__name__}: {exc}")
 
 
 def run_experiment(spec: ExperimentSpec, jobs: int = 1,

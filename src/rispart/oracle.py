@@ -2,21 +2,24 @@
 
 These oracles evaluate the rate objective exhaustively on barycentric
 lattices (exact unit-sum grid points), enumerate every injective path
-pairing, grid the common phases, and solve the KKT system of each
-activated block by Levenberg-Marquardt, so the analytical shortcuts in
-the solver modules can be validated independently.
+pairing, grid the common phases, solve the KKT system of each activated
+block by Levenberg-Marquardt, and evaluate the finite model on the dense
+N-column channel matrices, so the analytical shortcuts in the solver and
+finite modules can be validated independently.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from itertools import permutations, product
 
 import numpy as np
 
 from rispart.asymptotic import (Allocation, AsymptoticProblem, Solution,
                                 rate)
-from rispart.finite import FiniteEvaluation, rate_with_psi
-from rispart.partition import largest_remainder
+from rispart.channel import dense_channels, effective_channel
+from rispart.finite import FiniteEvaluation, logdet_rate, rate_with_psi
+from rispart.partition import build_theta, largest_remainder
 from rispart.solver import KktResidual, kkt_residual, solve, water_filling
 
 
@@ -270,3 +273,47 @@ def exhaustive_psi(evaluation: FiniteEvaluation, grid_points: int,
             best_rate = r
             best_psi = psi
     return best_psi, float(best_rate)
+
+
+def _dense_rate(evaluation: FiniteEvaluation, channels,
+                psi: np.ndarray) -> float:
+    plan = dataclasses.replace(evaluation.plan, psi=psi)
+    h_eff = effective_channel(evaluation.realization, channels,
+                              build_theta(plan, evaluation.ris))
+    return logdet_rate(h_eff, evaluation.q,
+                       evaluation.realization.noise_power)
+
+
+def dense_rate(evaluation: FiniteEvaluation,
+               psi: np.ndarray | None = None) -> float:
+    """Reference log-det rate of ``evaluation`` (common phases ``psi``,
+    default its own) on the dense channels: per-element reflection
+    coefficients, the M_r x M_t effective channel, and the M_r x M_r
+    determinant."""
+    channels = dense_channels(evaluation.realization, evaluation.ris)
+    return _dense_rate(evaluation, channels,
+                       evaluation.plan.psi if psi is None else psi)
+
+
+def dense_refine(evaluation: FiniteEvaluation, sweeps: int = 2,
+                 grid_points: int = 64) -> tuple[np.ndarray, float]:
+    """Reference cyclic coordinate ascent on the common phases.
+
+    One dense rate per candidate, taken in grid order; a candidate
+    replaces the current phase only if it beats the best rate so far.
+    Returns the phases and their rate.
+    """
+    channels = dense_channels(evaluation.realization, evaluation.ris)
+    psi = evaluation.plan.psi.copy()
+    best_rate = _dense_rate(evaluation, channels, psi)
+    grid = np.linspace(0.0, 2.0 * np.pi, grid_points, endpoint=False)
+    for _ in range(sweeps):
+        for s in range(psi.size):
+            for cand in grid:
+                trial = psi.copy()
+                trial[s] = cand
+                r = _dense_rate(evaluation, channels, trial)
+                if r > best_rate:
+                    best_rate = r
+                    psi = trial
+    return psi, best_rate

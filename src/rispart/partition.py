@@ -198,17 +198,22 @@ class PartitionPlan:
             raise ValueError("column counts do not sum to Ny")
         return self.column_counts / ny
 
-    def realize(self, ny: int) -> "PartitionPlan":
-        """Round ratios onto ``ny`` columns (drop-and-reapportion rule)."""
+    def realize(self, ny: int) -> tuple["PartitionPlan", list[int]]:
+        """Round ratios onto ``ny`` columns (drop-and-reapportion rule).
+
+        Returns the realized plan and the indices of the sub-surfaces it
+        kept, in order.
+        """
         result = round_partition(self.t, ny)
         keep = [i for i in range(self.s) if i not in result.dropped]
         counts = result.counts[keep]
-        return PartitionPlan(
+        realized = PartitionPlan(
             t=counts / ny,
             gradients=[self.gradients[i] for i in keep],
             psi=self.psi[keep],
             column_counts=counts,
         )
+        return realized, keep
 
 
 def column_assignment(plan: PartitionPlan, ny: int) -> np.ndarray:
@@ -257,20 +262,50 @@ def gain_direct_sum(theta: np.ndarray, ris: RisGeometry,
     return complex(px @ grid @ py / ris.n)
 
 
-def dirichlet_ratio(extent: float, x: float) -> float:
+def dirichlet_ratio(extent, x):
     """``sin(extent*x) / (extent*sin(x))`` with its limits at sin(x) = 0.
 
     At ``x = m*pi`` the ratio tends to ``cos(extent*m*pi)/cos(m*pi)`` (equal
-    to 1 when ``|x| < 1e-9``).  Magnitude never exceeds 1 for integer
-    extents.
+    to 1 when ``|x| < 1e-9``); a zero extent gives 1.  Magnitude never
+    exceeds 1 for integer extents.  Elementwise over broadcast arrays.
     """
-    if extent == 0:
-        return 1.0
+    extent, x = np.broadcast_arrays(np.asarray(extent, dtype=float),
+                                    np.asarray(x, dtype=float))
     s = np.sin(x)
-    if abs(s) < 1e-9:
-        m = round(x / np.pi)
-        return float(np.cos(extent * m * np.pi) / np.cos(m * np.pi))
-    return float(np.sin(extent * x) / (extent * s))
+    m = np.round(x / np.pi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(np.abs(s) < 1e-9,
+                         np.cos(extent * m * np.pi) / np.cos(m * np.pi),
+                         np.sin(extent * x) / (extent * s))
+    return np.where(extent == 0, 1.0, ratio)[()]
+
+
+def subsurface_gains(plan: PartitionPlan, ris: RisGeometry, zeta_x,
+                     zeta_y) -> np.ndarray:
+    """Closed-form gain of each sub-surface alone, common phase at zero.
+
+    Shape ``(S,)`` plus the broadcast shape of ``zeta_x`` and ``zeta_y``;
+    the plan's gain is ``exp(j*psi) @ subsurface_gains(...)``, so only
+    this factor depends on the column split and the gradients.
+    """
+    zx, zy = np.broadcast_arrays(np.asarray(zeta_x, dtype=float),
+                                 np.asarray(zeta_y, dtype=float))
+    k = ris.k
+    if plan.column_counts is not None:
+        ratios = plan.realized_ratios(ris.ny)
+        prefix = np.concatenate([[0], np.cumsum(plan.column_counts)])
+    else:
+        ratios = plan.t
+        prefix = np.concatenate([[0], np.cumsum(plan.t * ris.ny)])
+    shape = (plan.s,) + (1,) * zx.ndim
+    t = ratios.reshape(shape)
+    eta_x = np.array([g.g_x for g in plan.gradients]).reshape(shape) - zx
+    eta_y = np.array([g.g_y for g in plan.gradients]).reshape(shape) - zy
+    centre = (prefix[1:] + prefix[:-1] - 1).reshape(shape)
+    phase = 0.5 * k * ((ris.nx - 1) * eta_x + centre * eta_y)
+    return (np.exp(1j * phase) * t
+            * dirichlet_ratio(ris.nx, 0.5 * k * eta_x)
+            * dirichlet_ratio(t * ris.ny, 0.5 * k * eta_y))
 
 
 def gain_closed_form(plan: PartitionPlan, ris: RisGeometry,
@@ -280,28 +315,8 @@ def gain_closed_form(plan: PartitionPlan, ris: RisGeometry,
     Exact (matching :func:`gain_direct_sum`) whenever the plan is realized
     with integer column counts.
     """
-    zx, zy = zeta
-    k = ris.k
-    if plan.column_counts is not None:
-        ratios = plan.realized_ratios(ris.ny)
-        prefix = np.concatenate([[0], np.cumsum(plan.column_counts)])
-    else:
-        ratios = plan.t
-        prefix = np.concatenate([[0], np.cumsum(plan.t * ris.ny)])
-    total = 0.0 + 0.0j
-    for s in range(plan.s):
-        eta_x = plan.gradients[s].g_x - zx
-        eta_y = plan.gradients[s].g_y - zy
-        t_s = ratios[s]
-        if t_s == 0:
-            continue
-        psi_tilde = (plan.psi[s]
-                     + 0.5 * k * (ris.nx - 1) * eta_x
-                     + 0.5 * k * (prefix[s + 1] + prefix[s] - 1) * eta_y)
-        dx = dirichlet_ratio(ris.nx, 0.5 * k * eta_x)
-        dy = dirichlet_ratio(t_s * ris.ny, 0.5 * k * eta_y)
-        total += np.exp(1j * psi_tilde) * t_s * dx * dy
-    return complex(total)
+    return complex(np.exp(1j * plan.psi) @ subsurface_gains(plan, ris,
+                                                            *zeta))
 
 
 def gain_asymptotic(plan: PartitionPlan, zeta: tuple[float, float],

@@ -23,11 +23,9 @@ def make_realization(n=24, m_t=4, m_r=4, l1=2, l2=2, l3=2, seed=0,
     dd = PathSet(kind="tx_rx", gains=gains(l3), departure=rng.random(l3),
                  arrival=rng.random(l3))
     return ChannelRealization(
-        h1=np.zeros((n, m_t), dtype=complex),
-        h2=np.zeros((m_r, n), dtype=complex),
-        h3=np.zeros((m_r, m_t), dtype=complex),
-        pl_r=pl_r, pl_d=pl_d, noise_power=sigma2,
-        path_sets={"tx_ris": tx, "ris_rx": rx, "tx_rx": dd})
+        path_sets={"tx_ris": tx, "ris_rx": rx, "tx_rx": dd},
+        pl_r=pl_r, pl_d=pl_d, noise_power=sigma2, m_t=m_t, m_r=m_r, n=n,
+        draws=1, margin=float("inf"))
 
 
 class TestProblem:

@@ -1,5 +1,6 @@
-"""Channel-synthesis tests: steering vectors, path sampling, path loss,
-and the effective channel assembly."""
+"""Channel-model tests: steering vectors, path sampling, path loss, the
+realization's path sets and sampler diagnostics, and the dense channel and
+effective channel assembly."""
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 
 from rispart.channel import (ArrayGeometry, ChannelRealization, PathSet,
                              RisGeometry, SimulationConfig, dbm_to_watts,
-                             effective_channel, load_config, path_loss,
+                             dense_channels, effective_channel, load_config,
+                             path_loss,
                              realization_rng, realize_channels, ris_response,
                              sample_paths, steering_vector, synth_channel,
                              ula_response, watts_to_dbm)
@@ -188,50 +190,113 @@ class TestPathLoss:
 class TestEffectiveChannel:
     def make_realization(self, rng):
         cfg = small_config()
-        return cfg, realize_channels(cfg, rng)
+        re = realize_channels(cfg, rng)
+        return cfg, re, dense_channels(re, cfg.ris_geometry)
 
     def test_identity_theta(self):
-        cfg, re = self.make_realization(np.random.default_rng(7))
-        zero_h3 = ChannelRealization(
-            h1=re.h1, h2=re.h2, h3=np.zeros_like(re.h3), pl_r=re.pl_r,
-            pl_d=re.pl_d, noise_power=re.noise_power, path_sets=re.path_sets)
-        h = effective_channel(zero_h3, np.ones(cfg.n, dtype=complex))
-        np.testing.assert_allclose(h, np.sqrt(re.pl_r) * (re.h2 @ re.h1),
+        cfg, re, (h1, h2, h3) = self.make_realization(
+            np.random.default_rng(7))
+        h = effective_channel(re, (h1, h2, np.zeros_like(h3)),
+                              np.ones(cfg.n, dtype=complex))
+        np.testing.assert_allclose(h, np.sqrt(re.pl_r) * (h2 @ h1),
                                    atol=1e-14)
 
     def test_direct_only(self):
-        cfg, re = self.make_realization(np.random.default_rng(8))
-        zero_cascade = ChannelRealization(
-            h1=np.zeros_like(re.h1), h2=re.h2, h3=re.h3, pl_r=re.pl_r,
-            pl_d=re.pl_d, noise_power=re.noise_power, path_sets=re.path_sets)
-        h = effective_channel(zero_cascade, np.ones(cfg.n, dtype=complex))
-        np.testing.assert_allclose(h, np.sqrt(re.pl_d) * re.h3, atol=1e-20)
+        cfg, re, (h1, h2, h3) = self.make_realization(
+            np.random.default_rng(8))
+        h = effective_channel(re, (np.zeros_like(h1), h2, h3),
+                              np.ones(cfg.n, dtype=complex))
+        np.testing.assert_allclose(h, np.sqrt(re.pl_d) * h3, atol=1e-20)
 
     def test_matches_direct_arithmetic(self):
-        cfg, re = self.make_realization(np.random.default_rng(9))
+        cfg, re, (h1, h2, h3) = self.make_realization(
+            np.random.default_rng(9))
         theta = np.exp(1j * np.random.default_rng(10).uniform(
             0, 2 * np.pi, cfg.n))
-        h = effective_channel(re, theta)
-        manual = (np.sqrt(re.pl_r) * re.h2 @ np.diag(theta) @ re.h1
-                  + np.sqrt(re.pl_d) * re.h3)
+        h = effective_channel(re, (h1, h2, h3), theta)
+        manual = (np.sqrt(re.pl_r) * h2 @ np.diag(theta) @ h1
+                  + np.sqrt(re.pl_d) * h3)
         np.testing.assert_allclose(h, manual, atol=1e-14)
 
     def test_rejects_non_unit_modulus(self):
-        cfg, re = self.make_realization(np.random.default_rng(11))
+        cfg, re, channels = self.make_realization(np.random.default_rng(11))
         theta = np.ones(cfg.n, dtype=complex)
         theta[0] = 0.5
         with pytest.raises(ValueError):
-            effective_channel(re, theta)
+            effective_channel(re, channels, theta)
+
+    def test_dense_channels_match_synthesis(self):
+        cfg, re, (h1, h2, h3) = self.make_realization(
+            np.random.default_rng(12))
+        paths = re.path_sets
+        np.testing.assert_array_equal(h1, synth_channel(
+            paths[HOP_TX_RIS], cfg.tx_geometry, cfg.ris_geometry))
+        np.testing.assert_array_equal(h2, synth_channel(
+            paths[HOP_RIS_RX], cfg.ris_geometry, cfg.rx_geometry))
+        np.testing.assert_array_equal(h3, synth_channel(
+            paths[HOP_TX_RX], cfg.tx_geometry, cfg.rx_geometry))
+        with pytest.raises(ValueError):
+            dense_channels(re, small_config(n_y=7).ris_geometry)
 
 
 class TestRealization:
     def test_bit_identical_under_seed(self):
         cfg = small_config()
-        a = realize_channels(cfg, realization_rng(42, 3))
-        b = realize_channels(cfg, realization_rng(42, 3))
-        np.testing.assert_array_equal(a.h1, b.h1)
-        np.testing.assert_array_equal(a.h2, b.h2)
-        np.testing.assert_array_equal(a.h3, b.h3)
+        a = dense_channels(realize_channels(cfg, realization_rng(42, 3)),
+                           cfg.ris_geometry)
+        b = dense_channels(realize_channels(cfg, realization_rng(42, 3)),
+                           cfg.ris_geometry)
+        np.testing.assert_array_equal(a[0], b[0])
+        np.testing.assert_array_equal(a[1], b[1])
+        np.testing.assert_array_equal(a[2], b[2])
+
+    def test_holds_path_sets_and_sizes(self):
+        cfg = small_config(m_t=8, m_r=16, n_x=4, n_y=6)
+        re = realize_channels(cfg, realization_rng(0, 1))
+        assert (re.m_t, re.m_r, re.n) == (8, 16, 24)
+        assert set(re.path_sets) == {HOP_TX_RIS, HOP_RIS_RX, HOP_TX_RX}
+        assert not any(isinstance(v, np.ndarray)
+                       for v in vars(re).values())
+
+    def test_sampler_diagnostics(self, caplog):
+        for m, max_tries in ((8, 1000), (32, 1000), (16, 3)):
+            cfg = small_config(m_t=m, m_r=m)
+            scale = 2.0 * cfg.spacing_wavelengths
+            for index in range(5):
+                with caplog.at_level("DEBUG", logger="rispart"):
+                    caplog.clear()
+                    re = realize_channels(cfg, realization_rng(1, index),
+                                          max_tries=max_tries)
+                p = re.path_sets
+
+                def gap(angles):
+                    phi = scale * np.sin(angles)
+                    d = np.abs(phi[:, None] - phi[None, :])
+                    d = np.minimum(d, 2.0 - d)
+                    return d[np.triu_indices(phi.size, 1)].min()
+
+                margin = min(
+                    gap(np.concatenate([p[HOP_TX_RIS].departure,
+                                        p[HOP_TX_RX].departure])) * m,
+                    gap(np.concatenate([p[HOP_RIS_RX].arrival,
+                                        p[HOP_TX_RX].arrival])) * m)
+                assert re.margin == margin
+                assert 1 <= re.draws <= max_tries
+                kept_below = re.margin < 2.0
+                assert kept_below == (re.draws == max_tries
+                                      and bool(caplog.records))
+        with pytest.raises(ValueError):
+            realize_channels(small_config(), realization_rng(0, 0),
+                             max_tries=0)
+
+    def test_validation(self):
+        re = realize_channels(small_config(), realization_rng(0, 0))
+        fields = dict(vars(re))
+        with pytest.raises(ValueError):
+            ChannelRealization(**dict(fields, m_r=0))
+        with pytest.raises(ValueError):
+            ChannelRealization(**dict(
+                fields, path_sets={HOP_TX_RIS: re.path_sets[HOP_TX_RIS]}))
 
     def test_resolvable_separation(self):
         cfg = small_config(m_t=32, m_r=32)

@@ -1,5 +1,8 @@
-"""Finite-size realization tests: transmit covariance, log-det rate, and
-mapping an asymptotic solution onto a physical RIS."""
+"""Finite-size realization tests: transmit covariance, log-det rate,
+mapping an asymptotic solution onto a physical RIS, and the path-domain
+rate against the dense reference."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +12,8 @@ from rispart.asymptotic import (Allocation, Solution, coefficients,
 from rispart.channel import (SimulationConfig, dbm_to_watts, realization_rng,
                              realize_channels, ula_response)
 from rispart.finite import (adapt_solution, eigenmode_covariance,
-                            logdet_rate, refine_common_phases)
+                            logdet_rate, rate_with_psi, refine_common_phases)
+from rispart.oracle import dense_rate, dense_refine
 from rispart.solver import solve
 
 P0 = dbm_to_watts(60.1030)
@@ -22,6 +26,40 @@ def pipeline(seed=0, m=16, n_x=10, n_y=12, l1=2, l2=2, l3=2, **cfg_kw):
     prob = coefficients(re, optimal_pairing(l1, l2), cfg)
     sol = solve(prob)
     return cfg, re, prob, sol
+
+
+def forced_drop(prob, n_y):
+    """Solution whose second ratio is too small to earn a column."""
+    eps = 0.5 / n_y
+    t = np.zeros(prob.s_max)
+    t[0], t[1] = 1 - eps, eps
+    alloc = Allocation(p_r=prob.power * t, p_d=np.zeros(prob.l3), t=t)
+    return Solution(problem=prob, allocation=alloc, v=1.0, w=1.0,
+                    rate=rate(prob, alloc), s_active=[0, 1], i_active=[])
+
+
+def random_evaluation(rng):
+    """Adapted solution on a random small config, with its config.
+
+    Every fourth draw forces a dropped sub-surface; every third pushes
+    the direct hop out of range.
+    """
+    draw = int(rng.integers(1 << 30))
+    m_t, m_r = (int(m) for m in rng.choice([2, 4, 8, 16], 2))
+    l1, l2 = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+    cfg = SimulationConfig(
+        m_t=m_t, m_r=m_r, n_x=int(rng.integers(2, 11)),
+        n_y=int(rng.integers(4, 21)), l1=l1, l2=l2,
+        l3=int(rng.integers(1, 4)),
+        d3=1e9 if draw % 3 == 0 else 150.0,
+        power_watts=P0 / (m_t * m_r) * 10.0 ** rng.uniform(-2, 1))
+    re = realize_channels(cfg, realization_rng(draw, 0), max_tries=20)
+    prob = coefficients(re, optimal_pairing(l1, l2), cfg)
+    if draw % 4 == 0 and prob.s_max > 1:
+        sol = forced_drop(prob, cfg.n_y)
+    else:
+        sol = solve(prob)
+    return cfg, adapt_solution(sol, re, cfg.ris_geometry, rng)
 
 
 class TestEigenmodeCovariance:
@@ -105,22 +143,23 @@ class TestAdaptSolution:
                             rng=np.random.default_rng(12))
         assert abs(np.trace(ev.q).real - prob.power) < 1e-6 * prob.power
 
-    def test_drop_triggers_rewaterfill(self):
+    def test_drop_triggers_rewaterfill(self, caplog):
         cfg, re, prob, sol = pipeline(seed=4)
-        # force a ratio too small to earn a column
-        eps = 0.5 / cfg.n_y
-        t = np.zeros(prob.s_max)
-        t[0], t[1] = 1 - eps, eps
-        p_r = prob.power * t
-        alloc = Allocation(p_r=p_r, p_d=np.zeros(prob.l3), t=t)
-        forced = Solution(problem=prob, allocation=alloc, v=1.0, w=1.0,
-                          rate=rate(prob, alloc), s_active=[0, 1],
-                          i_active=[])
-        ev = adapt_solution(forced, re, cfg.ris_geometry,
-                            rng=np.random.default_rng(13))
+        with caplog.at_level("DEBUG", logger="rispart"):
+            ev = adapt_solution(forced_drop(prob, cfg.n_y), re,
+                                cfg.ris_geometry,
+                                rng=np.random.default_rng(13))
         assert ev.rewaterfilled
         assert ev.plan.s == 1
         assert abs(np.trace(ev.q).real - prob.power) < 1e-6 * prob.power
+        assert any("re-water-filling" in r.getMessage()
+                   for r in caplog.records)
+
+    def test_rejects_mismatched_surface(self):
+        cfg, re, prob, sol = pipeline(seed=4)
+        other = SimulationConfig(n_x=cfg.n_x, n_y=cfg.n_y + 1).ris_geometry
+        with pytest.raises(ValueError, match="RIS geometry"):
+            adapt_solution(sol, re, other)
 
     def test_gap_moderate_at_small_size(self):
         cfg, re, prob, sol = pipeline(seed=5, n_x=30, n_y=30)
@@ -160,3 +199,64 @@ class TestRefineCommonPhases:
                             rng=np.random.default_rng(17))
         with pytest.raises(ValueError):
             refine_common_phases(ev, grid_points=0)
+
+
+@pytest.mark.filterwarnings("ignore:path counts")
+class TestPathDomain:
+    def test_rate_matches_dense_oracle(self):
+        rng = np.random.default_rng(20)
+        seen = set()
+        worst = 0.0
+        for _ in range(60):
+            cfg, ev = random_evaluation(rng)
+            psi = rng.uniform(0, 2 * np.pi, ev.plan.s)
+            for fast, ref in ((ev.rate, dense_rate(ev)),
+                              (rate_with_psi(ev, psi), dense_rate(ev, psi))):
+                worst = max(worst, abs(fast - ref) / max(abs(ref), 1e-300))
+            r = ev.plan.s + ev.direct_powers.size
+            seen |= {("S=1", ev.plan.s == 1), ("dropped", ev.rewaterfilled),
+                     ("no direct", ev.direct_powers.size == 0),
+                     ("r < M_t", r < cfg.m_t), ("r >= M_t", r >= cfg.m_t)}
+        assert worst <= 1e-10, worst
+        assert {case for case, hit in seen if hit} == {
+            "S=1", "dropped", "no direct", "r < M_t", "r >= M_t"}
+
+    def test_refinement_matches_dense_ascent(self):
+        rng = np.random.default_rng(21)
+        surfaces = []
+        for i in range(20):
+            # larger surfaces and powers than random_evaluation, so that
+            # two to four sub-surfaces take turns in the ascent
+            l = int(rng.integers(2, 5))
+            cfg = SimulationConfig(
+                m_t=16, m_r=16, n_x=int(rng.integers(8, 21)),
+                n_y=int(rng.integers(16, 41)), l1=l, l2=l,
+                l3=int(rng.integers(1, 4)),
+                power_watts=P0 / 256 * 10.0 ** rng.uniform(1, 3))
+            re = realize_channels(cfg, realization_rng(i, 0), max_tries=20)
+            sol = solve(coefficients(re, optimal_pairing(l, l), cfg))
+            ev = adapt_solution(sol, re, cfg.ris_geometry, rng)
+            surfaces.append(ev.plan.s)
+            refined = refine_common_phases(ev)
+            psi, best = dense_refine(ev)
+            np.testing.assert_array_equal(refined.plan.psi, psi)
+            assert abs(refined.rate - best) <= 1e-10 * abs(best)
+            assert abs(rate_with_psi(refined, psi)
+                       - refined.rate) <= 1e-12 * refined.rate
+        assert min(surfaces) >= 2 and max(surfaces) >= 4
+
+    def test_million_element_surface_in_small_memory(self):
+        cfg = SimulationConfig(n_x=1000, n_y=1000, seed=3)
+        re = realize_channels(cfg, realization_rng(cfg.seed, 0))
+        sol = solve(coefficients(re, optimal_pairing(cfg.l1, cfg.l2), cfg))
+        tracemalloc.start()
+        try:
+            ev = adapt_solution(sol, re, cfg.ris_geometry,
+                                np.random.default_rng(0))
+            refined = refine_common_phases(ev)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one complex N-vector alone would take 16 MB
+        assert peak < 4 * 2 ** 20
+        assert refined.rate >= ev.rate > 0

@@ -6,7 +6,9 @@ import json
 
 import pytest
 
-from rispart.channel import SimulationConfig, dbm_to_watts
+from rispart import checks, harness
+from rispart.channel import (SimulationConfig, dbm_to_watts,
+                             realize_channels)
 from rispart.checks import SUITES, verify
 from rispart.cli import main
 from rispart.harness import (CSV_COLUMNS, ExperimentSpec, _apply_sweep,
@@ -125,10 +127,19 @@ class TestRunExperiment:
         spec = small_spec(sweep="N", values=[24.0, 7.0])
         rows, summary = run_experiment(spec)
         bad = [r for r in rows if r.sweep_value == 7.0]
-        assert bad and all(r.error for r in bad)
+        assert bad and all(r.error.startswith("config: ValueError: ")
+                           for r in bad)
         assert summary[7.0]["failures"] == len(bad)
         good = [r for r in rows if r.sweep_value == 24.0]
         assert all(not r.error for r in good)
+
+    def test_error_names_failing_stage(self, monkeypatch):
+        def boom(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(harness, "adapt_solution", boom)
+        rows, _ = run_experiment(small_spec(values=[30.0], realizations=1))
+        assert rows[0].error == "adapt_solution: RuntimeError: boom"
 
     def test_writes_csv_and_metadata(self, tmp_path):
         out = tmp_path / "results.csv"
@@ -169,6 +180,22 @@ class TestVerify:
         passed, lines = verify("gains", seed=0)
         assert passed
         assert lines and all(line.startswith("[PASS]") for line in lines)
+
+    def test_finite_suite_follows_seed(self, monkeypatch):
+        drawn = []
+
+        def recording(config, rng):
+            realization = realize_channels(config, rng)
+            drawn.append(realization.path_sets["tx_ris"].gains.tobytes())
+            return realization
+
+        monkeypatch.setattr(checks, "realize_channels", recording)
+        for seed in (0, 1, 0):
+            passed, _ = verify("finite", seed=seed)
+            assert passed
+        runs = [drawn[i:i + 5] for i in (0, 5, 10)]
+        assert runs[0] == runs[2]
+        assert not set(runs[0]) & set(runs[1])
 
     def test_unknown_suite(self):
         with pytest.raises(ValueError):

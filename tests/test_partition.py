@@ -10,7 +10,8 @@ from rispart.partition import (PairingMatrix, PartitionPlan, PhaseGradient,
                                dirichlet_ratio, feasible_gradients,
                                gain_asymptotic, gain_closed_form,
                                gain_direct_sum, round_partition,
-                               tile_plan_gain, tile_plan_gain_asymptotic)
+                               subsurface_gains, tile_plan_gain,
+                               tile_plan_gain_asymptotic)
 
 
 def make_ris(nx=4, ny=6):
@@ -25,8 +26,8 @@ def random_plan(rng, s, ny, aligned_zeta=None):
         grads[0] = PhaseGradient(*aligned_zeta)
     t = rng.dirichlet(np.ones(s))
     psi = rng.uniform(0, 2 * np.pi, s)
-    plan = PartitionPlan(t=t, gradients=grads, psi=psi)
-    return plan.realize(ny)
+    realized, _ = PartitionPlan(t=t, gradients=grads, psi=psi).realize(ny)
+    return realized
 
 
 class TestPhaseGradient:
@@ -123,7 +124,8 @@ class TestPartitionPlan:
                              gradients=[PhaseGradient(0, 0),
                                         PhaseGradient(1, 1)],
                              psi=[0.0, 1.0])
-        realized = plan.realize(10)
+        realized, kept = plan.realize(10)
+        assert kept == [0]
         assert realized.s == 1
         np.testing.assert_array_equal(realized.column_counts, [10])
         assert realized.gradients[0].g_x == 0.0
@@ -195,6 +197,29 @@ class TestGains:
             assert abs(dirichlet_ratio(extent,
                                        rng.uniform(-8, 8))) <= 1 + 1e-12
 
+    def test_dirichlet_elementwise(self):
+        rng = np.random.default_rng(8)
+        extent = rng.integers(0, 40, 50).astype(float)
+        x = np.concatenate([rng.uniform(-8, 8, 45),
+                            [0.0, np.pi, -np.pi, 2 * np.pi, 1e-13]])
+        np.testing.assert_array_equal(
+            dirichlet_ratio(extent, x),
+            [dirichlet_ratio(e, v) for e, v in zip(extent, x)])
+
+    def test_subsurface_gains_batch(self):
+        rng = np.random.default_rng(9)
+        ris = make_ris(6, 10)
+        plan = random_plan(rng, 3, 10)
+        zx, zy = rng.uniform(-2, 2, (4, 5)), rng.uniform(-2, 2, (4, 5))
+        gains = subsurface_gains(plan, ris, zx, zy)
+        assert gains.shape == (plan.s, 4, 5)
+        for i in range(4):
+            for j in range(5):
+                direct = gain_direct_sum(build_theta(plan, ris), ris,
+                                         (zx[i, j], zy[i, j]))
+                assert abs(np.exp(1j * plan.psi) @ gains[:, i, j]
+                           - direct) < 1e-12
+
     def test_closed_form_matches_direct_sum(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
@@ -244,7 +269,8 @@ class TestGains:
         for scale in (1, 3, 9):
             ny = 12 * scale
             ris = make_ris(4 * scale, ny)
-            plan = PartitionPlan(t=t, gradients=grads, psi=psi).realize(ny)
+            plan, _ = PartitionPlan(t=t, gradients=grads,
+                                    psi=psi).realize(ny)
             gap = abs(gain_closed_form(plan, ris, zeta)
                       - gain_asymptotic(plan, zeta))
             gaps.append(gap)
