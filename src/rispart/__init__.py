@@ -15,8 +15,9 @@ The package is organized around the optimization pipeline:
 - :mod:`rispart.finite` -- mapping the asymptotic solution back to a
   finite-size system and evaluating the exact log-det rate in the path
   domain.
-- :mod:`rispart.oracle` -- brute-force references and a Levenberg-Marquardt
-  cross-check for desk-scale verification.
+- :mod:`rispart.oracle` -- brute-force references, a Levenberg-Marquardt
+  cross-check, the dense finite model and the draw-by-draw path sampler for
+  desk-scale verification.
 - :mod:`rispart.checks` -- property checks of the paper's claims over
   random draws, shared by the acceptance tests and ``rispart verify``.
 - :mod:`rispart.harness` -- Monte-Carlo experiment orchestration and the

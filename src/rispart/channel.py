@@ -310,10 +310,39 @@ def ris_response(phi: float, theta_az: float,
                    steering_vector(arg_y, geometry.ny))
 
 
-def _open_closed_uniform(rng: np.random.Generator, high: float,
-                         size: int) -> np.ndarray:
-    """Uniform samples on the half-open interval ``(0, high]``."""
-    return (1.0 - rng.random(size)) * high
+# Per hop, the blocks of L uniforms one path set draws, in stream order.
+# Each angle is ``(1 - u) * high`` on the half-open interval (0, high]:
+# terminal ("tx"/"rx") boresight angles use the full azimuth range, so their
+# direction cosines cover [-1, 1]; a RIS endpoint takes an elevation block
+# on (0, pi/2] and then an azimuth block on (0, 2*pi].
+_BLOCKS = {
+    HOP_TX_RIS: ("tx", "ris_elev", "ris_azim"),
+    HOP_RIS_RX: ("ris_elev", "ris_azim", "rx"),
+    HOP_TX_RX: ("tx", "rx"),
+}
+_HIGH = {"tx": 2.0 * np.pi, "rx": 2.0 * np.pi, "ris_elev": np.pi / 2.0,
+         "ris_azim": 2.0 * np.pi}
+
+
+def _path_set(kind: str, uniforms: np.ndarray, normals: np.ndarray,
+              ) -> PathSet:
+    """One hop's path set from its uniform block and its normal block.
+
+    ``uniforms`` holds the hop's ``len(_BLOCKS[kind]) * L`` draws of
+    ``rng.random`` in the order of ``_BLOCKS``; ``normals`` holds ``2L``
+    standard normals, the real parts of the gains and then the imaginary
+    parts.  Paths are sorted by non-increasing gain magnitude.
+    """
+    l = normals.size // 2
+    angles = {name: (1.0 - uniforms[i * l:(i + 1) * l]) * _HIGH[name]
+              for i, name in enumerate(_BLOCKS[kind])}
+    ris = (None if kind == HOP_TX_RX else
+           np.column_stack([angles["ris_elev"], angles["ris_azim"]]))
+    departure, arrival = angles.get("tx", ris), angles.get("rx", ris)
+    gains = (normals[:l] + 1j * normals[l:]) / np.sqrt(2)
+    order = np.argsort(-np.abs(gains), kind="stable")
+    return PathSet(kind=kind, gains=gains[order], departure=departure[order],
+                   arrival=arrival[order])
 
 
 def sample_paths(rng: np.random.Generator, l: int, kind: str,
@@ -323,35 +352,15 @@ def sample_paths(rng: np.random.Generator, l: int, kind: str,
     Elevations are uniform on (0, pi/2], azimuths on (0, 2*pi]; ULA
     boresight angles use the full azimuth range so their direction cosines
     cover [-1, 1].  Gains are sorted by non-increasing magnitude.
-    Deterministic for a given generator state.
+    Deterministic for a given generator state: one ``rng.random`` call for
+    the angles, then one ``rng.standard_normal`` call for the gains.
     """
     if l < 1:
         raise ValueError("L must be >= 1")
     if kind not in HOP_KINDS:
         raise ValueError(f"unknown hop kind {kind!r}")
-
-    def ris_angles():
-        elev = _open_closed_uniform(rng, np.pi / 2.0, l)
-        azim = _open_closed_uniform(rng, 2.0 * np.pi, l)
-        return np.column_stack([elev, azim])
-
-    def ula_angles():
-        return _open_closed_uniform(rng, 2.0 * np.pi, l)
-
-    if kind == HOP_TX_RIS:
-        departure = ula_angles()  # Tx side
-        arrival = ris_angles()    # RIS side
-    elif kind == HOP_RIS_RX:
-        departure = ris_angles()  # RIS side
-        arrival = ula_angles()    # Rx side
-    else:
-        departure = ula_angles()
-        arrival = ula_angles()
-
-    gains = (rng.standard_normal(l) + 1j * rng.standard_normal(l)) / np.sqrt(2)
-    order = np.argsort(-np.abs(gains), kind="stable")
-    return PathSet(kind=kind, gains=gains[order], departure=departure[order],
-                   arrival=arrival[order])
+    uniforms = rng.random(len(_BLOCKS[kind]) * l)
+    return _path_set(kind, uniforms, rng.standard_normal(2 * l))
 
 
 def synth_channel(paths: PathSet, tx_geom, rx_geom) -> np.ndarray:
@@ -442,18 +451,26 @@ def realization_rng(master_seed: int, index: int) -> np.random.Generator:
         np.random.SeedSequence(master_seed, spawn_key=(index,)))
 
 
-def _min_cosine_gap(angles: np.ndarray, scale: float) -> float:
-    """Smallest pairwise distance between steering arguments.
+# Candidate draws realize_channels generates and scores at a time: the
+# first chunk holds FIRST_CHUNK draws and each next one twice as many, up to
+# SAMPLE_CHUNK, so an accept within the first few draws wastes few draws and
+# a long rejection run pays the per-chunk scoring cost rarely.
+FIRST_CHUNK = 8
+SAMPLE_CHUNK = 128
+
+
+def _min_cosine_gaps(angles: np.ndarray, scale: float) -> np.ndarray:
+    """Smallest pairwise distance between steering arguments, per row.
 
     Arguments are ``scale*sin(angle)``; the steering vector is periodic
-    with period 2, so distances wrap accordingly.
+    with period 2, so distances wrap accordingly (``scale`` > 1 when the
+    element spacing exceeds half a wavelength).  A row with fewer than two
+    angles has no pair and reads ``inf``.
     """
-    phi = np.sort(scale * np.sin(np.asarray(angles, dtype=float)))
-    if phi.size < 2:
-        return np.inf
-    gaps = np.abs(phi[:, None] - phi[None, :])
-    gaps = np.minimum(gaps, 2.0 - gaps)
-    return float(gaps[np.triu_indices(phi.size, 1)].min())
+    phi = scale * np.sin(angles)
+    i, j = np.triu_indices(angles.shape[1], 1)
+    gaps = np.abs(phi[:, i] - phi[:, j]) % 2.0
+    return np.minimum(gaps, 2.0 - gaps).min(axis=1, initial=np.inf)
 
 
 def realize_channels(config: SimulationConfig, rng: np.random.Generator,
@@ -463,36 +480,87 @@ def realize_channels(config: SimulationConfig, rng: np.random.Generator,
     Path counts L denote *resolvable* paths, so a draw is accepted only
     when the direction cosines of all paths seen by each terminal array
     are separated by that array's resolution (2/M in steering-argument
-    units).  If no draw within ``max_tries`` meets the target, the
-    best-separated draw is kept and a DEBUG record is logged.
+    units, wrapped with period 2).  If no draw within ``max_tries`` meets
+    the target, the first best-separated draw is kept and a DEBUG record
+    is logged.
+
+    Stream contract: the generator is consumed exactly as by drawing whole
+    path sets with :func:`sample_paths` one by one (tx_ris, ris_rx, tx_rx
+    per draw) up to and including the accepted draw, or ``max_tries``
+    draws; the kept path sets, ``draws`` and ``margin`` are those of that
+    draw-by-draw loop (``oracle.serial_realize_channels``).  The draws are
+    generated in chunks of ``FIRST_CHUNK``, twice that, and so on up to
+    ``SAMPLE_CHUNK`` draws, into preallocated rows, and the margins of a
+    chunk are scored in one step; when a chunk holds an accepted draw, the
+    generator state saved at the chunk's start is restored and the chunk
+    drawn again up to that draw, so the generator ends where the loop would
+    leave it.  Only the kept draw becomes path sets.
     """
     if max_tries < 1:
         raise ValueError("max_tries must be >= 1")
     scale = 2.0 * config.spacing / config.wavelength
-    best = None
-    best_gap = -np.inf
-    for draws in range(1, max_tries + 1):
-        p1 = sample_paths(rng, config.l1, HOP_TX_RIS, config)
-        p2 = sample_paths(rng, config.l2, HOP_RIS_RX, config)
-        p3 = sample_paths(rng, config.l3, HOP_TX_RX, config)
-        tx_gap = _min_cosine_gap(
-            np.concatenate([p1.departure, p3.departure]), scale)
-        rx_gap = _min_cosine_gap(
-            np.concatenate([p2.arrival, p3.arrival]), scale)
-        margin = min(tx_gap * config.m_t, rx_gap * config.m_r)
-        if margin > best_gap:
-            best_gap = margin
-            best = (p1, p2, p3)
-        if margin >= 2.0:
+    counts = dict(zip(HOP_KINDS, (config.l1, config.l2, config.l3)))
+    # a draw is one row in each hop's uniform and normal buffer
+    buffers = {k: (np.empty((SAMPLE_CHUNK, len(_BLOCKS[k]) * l)),
+                   np.empty((SAMPLE_CHUNK, 2 * l)))
+               for k, l in counts.items()}
+    in_stream_order = [b for k in HOP_KINDS for b in buffers[k]]
+    random, normal = rng.random, rng.standard_normal
+
+    def fill(rows):
+        for u1, n1, u2, n2, u3, n3 in zip(*(b[:rows]
+                                            for b in in_stream_order)):
+            random(out=u1)
+            normal(out=n1)
+            random(out=u2)
+            normal(out=n2)
+            random(out=u3)
+            normal(out=n3)
+
+    def margins(rows):
+        """Each row's margin: min over terminals of ``gap * M``."""
+        out = np.inf
+        for side, m in (("tx", config.m_t), ("rx", config.m_r)):
+            angles = np.concatenate(
+                [buffers[k][0][:rows, i * l:(i + 1) * l]
+                 for k, l in counts.items()
+                 for i, name in enumerate(_BLOCKS[k]) if name == side],
+                axis=1)
+            gaps = _min_cosine_gaps((1.0 - angles) * _HIGH[side], scale)
+            out = np.minimum(out, gaps * m)
+        return out
+
+    best_margin, best = -np.inf, None
+    done, chunk_size = 0, FIRST_CHUNK
+    while done < max_tries:
+        size = min(chunk_size, max_tries - done)
+        chunk_size = min(2 * chunk_size, SAMPLE_CHUNK)
+        state = rng.bit_generator.state
+        fill(size)
+        chunk = margins(size)
+        accepted = np.flatnonzero(chunk >= 2.0)
+        if accepted.size:
+            row = accepted[0]
+            rng.bit_generator.state = state
+            fill(row + 1)
+            best_margin = chunk[row]
+            best = {k: (u[row], n[row]) for k, (u, n) in buffers.items()}
+            draws = done + row + 1
             break
+        row = np.argmax(chunk)
+        if chunk[row] > best_margin:
+            best_margin = chunk[row]
+            best = {k: (u[row].copy(), n[row].copy())
+                    for k, (u, n) in buffers.items()}
+        done += size
     else:
+        draws = max_tries
         logger.debug("no path set in %d draws is 2/M separated; keeping "
-                     "margin %.3g", max_tries, best_gap)
-    p1, p2, p3 = best
+                     "margin %.3g", max_tries, best_margin)
     pl_r, pl_d = path_loss(config)
-    return ChannelRealization(path_sets={HOP_TX_RIS: p1, HOP_RIS_RX: p2,
-                                         HOP_TX_RX: p3},
+    return ChannelRealization(path_sets={k: _path_set(k, *best[k])
+                                         for k in HOP_KINDS},
                               pl_r=pl_r, pl_d=pl_d,
                               noise_power=config.noise_watts,
                               m_t=config.m_t, m_r=config.m_r, n=config.n,
-                              draws=draws, margin=float(best_gap))
+                              draws=int(draws), margin=float(best_margin))

@@ -30,7 +30,7 @@ PSI_MODES = ("random", "refine")
 
 CSV_COLUMNS = ["seed", "sweep_value", "rate_asymptotic", "rate_finite",
                "activated_cascaded", "activated_direct", "s_min_star",
-               "wall_ms", "error"]
+               "wall_ms", "error", "draws", "margin"]
 EXPERIMENT_KEYS = ("sweep", "values", "psi", "realizations", "out")
 
 
@@ -62,7 +62,12 @@ class ExperimentSpec:
 
 @dataclass
 class ResultRow:
-    """One realization's outcome within a sweep."""
+    """One realization's outcome within a sweep.
+
+    ``draws`` and ``margin`` are the path sampler's diagnostics (see
+    :class:`rispart.channel.ChannelRealization`); they read 0 when the
+    realization failed before its channels were sampled.
+    """
 
     seed: int
     sweep_value: float
@@ -73,6 +78,8 @@ class ResultRow:
     s_min_star: int
     wall_ms: float
     error: str = ""
+    draws: int = 0
+    margin: float = 0.0
 
 
 def load_experiment(path: str) -> ExperimentSpec:
@@ -123,6 +130,7 @@ def _run_one(task) -> ResultRow:
     config, sweep, value, index, psi_mode = task
     start = time.perf_counter()
     stage = "config"
+    realization = None
     try:
         cfg = _apply_sweep(config, sweep, value)
         stage = "realize_channels"
@@ -144,14 +152,17 @@ def _run_one(task) -> ResultRow:
             rate_asymptotic=sol.rate, rate_finite=ev.rate,
             activated_cascaded=len(sol.s_active),
             activated_direct=len(sol.i_active),
-            s_min_star=sol.s_min_star, wall_ms=wall)
+            s_min_star=sol.s_min_star, wall_ms=wall,
+            draws=realization.draws, margin=realization.margin)
     except Exception as exc:  # flag and keep sweeping
         wall = (time.perf_counter() - start) * 1e3
         return ResultRow(seed=index, sweep_value=value,
                          rate_asymptotic=0.0, rate_finite=0.0,
                          activated_cascaded=0, activated_direct=0,
                          s_min_star=0, wall_ms=wall,
-                         error=f"{stage}: {type(exc).__name__}: {exc}")
+                         error=f"{stage}: {type(exc).__name__}: {exc}",
+                         draws=realization.draws if realization else 0,
+                         margin=realization.margin if realization else 0.0)
 
 
 def run_experiment(spec: ExperimentSpec, jobs: int = 1,
@@ -214,7 +225,8 @@ def write_results(spec: ExperimentSpec, rows: list[ResultRow],
             writer.writerow([r.seed, repr(r.sweep_value),
                              repr(r.rate_asymptotic), repr(r.rate_finite),
                              r.activated_cascaded, r.activated_direct,
-                             r.s_min_star, f"{r.wall_ms:.3f}", r.error])
+                             r.s_min_star, f"{r.wall_ms:.3f}", r.error,
+                             r.draws, repr(r.margin)])
     meta = {
         "config": dataclasses.asdict(spec.config),
         "sweep": spec.sweep,

@@ -3,9 +3,10 @@
 These oracles evaluate the rate objective exhaustively on barycentric
 lattices (exact unit-sum grid points), enumerate every injective path
 pairing, grid the common phases, solve the KKT system of each activated
-block by Levenberg-Marquardt, and evaluate the finite model on the dense
-N-column channel matrices, so the analytical shortcuts in the solver and
-finite modules can be validated independently.
+block by Levenberg-Marquardt, evaluate the finite model on the dense
+N-column channel matrices, and sample channel realizations one whole draw
+at a time, so the analytical shortcuts in the solver and finite modules
+and the batched path sampler can be validated independently.
 """
 
 from __future__ import annotations
@@ -17,7 +18,10 @@ import numpy as np
 
 from rispart.asymptotic import (Allocation, AsymptoticProblem, Solution,
                                 rate)
-from rispart.channel import dense_channels, effective_channel
+from rispart.channel import (HOP_RIS_RX, HOP_TX_RIS, HOP_TX_RX,
+                             ChannelRealization, SimulationConfig,
+                             dense_channels, effective_channel, path_loss,
+                             sample_paths)
 from rispart.finite import FiniteEvaluation, logdet_rate, rate_with_psi
 from rispart.partition import build_theta, largest_remainder
 from rispart.solver import KktResidual, kkt_residual, solve, water_filling
@@ -317,3 +321,49 @@ def dense_refine(evaluation: FiniteEvaluation, sweeps: int = 2,
                     best_rate = r
                     psi = trial
     return psi, best_rate
+
+
+def min_cosine_gap(angles: np.ndarray, scale: float) -> float:
+    """Smallest pairwise distance between steering arguments.
+
+    Arguments are ``scale*sin(angle)``; the steering vector is periodic
+    with period 2, so distances wrap accordingly.
+    """
+    phi = np.sort(scale * np.sin(np.asarray(angles, dtype=float)))
+    if phi.size < 2:
+        return np.inf
+    gaps = np.abs(phi[:, None] - phi[None, :]) % 2.0
+    gaps = np.minimum(gaps, 2.0 - gaps)
+    return float(gaps[np.triu_indices(phi.size, 1)].min())
+
+
+def serial_realize_channels(config: SimulationConfig,
+                            rng: np.random.Generator,
+                            max_tries: int = 1000) -> ChannelRealization:
+    """Reference for ``channel.realize_channels``: draw whole path sets one
+    by one with ``sample_paths`` and score each draw with
+    :func:`min_cosine_gap`, keeping the first draw whose margin reaches 2,
+    else the first best one."""
+    scale = 2.0 * config.spacing / config.wavelength
+    best = None
+    best_gap = -np.inf
+    for draws in range(1, max_tries + 1):
+        p1 = sample_paths(rng, config.l1, HOP_TX_RIS, config)
+        p2 = sample_paths(rng, config.l2, HOP_RIS_RX, config)
+        p3 = sample_paths(rng, config.l3, HOP_TX_RX, config)
+        tx_gap = min_cosine_gap(
+            np.concatenate([p1.departure, p3.departure]), scale)
+        rx_gap = min_cosine_gap(
+            np.concatenate([p2.arrival, p3.arrival]), scale)
+        margin = min(tx_gap * config.m_t, rx_gap * config.m_r)
+        if margin > best_gap:
+            best_gap = margin
+            best = (p1, p2, p3)
+        if margin >= 2.0:
+            break
+    pl_r, pl_d = path_loss(config)
+    return ChannelRealization(
+        path_sets=dict(zip((HOP_TX_RIS, HOP_RIS_RX, HOP_TX_RX), best)),
+        pl_r=pl_r, pl_d=pl_d, noise_power=config.noise_watts,
+        m_t=config.m_t, m_r=config.m_r, n=config.n,
+        draws=draws, margin=float(best_gap))

@@ -1,19 +1,24 @@
 """Channel-model tests: steering vectors, path sampling, path loss, the
-realization's path sets and sampler diagnostics, and the dense channel and
-effective channel assembly."""
+realization's path sets and sampler diagnostics, the batched sampler
+against its draw-by-draw reference, and the dense channel and effective
+channel assembly."""
+
+import hashlib
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rispart.channel import (ArrayGeometry, ChannelRealization, PathSet,
-                             RisGeometry, SimulationConfig, dbm_to_watts,
-                             dense_channels, effective_channel, load_config,
-                             path_loss,
+from rispart.channel import (FIRST_CHUNK, HOP_KINDS, SAMPLE_CHUNK,
+                             ArrayGeometry, ChannelRealization, PathSet, RisGeometry,
+                             SimulationConfig, dbm_to_watts, dense_channels,
+                             effective_channel, load_config, path_loss,
                              realization_rng, realize_channels, ris_response,
                              sample_paths, steering_vector, synth_channel,
                              ula_response, watts_to_dbm)
+from rispart.oracle import serial_realize_channels
 
 HOP_TX_RIS, HOP_RIS_RX, HOP_TX_RX = "tx_ris", "ris_rx", "tx_rx"
 
@@ -259,9 +264,17 @@ class TestRealization:
                        for v in vars(re).values())
 
     def test_sampler_diagnostics(self, caplog):
-        for m, max_tries in ((8, 1000), (32, 1000), (16, 3)):
-            cfg = small_config(m_t=m, m_r=m)
-            scale = 2.0 * cfg.spacing_wavelengths
+        # d = 1 wavelength puts steering arguments on [-2, 2], so a
+        # difference can exceed the period 2 and the gap must wrap; with
+        # L = 5/7/4 nearly every draw has such a pair
+        for m, max_tries, d, paths in ((8, 1000, 0.5, (2, 2, 2)),
+                                       (32, 1000, 0.5, (2, 2, 2)),
+                                       (16, 3, 0.5, (2, 2, 2)),
+                                       (16, 1000, 1.0, (2, 2, 2)),
+                                       (32, 1000, 1.0, (5, 7, 4))):
+            cfg = small_config(m_t=m, m_r=m, spacing_wavelengths=d,
+                               l1=paths[0], l2=paths[1], l3=paths[2])
+            scale = 2.0 * d
             for index in range(5):
                 with caplog.at_level("DEBUG", logger="rispart"):
                     caplog.clear()
@@ -271,7 +284,7 @@ class TestRealization:
 
                 def gap(angles):
                     phi = scale * np.sin(angles)
-                    d = np.abs(phi[:, None] - phi[None, :])
+                    d = np.abs(phi[:, None] - phi[None, :]) % 2.0
                     d = np.minimum(d, 2.0 - d)
                     return d[np.triu_indices(phi.size, 1)].min()
 
@@ -281,6 +294,7 @@ class TestRealization:
                     gap(np.concatenate([p[HOP_RIS_RX].arrival,
                                         p[HOP_TX_RX].arrival])) * m)
                 assert re.margin == margin
+                assert re.margin >= 0.0
                 assert 1 <= re.draws <= max_tries
                 kept_below = re.margin < 2.0
                 assert kept_below == (re.draws == max_tries
@@ -308,6 +322,120 @@ class TestRealization:
         gaps = np.minimum(gaps, 2.0 - gaps)
         off = gaps[np.triu_indices(cos_tx.size, 1)]
         assert off.min() >= 2.0 / 32
+
+
+def _digest(realization) -> str:
+    """sha256 of the kept path sets' arrays, hop after hop."""
+    h = hashlib.sha256()
+    for kind in HOP_KINDS:
+        p = realization.path_sets[kind]
+        for a in (p.gains, p.departure, p.arrival):
+            h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+def _sampler_config(m, paths, d):
+    with warnings.catch_warnings():  # large L at small M is intended here
+        warnings.simplefilter("ignore")
+        return SimulationConfig(m_t=m, m_r=m, n_x=4, n_y=6, l1=paths[0],
+                                l2=paths[1], l3=paths[2],
+                                spacing_wavelengths=d)
+
+
+class TestBatchedSampler:
+    """``realize_channels`` against ``oracle.serial_realize_channels``,
+    which draws whole path sets one by one and scores each draw alone."""
+
+    PATHS = ((1, 1, 1), (2, 3, 1), (5, 7, 4), (8, 8, 4), (1, 8, 2),
+             (3, 2, 2), (8, 1, 1))
+    # (M, (L1, L2, L3), d, seed, index) whose first accepted draw is the
+    # last of a chunk or the first of the next: at 8/9 and 24 (growing
+    # chunks), 120/121 (the first full chunk) and 249 (two full chunks)
+    BOUNDARY = ((64, (5, 7, 4), 0.5, 5, 45),
+                (64, (5, 7, 4), 0.5, 5, 405),
+                (32, (4, 4, 3), 1.0, 5, 171),
+                (64, (5, 7, 4), 0.5, 5, 828),
+                (64, (5, 7, 4), 0.5, 5, 77),
+                (64, (5, 7, 4), 0.5, 5, 341))
+
+    @staticmethod
+    def chunk_ends(max_tries):
+        """Draw counts at which a chunk ends, as the sampler chunks them."""
+        ends, size = [FIRST_CHUNK], FIRST_CHUNK
+        while ends[-1] < max_tries:
+            size = min(2 * size, SAMPLE_CHUNK)
+            ends.append(ends[-1] + size)
+        return ends
+
+    @staticmethod
+    def compare(config, seed, index, max_tries):
+        rng = realization_rng(seed, index)
+        ref_rng = realization_rng(seed, index)
+        got = realize_channels(config, rng, max_tries=max_tries)
+        ref = serial_realize_channels(config, ref_rng, max_tries=max_tries)
+        for kind in HOP_KINDS:
+            a, b = got.path_sets[kind], ref.path_sets[kind]
+            np.testing.assert_array_equal(a.gains, b.gains)
+            np.testing.assert_array_equal(a.departure, b.departure)
+            np.testing.assert_array_equal(a.arrival, b.arrival)
+        assert got.draws == ref.draws
+        assert got.margin == ref.margin
+        assert rng.random() == ref_rng.random()
+        return got
+
+    def test_matches_serial_reference(self):
+        ends = self.chunk_ends(1000)
+
+        def outcome(re):
+            if re.margin < 2.0:
+                return "never"
+            if re.draws == 1:
+                return "first"
+            if re.draws in ends or re.draws - 1 in ends:
+                return "chunk boundary"
+            return "inside a chunk"
+
+        outcomes = set()
+        case = 0
+        for m in (4, 8, 16, 32, 64):
+            for d in (0.5, 1.0):
+                for max_tries in (1, 3, 20, 1000):
+                    paths = self.PATHS[case % len(self.PATHS)]
+                    re = self.compare(_sampler_config(m, paths, d), 3, case,
+                                      max_tries)
+                    outcomes.add(outcome(re))
+                    case += 1
+        assert outcomes >= {"never", "first", "inside a chunk"}
+        for m, paths, d, seed, index in self.BOUNDARY:
+            re = self.compare(_sampler_config(m, paths, d), seed, index, 1000)
+            assert outcome(re) == "chunk boundary"
+
+    # (config, seed, index) -> draws, repr(margin), sha256 of the kept
+    # path sets and the generator's next random(), as the draw-by-draw
+    # sampler produced them; a change to the draw layout must not move them
+    PINS = (
+        (SimulationConfig(), 0, 0, 1000, "1.56919070956033",
+         "2e3c181fc91f4e560c961ffc75bebed5a84f5183bcba1e15ebab0f7311bc387f",
+         0.0612524606059065),
+        (SimulationConfig(m_t=64, m_r=64, l1=8, l2=8, l3=4), 1, 2, 40,
+         "2.7774477550662766",
+         "fbb38ed23c1048a34474ace39d7e1a4cef06fc8030c15b601bf92191bd636352",
+         0.12210259137234647),
+        (SimulationConfig(m_t=16, m_r=16, n_x=4, n_y=6, l1=2, l2=3, l3=1),
+         7, 5, 3, "4.365274208645026",
+         "3d9df851b83d830a5a0c795cec945e509aa4ce52e18991609975cad978f22f77",
+         0.033414070673691176),
+    )
+
+    @pytest.mark.parametrize("pin", PINS, ids=["default", "paths-8x8",
+                                                "M16-L2/3/1"])
+    def test_stream_pinned(self, pin):
+        config, seed, index, draws, margin, digest, next_draw = pin
+        rng = realization_rng(seed, index)
+        re = realize_channels(config, rng)
+        assert (re.draws, repr(re.margin), _digest(re)) == (draws, margin,
+                                                            digest)
+        assert rng.random() == next_draw
 
 
 class TestConfig:

@@ -8,7 +8,7 @@ import pytest
 
 from rispart import checks, harness
 from rispart.channel import (SimulationConfig, dbm_to_watts,
-                             realize_channels)
+                             realization_rng, realize_channels)
 from rispart.checks import SUITES, verify
 from rispart.cli import main
 from rispart.harness import (CSV_COLUMNS, ExperimentSpec, _apply_sweep,
@@ -128,7 +128,7 @@ class TestRunExperiment:
         rows, summary = run_experiment(spec)
         bad = [r for r in rows if r.sweep_value == 7.0]
         assert bad and all(r.error.startswith("config: ValueError: ")
-                           for r in bad)
+                           and (r.draws, r.margin) == (0, 0.0) for r in bad)
         assert summary[7.0]["failures"] == len(bad)
         good = [r for r in rows if r.sweep_value == 24.0]
         assert all(not r.error for r in good)
@@ -140,6 +140,7 @@ class TestRunExperiment:
         monkeypatch.setattr(harness, "adapt_solution", boom)
         rows, _ = run_experiment(small_spec(values=[30.0], realizations=1))
         assert rows[0].error == "adapt_solution: RuntimeError: boom"
+        assert rows[0].draws >= 1  # sampled before the failing stage
 
     def test_writes_csv_and_metadata(self, tmp_path):
         out = tmp_path / "results.csv"
@@ -151,6 +152,11 @@ class TestRunExperiment:
         assert len(table) == 1 + len(rows)
         column = CSV_COLUMNS.index("rate_asymptotic")
         assert float(table[1][column]) == rows[0].rate_asymptotic
+        sampled = realize_channels(spec.config, realization_rng(
+            spec.config.seed, rows[0].seed))
+        assert int(table[1][CSV_COLUMNS.index("draws")]) == sampled.draws
+        assert (float(table[1][CSV_COLUMNS.index("margin")])
+                == sampled.margin)
         meta = json.loads((tmp_path / "results.csv.meta.json").read_text())
         assert meta["sweep"] == "P"
         assert meta["config"]["m_t"] == 8
