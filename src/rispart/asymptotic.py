@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from rispart.channel import ChannelRealization, SimulationConfig
-from rispart.partition import PairingMatrix
 
 
 @dataclass
@@ -37,8 +36,10 @@ class AsymptoticProblem:
         self.m_r = np.atleast_1d(np.asarray(self.m_r, dtype=float))
         self.m_d = np.atleast_1d(np.asarray(self.m_d, dtype=float)) \
             if np.size(self.m_d) else np.empty(0)
-        if self.power <= 0:
-            raise ValueError("power budget must be positive")
+        if not np.isfinite(self.power) or self.power <= 0:
+            raise ValueError("power budget must be finite and positive")
+        if not (np.isfinite(self.m_r).all() and np.isfinite(self.m_d).all()):
+            raise ValueError("channel coefficients must be finite")
         if np.any(self.m_r <= 0) or np.any(self.m_d <= 0):
             raise ValueError("channel coefficients must be positive")
         if np.any(np.diff(self.m_r) > 0) or np.any(np.diff(self.m_d) > 0):
@@ -98,9 +99,13 @@ def _sorted_desc(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return values[perm], perm
 
 
-def coefficients(realization: ChannelRealization, pairing: PairingMatrix,
+def coefficients(realization: ChannelRealization,
+                 pairs: list[tuple[int, int]],
                  config: SimulationConfig) -> AsymptoticProblem:
     """Effective scalar-channel coefficients for a pairing.
+
+    ``pairs`` lists the (Tx-RIS path u, RIS-Rx path v) index pairs, each
+    path used at most once, as :func:`optimal_pairing` returns them.
 
     Cascaded: ``PL_r * M_t * M_r * N^2 * |alpha_u * beta_v|^2 /
     (L1 * L2 * sigma^2)`` per paired (u, v).  Direct: ``PL_d * M_t * M_r *
@@ -115,7 +120,6 @@ def coefficients(realization: ChannelRealization, pairing: PairingMatrix,
 
     scale_r = (realization.pl_r * m_t * m_r_dim * n ** 2
                / (tx.count * rx.count * sigma2))
-    pairs = pairing.pairs
     m_r = np.array([scale_r * abs(tx.gains[u] * rx.gains[v]) ** 2
                     for u, v in pairs])
     m_r, perm_r = _sorted_desc(m_r)
@@ -160,16 +164,14 @@ def rate(problem: AsymptoticProblem, alloc: Allocation,
     return float(r)
 
 
-def optimal_pairing(l1: int, l2: int) -> PairingMatrix:
+def optimal_pairing(l1: int, l2: int) -> list[tuple[int, int]]:
     """Sorted pairing: k-th strongest Tx-RIS path with k-th strongest
     RIS-Rx path.
 
-    With gains pre-sorted by magnitude this is the identity-prefix matrix,
-    which maximizes the achievable rate over all injective pairings.
+    With gains pre-sorted by magnitude these are the (u, v) pairs
+    ``(k, k)`` for ``k < min(L1, L2)``, which maximize the achievable rate
+    over all injective pairings.
     """
     if l1 < 1 or l2 < 1:
         raise ValueError("path counts must be positive")
-    b = np.zeros((l1, l2), dtype=int)
-    for k in range(min(l1, l2)):
-        b[k, k] = 1
-    return PairingMatrix(b)
+    return [(k, k) for k in range(min(l1, l2))]

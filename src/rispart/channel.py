@@ -1,11 +1,11 @@
 """Geometric mmWave channel model: steering vectors, random path generation,
-and synthesis of the Tx-RIS, RIS-Rx, Tx-Rx, and effective channels.
+path losses and config ingestion.
 
 A :class:`ChannelRealization` holds the three hops as path sets, never as
 dense matrices: the finite model evaluates them in the path domain, so its
-cost does not grow with the RIS element count N.  :func:`dense_channels`
-and :func:`effective_channel` synthesize the dense N-column matrices for
-the reference model in :mod:`rispart.oracle` and for the tests.
+cost does not grow with the RIS element count N.  The dense N-column
+channels and the effective channel of the reference model live in
+:mod:`rispart.oracle`.
 
 Conventions
 -----------
@@ -14,8 +14,9 @@ Conventions
 * RIS elements are laid out on an ``Nx x Ny`` grid.  A flattened index ``n``
   (0-based) maps to the grid as ``n_x = n // Ny`` and ``n_y = n % Ny``, i.e.
   the y-index varies fastest.  This matches the Kronecker order of
-  :func:`ris_response` (x-axis factor first) and is the layout assumed by
-  every function that consumes a flattened reflection-coefficient vector.
+  ``oracle.ris_response`` (x-axis factor first) and is the layout assumed
+  by every function that consumes a flattened reflection-coefficient
+  vector.
 * Powers are stored internally in watts; dBm values are converted once at
   config ingestion.
 """
@@ -41,10 +42,6 @@ HOP_KINDS = (HOP_TX_RIS, HOP_RIS_RX, HOP_TX_RX)
 
 def dbm_to_watts(dbm: float) -> float:
     return 10.0 ** (dbm / 10.0) / 1000.0
-
-
-def watts_to_dbm(watts: float) -> float:
-    return 10.0 * np.log10(watts * 1000.0)
 
 
 @dataclass(frozen=True)
@@ -176,13 +173,16 @@ class SimulationConfig:
     def __post_init__(self):
         for name in ("m_t", "m_r", "n_x", "n_y", "l1", "l2", "l3",
                      "realizations"):
-            if getattr(self, name) < 1:
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value >= 1):
                 raise ValueError(f"{name} must be positive")
         for name in ("spacing_wavelengths", "carrier_frequency", "d1", "d2",
                      "d3", "path_loss_exponent", "power_watts", "noise_watts",
                      "bandwidth"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, "
+                                 f"got {value!r}")
         # Angular resolution assumption: L1+L3 << M_t, L2+L3 << M_r,
         # L1, L2 << N.  Warn, do not enforce.
         if (self.l1 + self.l3 > self.m_t // 2
@@ -296,20 +296,6 @@ def ula_response(theta: float, geometry: ArrayGeometry) -> np.ndarray:
     return steering_vector(phi, geometry.element_count)
 
 
-def ris_response(phi: float, theta_az: float,
-                 geometry: RisGeometry) -> np.ndarray:
-    """RIS array response for elevation ``phi`` and azimuth ``theta_az``.
-
-    Kronecker product of the x-axis factor (length ``Nx``) and the y-axis
-    factor (length ``Ny``), in that order.
-    """
-    scale = 2.0 * geometry.element_spacing / geometry.wavelength
-    arg_x = scale * np.sin(phi) * np.cos(theta_az)
-    arg_y = scale * np.sin(phi) * np.sin(theta_az)
-    return np.kron(steering_vector(arg_x, geometry.nx),
-                   steering_vector(arg_y, geometry.ny))
-
-
 # Per hop, the blocks of L uniforms one path set draws, in stream order.
 # Each angle is ``(1 - u) * high`` on the half-open interval (0, high]:
 # terminal ("tx"/"rx") boresight angles use the full azimuth range, so their
@@ -363,36 +349,6 @@ def sample_paths(rng: np.random.Generator, l: int, kind: str,
     return _path_set(kind, uniforms, rng.standard_normal(2 * l))
 
 
-def synth_channel(paths: PathSet, tx_geom, rx_geom) -> np.ndarray:
-    """Synthesize one hop's channel matrix from its path set.
-
-    Returns ``sqrt(dim_rx*dim_tx/L) * sum_l g_l * rx_vec_l * tx_vec_l^H``,
-    where the RIS endpoint uses :func:`ris_response` and terminal endpoints
-    use :func:`ula_response`.
-    """
-    if paths.kind == HOP_TX_RIS:
-        if not isinstance(rx_geom, RisGeometry):
-            raise ValueError("tx_ris hop expects a RisGeometry receive side")
-        rx_vecs = [ris_response(e, a, rx_geom) for e, a in paths.arrival]
-        tx_vecs = [ula_response(t, tx_geom) for t in paths.departure]
-        dim_rx, dim_tx = rx_geom.n, tx_geom.element_count
-    elif paths.kind == HOP_RIS_RX:
-        if not isinstance(tx_geom, RisGeometry):
-            raise ValueError("ris_rx hop expects a RisGeometry transmit side")
-        rx_vecs = [ula_response(t, rx_geom) for t in paths.arrival]
-        tx_vecs = [ris_response(e, a, tx_geom) for e, a in paths.departure]
-        dim_rx, dim_tx = rx_geom.element_count, tx_geom.n
-    else:
-        rx_vecs = [ula_response(t, rx_geom) for t in paths.arrival]
-        tx_vecs = [ula_response(t, tx_geom) for t in paths.departure]
-        dim_rx, dim_tx = rx_geom.element_count, tx_geom.element_count
-
-    a_rx = np.column_stack(rx_vecs)
-    a_tx = np.column_stack(tx_vecs)
-    scale = np.sqrt(dim_rx * dim_tx / paths.count)
-    return scale * (a_rx * paths.gains) @ a_tx.conj().T
-
-
 def path_loss(config: SimulationConfig) -> tuple[float, float]:
     """Cascaded and direct path losses.
 
@@ -404,41 +360,6 @@ def path_loss(config: SimulationConfig) -> tuple[float, float]:
     pl_r = lam ** 2 / (64.0 * np.pi ** 3 * config.d1 ** e * config.d2 ** e)
     pl_d = lam ** 2 / (16.0 * np.pi ** 2 * config.d3 ** e)
     return pl_r, pl_d
-
-
-def dense_channels(realization: ChannelRealization, ris: RisGeometry,
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Dense ``(H1, H2, H3)``: N x M_t, M_r x N and M_r x M_t.
-
-    The terminal ULAs share the RIS element spacing and wavelength, as
-    :class:`SimulationConfig` builds them.
-    """
-    if ris.n != realization.n:
-        raise ValueError("RIS geometry does not match the realization")
-    tx = ArrayGeometry(realization.m_t, ris.element_spacing, ris.wavelength)
-    rx = ArrayGeometry(realization.m_r, ris.element_spacing, ris.wavelength)
-    paths = realization.path_sets
-    return (synth_channel(paths[HOP_TX_RIS], tx, ris),
-            synth_channel(paths[HOP_RIS_RX], ris, rx),
-            synth_channel(paths[HOP_TX_RX], tx, rx))
-
-
-def effective_channel(realization: ChannelRealization, channels,
-                      theta: np.ndarray) -> np.ndarray:
-    """Effective Tx-Rx channel ``sqrt(PL_r)*H2*diag(theta)*H1 + sqrt(PL_d)*H3``.
-
-    ``channels`` is the dense ``(H1, H2, H3)`` triple of
-    :func:`dense_channels`; the path losses come from ``realization``.
-    """
-    h1, h2, h3 = channels
-    theta = np.asarray(theta, dtype=complex)
-    if theta.shape != (h1.shape[0],):
-        raise ValueError("theta length must equal the RIS element count")
-    if np.any(np.abs(np.abs(theta) - 1.0) > 1e-9):
-        raise ValueError("theta entries must have unit modulus")
-    cascaded = h2 @ (theta[:, None] * h1)
-    return (np.sqrt(realization.pl_r) * cascaded
-            + np.sqrt(realization.pl_d) * h3)
 
 
 def realization_rng(master_seed: int, index: int) -> np.random.Generator:

@@ -18,9 +18,9 @@ with ``G_s[v, u]`` the Dirichlet-kernel gain of sub-surface s alone at
 activated paths), Sylvester's determinant identity turns the M_r x M_r
 log-det into an r x r one:
 ``log2 det(I + T^H K^H R K T / sigma^2)`` with ``T = B_tx^H W`` and
-``R = B_rx^H B_rx``.  The dense model (``build_theta``,
-``channel.effective_channel`` and :func:`logdet_rate`) is the reference
-in :mod:`rispart.oracle`.
+``R = B_rx^H B_rx``.  The dense model (``build_theta`` with
+``oracle.dense_channels``, ``oracle.effective_channel`` and
+``oracle.logdet_rate``) is the reference in :mod:`rispart.oracle`.
 """
 
 from __future__ import annotations
@@ -101,21 +101,6 @@ def eigenmode_covariance(steering_basis: np.ndarray,
     if np.any(powers < 0):
         raise ValueError("powers must be nonnegative")
     return (a * powers) @ a.conj().T
-
-
-def logdet_rate(h_eff: np.ndarray, q: np.ndarray, noise_power: float) -> float:
-    """Exact MIMO rate ``log2 det(I + H Q H^H / sigma^2)`` in bit/s/Hz."""
-    q = np.asarray(q, dtype=complex)
-    if q.shape[0] != q.shape[1]:
-        raise ValueError("Q must be square")
-    tr = float(np.trace(q).real)
-    evals = np.linalg.eigvalsh(q)
-    if evals.min() < -1e-9 * max(tr, 1e-300):
-        raise ValueError("Q is not positive semidefinite")
-    m_r = h_eff.shape[0]
-    gram = np.eye(m_r) + h_eff @ q @ h_eff.conj().T / noise_power
-    sign, logdet = np.linalg.slogdet((gram + gram.conj().T) / 2.0)
-    return float(logdet / np.log(2.0))
 
 
 def _steering(angles, m: int, ris: RisGeometry) -> np.ndarray:
@@ -233,11 +218,6 @@ def adapt_solution(solution: Solution, realization: ChannelRealization,
                             rewaterfilled=rewaterfilled)
 
 
-def rate_with_psi(evaluation: FiniteEvaluation, psi: np.ndarray) -> float:
-    """Log-det rate of ``evaluation`` with its common phases set to psi."""
-    return float(evaluation.model.rates(psi)[0])
-
-
 def refine_common_phases(evaluation: FiniteEvaluation, sweeps: int = 2,
                          grid_points: int = 64) -> FiniteEvaluation:
     """Cyclic coordinate ascent on the common phases.
@@ -248,7 +228,7 @@ def refine_common_phases(evaluation: FiniteEvaluation, sweeps: int = 2,
     rate never decreases.  ``sweeps`` full passes.
     """
     if sweeps < 0 or grid_points < 1:
-        raise ValueError("sweeps and grid_points must be positive")
+        raise ValueError("sweeps must be >= 0 and grid_points >= 1")
     psi = evaluation.plan.psi.copy()
     best_rate = evaluation.rate
     grid = np.linspace(0.0, 2.0 * np.pi, grid_points, endpoint=False)

@@ -12,10 +12,12 @@ import configparser
 import csv
 import dataclasses
 import json
+import os
 import subprocess
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -50,6 +52,9 @@ class ExperimentSpec:
             raise ValueError(f"unknown sweep variable {self.sweep!r}")
         if not self.values:
             raise ValueError("sweep value list must be nonempty")
+        if not np.isfinite(self.values).all():
+            raise ValueError(f"sweep values must be finite, got "
+                             f"{self.values}")
         if self.psi_mode not in PSI_MODES:
             raise ValueError(f"unknown psi mode {self.psi_mode!r}")
         if self.realizations is not None and self.realizations < 1:
@@ -207,11 +212,16 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1,
 
 
 def _git_describe() -> str:
+    """Commit of the ``src/`` checkout this package sits in, never of the
+    caller's working directory; "unknown" outside a checkout."""
+    package = Path(__file__).resolve().parent
+    env = dict(os.environ, GIT_CEILING_DIRECTORIES=str(package.parents[2]))
     try:
         return subprocess.run(["git", "describe", "--always", "--dirty"],
-                              capture_output=True, text=True, timeout=10,
+                              cwd=package, env=env, capture_output=True,
+                              text=True, timeout=10,
                               check=False).stdout.strip() or "unknown"
-    except OSError:
+    except (OSError, subprocess.TimeoutExpired):
         return "unknown"
 
 

@@ -4,9 +4,10 @@ These oracles evaluate the rate objective exhaustively on barycentric
 lattices (exact unit-sum grid points), enumerate every injective path
 pairing, grid the common phases, solve the KKT system of each activated
 block by Levenberg-Marquardt, evaluate the finite model on the dense
-N-column channel matrices, and sample channel realizations one whole draw
-at a time, so the analytical shortcuts in the solver and finite modules
-and the batched path sampler can be validated independently.
+N-column channel matrices (RIS response, per-hop synthesis, effective
+channel, M_r x M_r log-det rate), and sample channel realizations one
+whole draw at a time, so the analytical shortcuts in the solver and finite
+modules and the batched path sampler can be validated independently.
 """
 
 from __future__ import annotations
@@ -19,10 +20,10 @@ import numpy as np
 from rispart.asymptotic import (Allocation, AsymptoticProblem, Solution,
                                 rate)
 from rispart.channel import (HOP_RIS_RX, HOP_TX_RIS, HOP_TX_RX,
-                             ChannelRealization, SimulationConfig,
-                             dense_channels, effective_channel, path_loss,
-                             sample_paths)
-from rispart.finite import FiniteEvaluation, logdet_rate, rate_with_psi
+                             ArrayGeometry, ChannelRealization, PathSet,
+                             RisGeometry, SimulationConfig, path_loss,
+                             sample_paths, steering_vector, ula_response)
+from rispart.finite import FiniteEvaluation
 from rispart.partition import build_theta, largest_remainder
 from rispart.solver import KktResidual, kkt_residual, solve, water_filling
 
@@ -268,15 +269,105 @@ def exhaustive_psi(evaluation: FiniteEvaluation, grid_points: int,
     if grid_points == 1:
         return evaluation.plan.psi.copy(), evaluation.rate
     grid = np.linspace(0.0, 2.0 * np.pi, grid_points, endpoint=False)
-    best_psi = evaluation.plan.psi.copy()
-    best_rate = -np.inf
-    for combo in product(grid, repeat=s):
-        psi = np.array(combo)
-        r = rate_with_psi(evaluation, psi)
-        if r > best_rate:
-            best_rate = r
-            best_psi = psi
-    return best_psi, float(best_rate)
+    trials = np.array(list(product(grid, repeat=s)))
+    rates = evaluation.model.rates(trials)
+    best = int(np.argmax(rates))
+    return trials[best], float(rates[best])
+
+
+def ris_response(phi: float, theta_az: float,
+                 geometry: RisGeometry) -> np.ndarray:
+    """RIS array response for elevation ``phi`` and azimuth ``theta_az``.
+
+    Kronecker product of the x-axis factor (length ``Nx``) and the y-axis
+    factor (length ``Ny``), in that order, so the y-index varies fastest
+    (the layout of ``partition.build_theta``).
+    """
+    scale = 2.0 * geometry.element_spacing / geometry.wavelength
+    arg_x = scale * np.sin(phi) * np.cos(theta_az)
+    arg_y = scale * np.sin(phi) * np.sin(theta_az)
+    return np.kron(steering_vector(arg_x, geometry.nx),
+                   steering_vector(arg_y, geometry.ny))
+
+
+def synth_channel(paths: PathSet, tx_geom, rx_geom) -> np.ndarray:
+    """Synthesize one hop's channel matrix from its path set.
+
+    Returns ``sqrt(dim_rx*dim_tx/L) * sum_l g_l * rx_vec_l * tx_vec_l^H``,
+    where the RIS endpoint uses :func:`ris_response` and terminal endpoints
+    use ``channel.ula_response``.
+    """
+    if paths.kind == HOP_TX_RIS:
+        if not isinstance(rx_geom, RisGeometry):
+            raise ValueError("tx_ris hop expects a RisGeometry receive side")
+        rx_vecs = [ris_response(e, a, rx_geom) for e, a in paths.arrival]
+        tx_vecs = [ula_response(t, tx_geom) for t in paths.departure]
+        dim_rx, dim_tx = rx_geom.n, tx_geom.element_count
+    elif paths.kind == HOP_RIS_RX:
+        if not isinstance(tx_geom, RisGeometry):
+            raise ValueError("ris_rx hop expects a RisGeometry transmit side")
+        rx_vecs = [ula_response(t, rx_geom) for t in paths.arrival]
+        tx_vecs = [ris_response(e, a, tx_geom) for e, a in paths.departure]
+        dim_rx, dim_tx = rx_geom.element_count, tx_geom.n
+    else:
+        rx_vecs = [ula_response(t, rx_geom) for t in paths.arrival]
+        tx_vecs = [ula_response(t, tx_geom) for t in paths.departure]
+        dim_rx, dim_tx = rx_geom.element_count, tx_geom.element_count
+
+    a_rx = np.column_stack(rx_vecs)
+    a_tx = np.column_stack(tx_vecs)
+    scale = np.sqrt(dim_rx * dim_tx / paths.count)
+    return scale * (a_rx * paths.gains) @ a_tx.conj().T
+
+
+def dense_channels(realization: ChannelRealization, ris: RisGeometry,
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Dense ``(H1, H2, H3)``: N x M_t, M_r x N and M_r x M_t.
+
+    The terminal ULAs share the RIS element spacing and wavelength, as
+    :class:`SimulationConfig` builds them.
+    """
+    if ris.n != realization.n:
+        raise ValueError("RIS geometry does not match the realization")
+    tx = ArrayGeometry(realization.m_t, ris.element_spacing, ris.wavelength)
+    rx = ArrayGeometry(realization.m_r, ris.element_spacing, ris.wavelength)
+    paths = realization.path_sets
+    return (synth_channel(paths[HOP_TX_RIS], tx, ris),
+            synth_channel(paths[HOP_RIS_RX], ris, rx),
+            synth_channel(paths[HOP_TX_RX], tx, rx))
+
+
+def effective_channel(realization: ChannelRealization, channels,
+                      theta: np.ndarray) -> np.ndarray:
+    """Effective Tx-Rx channel ``sqrt(PL_r)*H2*diag(theta)*H1 + sqrt(PL_d)*H3``.
+
+    ``channels`` is the dense ``(H1, H2, H3)`` triple of
+    :func:`dense_channels`; the path losses come from ``realization``.
+    """
+    h1, h2, h3 = channels
+    theta = np.asarray(theta, dtype=complex)
+    if theta.shape != (h1.shape[0],):
+        raise ValueError("theta length must equal the RIS element count")
+    if np.any(np.abs(np.abs(theta) - 1.0) > 1e-9):
+        raise ValueError("theta entries must have unit modulus")
+    cascaded = h2 @ (theta[:, None] * h1)
+    return (np.sqrt(realization.pl_r) * cascaded
+            + np.sqrt(realization.pl_d) * h3)
+
+
+def logdet_rate(h_eff: np.ndarray, q: np.ndarray, noise_power: float) -> float:
+    """Exact MIMO rate ``log2 det(I + H Q H^H / sigma^2)`` in bit/s/Hz."""
+    q = np.asarray(q, dtype=complex)
+    if q.shape[0] != q.shape[1]:
+        raise ValueError("Q must be square")
+    tr = float(np.trace(q).real)
+    evals = np.linalg.eigvalsh(q)
+    if evals.min() < -1e-9 * max(tr, 1e-300):
+        raise ValueError("Q is not positive semidefinite")
+    m_r = h_eff.shape[0]
+    gram = np.eye(m_r) + h_eff @ q @ h_eff.conj().T / noise_power
+    _, logdet = np.linalg.slogdet((gram + gram.conj().T) / 2.0)
+    return float(logdet / np.log(2.0))
 
 
 def _dense_rate(evaluation: FiniteEvaluation, channels,

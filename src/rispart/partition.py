@@ -13,12 +13,11 @@ rectangular 2D shapes.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from rispart.channel import HOP_RIS_RX, HOP_TX_RIS, PathSet, RisGeometry
+from rispart.channel import RisGeometry
 
 
 @dataclass(frozen=True)
@@ -41,67 +40,6 @@ class PhaseGradient:
             g_x=np.sin(phi_v) * np.cos(th_v) - np.sin(phi_u) * np.cos(th_u),
             g_y=np.sin(phi_v) * np.sin(th_v) - np.sin(phi_u) * np.sin(th_u),
         )
-
-
-class PairingMatrix:
-    """Binary L1 x L2 matrix pairing Tx-RIS paths with RIS-Rx paths.
-
-    Rows and columns each carry at most one 1; the total number of ones is
-    the number of gradient-assigned sub-surfaces.
-    """
-
-    def __init__(self, matrix):
-        b = np.asarray(matrix)
-        if b.ndim != 2:
-            raise ValueError("pairing matrix must be 2D")
-        if not np.all((b == 0) | (b == 1)):
-            raise ValueError("pairing matrix entries must be 0 or 1")
-        if np.any(b.sum(axis=0) > 1) or np.any(b.sum(axis=1) > 1):
-            raise ValueError("pairing matrix row/column sums must be <= 1")
-        self.matrix = b.astype(int)
-
-    @property
-    def size(self) -> int:
-        return int(self.matrix.sum())
-
-    @property
-    def pairs(self) -> list[tuple[int, int]]:
-        """(u, v) index pairs (0-based), ordered by the Tx-RIS path index."""
-        us, vs = np.nonzero(self.matrix)
-        order = np.argsort(us)
-        return [(int(u), int(v)) for u, v in zip(us[order], vs[order])]
-
-    def __eq__(self, other):
-        return (isinstance(other, PairingMatrix)
-                and self.matrix.shape == other.matrix.shape
-                and np.array_equal(self.matrix, other.matrix))
-
-
-def feasible_gradients(tx_paths: PathSet, rx_paths: PathSet,
-                       dedup_tol: float = 1e-12,
-                       ) -> dict[tuple[int, int], PhaseGradient]:
-    """All L1*L2 candidate phase gradients, keyed by the path pair (u, v).
-
-    Warns when two pairs yield (numerically) identical gradients; the
-    analysis assumes each feasible gradient is unique.
-    """
-    if tx_paths.kind != HOP_TX_RIS or rx_paths.kind != HOP_RIS_RX:
-        raise ValueError("expected tx_ris and ris_rx path sets")
-    grads: dict[tuple[int, int], PhaseGradient] = {}
-    for u in range(tx_paths.count):
-        aoa = tuple(tx_paths.arrival[u])
-        for v in range(rx_paths.count):
-            aod = tuple(rx_paths.departure[v])
-            grads[(u, v)] = PhaseGradient.from_path_pair(aoa, aod)
-    keys = list(grads)
-    for i, ki in enumerate(keys):
-        for kj in keys[i + 1:]:
-            gi, gj = grads[ki], grads[kj]
-            if (abs(gi.g_x - gj.g_x) < dedup_tol
-                    and abs(gi.g_y - gj.g_y) < dedup_tol):
-                warnings.warn(f"duplicate phase gradient for pairs {ki} "
-                              f"and {kj}", stacklevel=2)
-    return grads
 
 
 @dataclass
@@ -216,15 +154,6 @@ class PartitionPlan:
         return realized, keep
 
 
-def column_assignment(plan: PartitionPlan, ny: int) -> np.ndarray:
-    """Sub-surface index of each RIS column (contiguous prefix-sum blocks)."""
-    if plan.column_counts is None:
-        raise ValueError("plan must be realized with integer column counts")
-    if plan.column_counts.sum() != ny:
-        raise ValueError("column counts do not sum to Ny")
-    return np.repeat(np.arange(plan.s), plan.column_counts)
-
-
 def build_theta(plan: PartitionPlan, ris: RisGeometry) -> np.ndarray:
     """Per-element reflection coefficients for a realized plan.
 
@@ -233,7 +162,8 @@ def build_theta(plan: PartitionPlan, ris: RisGeometry) -> np.ndarray:
     owning column n_y.  Flattened with the y-index fastest (see
     :mod:`rispart.channel` layout note).
     """
-    col_owner = column_assignment(plan, ris.ny)
+    plan.realized_ratios(ris.ny)  # raises unless realized on Ny columns
+    col_owner = np.repeat(np.arange(plan.s), plan.column_counts)
     g_x = np.array([g.g_x for g in plan.gradients])[col_owner]
     g_y = np.array([g.g_y for g in plan.gradients])[col_owner]
     psi = plan.psi[col_owner]

@@ -281,24 +281,6 @@ def kkt_residual(problem: AsymptoticProblem, solution: Solution,
                        slackness=slackness)
 
 
-def classify_pattern(solution: Solution, tol: float = 1e-6) -> list[str]:
-    """Label each partition ratio as '0', '+', or '-' per the KKT forms."""
-    a = solution.allocation
-    w = solution.w
-    labels = []
-    for s in range(solution.problem.s_max):
-        if a.t[s] <= tol:
-            labels.append("0")
-            continue
-        m_tilde = solution.problem.m_r[s] * a.p_r[s]
-        root = np.sqrt(max(1.0 / w ** 2 - 1.0 / m_tilde, 0.0))
-        if abs(a.t[s] - (1.0 / w + root)) <= abs(a.t[s] - (1.0 / w - root)):
-            labels.append("+")
-        else:
-            labels.append("-")
-    return labels
-
-
 def solve(problem: AsymptoticProblem) -> Solution:
     """Exact joint power/partition optimum over all activated sets.
 

@@ -40,6 +40,14 @@ class TestProblem:
             AsymptoticProblem(m_r=[2.0, 1.0], m_d=[], power=1.0,
                               pairs=[(0, 0)])
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, value):
+        for kwargs in (dict(m_r=[value, 1.0], m_d=[], power=1.0),
+                       dict(m_r=[1.0], m_d=[value], power=1.0),
+                       dict(m_r=[1.0], m_d=[], power=value)):
+            with pytest.raises(ValueError, match="finite"):
+                AsymptoticProblem(**kwargs)
+
     def test_sizes(self):
         p = AsymptoticProblem(m_r=[4.0, 2.0], m_d=[3.0], power=1.0)
         assert p.s_max == 2 and p.l3 == 1
@@ -126,12 +134,11 @@ class TestRate:
 
 class TestOptimalPairing:
     def test_identity_prefix(self):
-        p = optimal_pairing(2, 3)
-        np.testing.assert_array_equal(p.matrix, [[1, 0, 0], [0, 1, 0]])
-        assert p.pairs == [(0, 0), (1, 1)]
+        assert optimal_pairing(2, 3) == [(0, 0), (1, 1)]
+        assert optimal_pairing(3, 2) == [(0, 0), (1, 1)]
 
     def test_square(self):
-        assert optimal_pairing(3, 3).size == 3
+        assert optimal_pairing(3, 3) == [(0, 0), (1, 1), (2, 2)]
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):

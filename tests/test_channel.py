@@ -1,7 +1,7 @@
 """Channel-model tests: steering vectors, path sampling, path loss, the
 realization's path sets and sampler diagnostics, the batched sampler
-against its draw-by-draw reference, and the dense channel and effective
-channel assembly."""
+against its draw-by-draw reference, config validation, and the dense
+channel and effective channel assembly of the reference model."""
 
 import hashlib
 import warnings
@@ -13,12 +13,11 @@ from hypothesis import strategies as st
 
 from rispart.channel import (FIRST_CHUNK, HOP_KINDS, SAMPLE_CHUNK,
                              ArrayGeometry, ChannelRealization, PathSet, RisGeometry,
-                             SimulationConfig, dbm_to_watts, dense_channels,
-                             effective_channel, load_config, path_loss,
-                             realization_rng, realize_channels, ris_response,
-                             sample_paths, steering_vector, synth_channel,
-                             ula_response, watts_to_dbm)
-from rispart.oracle import serial_realize_channels
+                             SimulationConfig, dbm_to_watts, load_config,
+                             path_loss, realization_rng, realize_channels,
+                             sample_paths, steering_vector, ula_response)
+from rispart.oracle import (dense_channels, effective_channel, ris_response,
+                            serial_realize_channels, synth_channel)
 
 HOP_TX_RIS, HOP_RIS_RX, HOP_TX_RX = "tx_ris", "ris_rx", "tx_rx"
 
@@ -441,7 +440,22 @@ class TestBatchedSampler:
 class TestConfig:
     def test_dbm_roundtrip(self):
         assert abs(dbm_to_watts(30.0) - 1.0) < 1e-12
-        assert abs(watts_to_dbm(1.0) - 30.0) < 1e-12
+        assert abs(10.0 * np.log10(dbm_to_watts(-90.0) * 1e3) + 90.0) < 1e-12
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", ["d", "f", "d1", "d2", "d3",
+                                     "path_loss_exponent", "B", "P",
+                                     "sigma2"])
+    def test_non_finite_float_key_rejected(self, tmp_path, key, value):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"[sim]\n{key} = {value}\n")
+        with pytest.raises(ValueError, match="must be finite"):
+            load_config(str(path))
+
+    @pytest.mark.parametrize("name", ["m_t", "n_y", "l3", "realizations"])
+    def test_non_finite_integer_field_rejected(self, name):
+        with pytest.raises(ValueError, match=f"{name} must be positive"):
+            SimulationConfig(**{name: float("nan")})
 
     def test_load_config(self, tmp_path):
         text = ("[sim]\nM_t = 8\nM_r = 8\nN_x = 4\nN_y = 6\n"

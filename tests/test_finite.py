@@ -12,8 +12,8 @@ from rispart.asymptotic import (Allocation, Solution, coefficients,
 from rispart.channel import (SimulationConfig, dbm_to_watts, realization_rng,
                              realize_channels, ula_response)
 from rispart.finite import (adapt_solution, eigenmode_covariance,
-                            logdet_rate, rate_with_psi, refine_common_phases)
-from rispart.oracle import dense_rate, dense_refine
+                            refine_common_phases)
+from rispart.oracle import dense_rate, dense_refine, logdet_rate
 from rispart.solver import solve
 
 P0 = dbm_to_watts(60.1030)
@@ -197,8 +197,10 @@ class TestRefineCommonPhases:
         cfg, re, prob, sol = pipeline(seed=9)
         ev = adapt_solution(sol, re, cfg.ris_geometry,
                             rng=np.random.default_rng(17))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="grid_points >= 1"):
             refine_common_phases(ev, grid_points=0)
+        with pytest.raises(ValueError, match="sweeps must be >= 0"):
+            refine_common_phases(ev, sweeps=-1)
 
 
 @pytest.mark.filterwarnings("ignore:path counts")
@@ -211,7 +213,7 @@ class TestPathDomain:
             cfg, ev = random_evaluation(rng)
             psi = rng.uniform(0, 2 * np.pi, ev.plan.s)
             for fast, ref in ((ev.rate, dense_rate(ev)),
-                              (rate_with_psi(ev, psi), dense_rate(ev, psi))):
+                              (ev.model.rates(psi)[0], dense_rate(ev, psi))):
                 worst = max(worst, abs(fast - ref) / max(abs(ref), 1e-300))
             r = ev.plan.s + ev.direct_powers.size
             seen |= {("S=1", ev.plan.s == 1), ("dropped", ev.rewaterfilled),
@@ -241,7 +243,7 @@ class TestPathDomain:
             psi, best = dense_refine(ev)
             np.testing.assert_array_equal(refined.plan.psi, psi)
             assert abs(refined.rate - best) <= 1e-10 * abs(best)
-            assert abs(rate_with_psi(refined, psi)
+            assert abs(refined.model.rates(psi)[0]
                        - refined.rate) <= 1e-12 * refined.rate
         assert min(surfaces) >= 2 and max(surfaces) >= 4
 

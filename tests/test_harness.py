@@ -3,6 +3,7 @@ result output, region tables, the property-check suites, and the CLI."""
 
 import csv
 import json
+import subprocess
 
 import pytest
 
@@ -83,6 +84,11 @@ class TestExperimentSpec:
         with pytest.raises(ValueError):
             small_spec(psi_mode="sometimes")
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_values_rejected(self, value):
+        with pytest.raises(ValueError, match="finite"):
+            small_spec(values=[30.0, float(value)])
+
     def test_load_experiment(self, tmp_path):
         path = tmp_path / "exp.cfg"
         path.write_text(EXPERIMENT_TEXT)
@@ -161,6 +167,26 @@ class TestRunExperiment:
         assert meta["sweep"] == "P"
         assert meta["config"]["m_t"] == 8
         assert "git" in meta
+
+    def test_metadata_ignores_callers_repository(self, tmp_path,
+                                                 monkeypatch):
+        # a sweep run from inside another git repository records the
+        # commit of this package's checkout, not of that repository
+        def git(*args):
+            return subprocess.run(
+                ["git", "-c", "user.name=t", "-c", "user.email=t@t",
+                 "-c", "commit.gpgsign=false", *args], cwd=tmp_path,
+                capture_output=True, text=True, check=True).stdout.strip()
+
+        git("init", "-q")
+        git("commit", "-q", "--allow-empty", "-m", "other")
+        other = git("rev-parse", "HEAD")
+        monkeypatch.chdir(tmp_path)
+        run_experiment(small_spec(out="res.csv", values=[30.0],
+                                  realizations=1))
+        meta = json.loads((tmp_path / "res.csv.meta.json").read_text())
+        assert meta["git"] == harness._git_describe()
+        assert not other.startswith(meta["git"].removesuffix("-dirty"))
 
 
 class TestFig3Regions:
@@ -243,6 +269,18 @@ class TestCli:
 
     def test_solve_missing_file(self, tmp_path, capsys):
         assert main(["solve", str(tmp_path / "nope.txt")]) == 2
+
+    def test_solve_non_finite_exits_2(self, tmp_path, capsys):
+        problem = tmp_path / "problem.txt"
+        problem.write_text("m_r = nan,1\nm_d = 2\nP = 1\n")
+        assert main(["solve", str(problem)]) == 2
+        assert "finite" in capsys.readouterr().err
+
+    def test_simulate_non_finite_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "exp.cfg"
+        path.write_text(EXPERIMENT_TEXT.replace("seed = 1", "d = nan"))
+        assert main(["simulate", str(path)]) == 2
+        assert "spacing_wavelengths must be finite" in capsys.readouterr().err
 
     def test_simulate_config_errors_exit_2(self, tmp_path, capsys):
         path = tmp_path / "exp.cfg"

@@ -10,7 +10,7 @@ from rispart.asymptotic import (AsymptoticProblem, coefficients,
                                 optimal_pairing, rate)
 from rispart.channel import (SimulationConfig, dbm_to_watts, realization_rng,
                              realize_channels)
-from rispart.finite import adapt_solution, rate_with_psi
+from rispart.finite import adapt_solution
 from rispart.oracle import (brute_force_p3, enumerate_pairings,
                             exhaustive_psi, simplex_lattice, snap_allocation,
                             snap_to_lattice)
@@ -163,4 +163,4 @@ class TestExhaustivePsi:
             rng = np.random.default_rng(4)
             for _ in range(10):
                 psi = rng.choice(grid, size=ev.plan.s)
-                assert rate_with_psi(ev, psi) <= best + 1e-12
+                assert ev.model.rates(psi)[0] <= best + 1e-12

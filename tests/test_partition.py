@@ -4,10 +4,9 @@ and the three gain evaluators."""
 import numpy as np
 import pytest
 
-from rispart.channel import RisGeometry, PathSet
-from rispart.partition import (PairingMatrix, PartitionPlan, PhaseGradient,
-                               TilePlan, build_theta, column_assignment,
-                               dirichlet_ratio, feasible_gradients,
+from rispart.channel import RisGeometry
+from rispart.partition import (PartitionPlan, PhaseGradient, TilePlan,
+                               build_theta, dirichlet_ratio,
                                gain_asymptotic, gain_closed_form,
                                gain_direct_sum, round_partition,
                                subsurface_gains, tile_plan_gain,
@@ -41,41 +40,6 @@ class TestPhaseGradient:
         assert abs(g.g_x - (-1.0)) < 1e-12
         assert abs(g.g_y - 1.0) < 1e-12
 
-    def test_feasible_count(self):
-        tx = PathSet(kind="tx_ris", gains=[1.0, 0.5], departure=[0.1, 0.2],
-                     arrival=[(0.3, 0.4), (0.5, 1.9)])
-        rx = PathSet(kind="ris_rx", gains=[1.0, 0.8, 0.2],
-                     departure=[(0.2, 2.2), (0.9, 4.0), (1.1, 0.5)],
-                     arrival=[0.3, 0.6, 0.9])
-        grads = feasible_gradients(tx, rx)
-        assert set(grads) == {(u, v) for u in range(2) for v in range(3)}
-
-    def test_duplicate_warning(self):
-        tx = PathSet(kind="tx_ris", gains=[1.0, 0.5], departure=[0.1, 0.2],
-                     arrival=[(0.3, 0.4), (0.3, 0.4)])
-        rx = PathSet(kind="ris_rx", gains=[1.0], departure=[(0.2, 2.2)],
-                     arrival=[0.3])
-        with pytest.warns(UserWarning, match="duplicate"):
-            feasible_gradients(tx, rx)
-
-
-class TestPairingMatrix:
-    def test_pairs_ordered_by_tx_index(self):
-        p = PairingMatrix([[0, 1, 0], [1, 0, 0]])
-        assert p.pairs == [(0, 1), (1, 0)]
-        assert p.size == 2
-
-    def test_rejects_bad_entries(self):
-        with pytest.raises(ValueError):
-            PairingMatrix([[0, 2], [0, 0]])
-        with pytest.raises(ValueError):
-            PairingMatrix([[1, 1], [0, 0]])
-        with pytest.raises(ValueError):
-            PairingMatrix([[1, 0], [1, 0]])
-
-    def test_equality(self):
-        assert PairingMatrix([[1, 0]]) == PairingMatrix([[1, 0]])
-        assert PairingMatrix([[1, 0]]) != PairingMatrix([[0, 1]])
 
 
 class TestRounding:
@@ -129,14 +93,6 @@ class TestPartitionPlan:
         assert realized.s == 1
         np.testing.assert_array_equal(realized.column_counts, [10])
         assert realized.gradients[0].g_x == 0.0
-
-    def test_column_assignment(self):
-        plan = PartitionPlan(t=[0.5, 0.5],
-                             gradients=[PhaseGradient(0, 0)] * 2,
-                             psi=[0.0, 0.0], column_counts=[45, 45])
-        owner = column_assignment(plan, 90)
-        assert owner.shape == (90,)
-        assert np.all(owner[:45] == 0) and np.all(owner[45:] == 1)
 
 
 class TestBuildTheta:

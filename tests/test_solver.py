@@ -11,9 +11,9 @@ from rispart.asymptotic import (Allocation, AsymptoticProblem, Solution,
                                 rate, validate_allocation)
 from rispart.checks import random_problem
 from rispart.oracle import LmDivergenceError, lm_cold_start, lm_solve
-from rispart.solver import (A_MAX, budget_residual, classify_pattern,
-                            dual_bracket, kkt_residual, largest_root, solve,
-                            solve_p32, water_filling)
+from rispart.solver import (A_MAX, budget_residual, dual_bracket,
+                            kkt_residual, largest_root, solve, solve_p32,
+                            water_filling)
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -276,11 +276,19 @@ class TestSolve:
             assert lm.rate <= sol.rate + 1e-9 * max(1.0, sol.rate)
 
     def test_pattern_labels(self):
-        sol = solve(AsymptoticProblem(m_r=[3.0, 2.0], m_d=[], power=1.0))
-        assert classify_pattern(sol) == ["+", "0"]
-        sol = solve(AsymptoticProblem(m_r=[200.0, 180.0], m_d=[],
-                                      power=1.0))
-        assert classify_pattern(sol) == ["+", "+"]
+        # active ratios take the plus root 1/w + sqrt(1/w^2 - 1/(m_s p_s))
+        # of their KKT equation, well apart from the minus root; the
+        # others are zero
+        for m_r, active in (([3.0, 2.0], 1), ([200.0, 180.0], 2)):
+            sol = solve(AsymptoticProblem(m_r=m_r, m_d=[], power=1.0))
+            a = sol.allocation
+            assert sol.s_active == list(range(active))
+            root = np.sqrt(1.0 / sol.w ** 2
+                           - 1.0 / (np.array(m_r[:active]) * a.p_r[:active]))
+            np.testing.assert_allclose(a.t[:active], 1.0 / sol.w + root,
+                                       rtol=1e-9)
+            assert np.all(root > 1e-3)
+            assert np.all(a.t[active:] == 0.0)
 
 
 def _coefficients(max_size):
