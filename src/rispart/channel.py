@@ -183,6 +183,8 @@ class SimulationConfig:
             if not (np.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and positive, "
                                  f"got {value!r}")
+        if not self.seed >= 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed!r}")
         # Angular resolution assumption: L1+L3 << M_t, L2+L3 << M_r,
         # L1, L2 << N.  Warn, do not enforce.
         if (self.l1 + self.l3 > self.m_t // 2

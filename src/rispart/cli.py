@@ -39,18 +39,19 @@ def _parse_problem_file(path: str) -> AsymptoticProblem:
 
 
 def _cmd_simulate(args) -> int:
-    try:
-        spec = load_experiment(args.spec)
-    except (OSError, ValueError, KeyError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     updates = {}
     if args.out:
         updates["out"] = args.out
     if args.psi:
         updates["psi_mode"] = args.psi
-    if args.seed is not None:
-        updates["config"] = dataclasses.replace(spec.config, seed=args.seed)
+    try:
+        spec = load_experiment(args.spec)
+        if args.seed is not None:
+            updates["config"] = dataclasses.replace(spec.config,
+                                                    seed=args.seed)
+    except (OSError, ValueError, KeyError) as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     spec = dataclasses.replace(spec, **updates)
     rows, summary = run_experiment(spec, jobs=args.jobs)
     for value, stats in summary.items():
@@ -98,10 +99,10 @@ def _cmd_fig3(args) -> int:
     try:
         m = [float(x) for x in args.m.split(",")]
         lo, hi, step = (float(x) for x in args.snr.split(":"))
+        result = fig3_regions(m, lo, hi, step)
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    result = fig3_regions(m, lo, hi, step)
     table = "snr_db,all_plus_exists,active_count\n" + "".join(
         f"{row['snr_db']:.4f},{int(row['all_plus_exists'])},"
         f"{row['active_count']}\n" for row in result["rows"])

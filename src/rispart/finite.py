@@ -191,13 +191,10 @@ def adapt_solution(solution: Solution, realization: ChannelRealization,
                      "re-water-filling the power budget",
                      len(active) - len(survivors), len(active))
         # redistribute the full budget over the surviving channels
-        coeffs = np.concatenate([
+        p, _ = water_filling(np.concatenate([
             problem.m_r[survivors] * t_real ** 2,
-            problem.m_d[i_active] if i_active else np.empty(0)])
-        order = np.argsort(-coeffs, kind="stable")
-        p_sorted, _ = water_filling(coeffs[order], problem.power)
-        p = np.empty_like(p_sorted)
-        p[order] = p_sorted
+            problem.m_d[i_active] if i_active else np.empty(0)]),
+            problem.power)
         p_r = p[:len(survivors)]
         p_d = p[len(survivors):]
     else:

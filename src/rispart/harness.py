@@ -55,6 +55,13 @@ class ExperimentSpec:
         if not np.isfinite(self.values).all():
             raise ValueError(f"sweep values must be finite, got "
                              f"{self.values}")
+        if self.sweep in ("M", "N") and not all(
+                v >= 1 and float(v).is_integer() for v in self.values):
+            raise ValueError(f"swept {self.sweep} values must be positive "
+                             f"integers, got {self.values}")
+        if self.sweep == "N" and any(v % self.config.n_x for v in self.values):
+            raise ValueError(f"swept N values {self.values} must be "
+                             f"divisible by Nx={self.config.n_x}")
         if self.psi_mode not in PSI_MODES:
             raise ValueError(f"unknown psi mode {self.psi_mode!r}")
         if self.realizations is not None and self.realizations < 1:
@@ -262,8 +269,14 @@ def fig3_regions(m, snr_lo: float = 0.0, snr_hi: float = 10.0,
     optimal.
     """
     m = np.asarray(m, dtype=float)
+    if not (m.size and np.all(np.isfinite(m) & (m > 0))):
+        raise ValueError(f"m must be finite and positive, got {m}")
     if np.any(np.diff(m) > 0):
         raise ValueError("m must be sorted non-increasing")
+    if not (np.isfinite([snr_lo, snr_hi, step]).all() and snr_lo <= snr_hi
+            and step > 0):
+        raise ValueError(f"need finite snr_lo <= snr_hi and step > 0, got "
+                         f"{snr_lo}:{snr_hi}:{step}")
     rows = []
     exist_at = None
     optimal_at = None

@@ -1,23 +1,26 @@
 """Structured sub-surface phase shifts and normalized passive beamforming
 gains.
 
-A partition splits the RIS horizontally into contiguous column blocks.  Each
-sub-surface carries a phase gradient (anomalous reflection from one Tx-RIS
-arrival direction to one RIS-Rx departure direction) and a common phase
-shift.  The gain of a Tx-RIS-Rx path pair is available as a direct
-element-wise sum, as a closed form built from Dirichlet-kernel ratios, and
-as the large-surface limit where only exactly aligned sub-surfaces
-contribute.  The tile machinery generalizes the horizontal partition to
-rectangular 2D shapes.
+A sub-surface carries a phase gradient (anomalous reflection from one
+Tx-RIS arrival direction to one RIS-Rx departure direction) and a common
+phase shift.  Column partitions (:class:`PartitionPlan`) and tilings
+(:class:`TilePlan`) are both laid out as :class:`Blocks`, phases referenced
+to the RIS origin, so one theta builder serves both, as does each gain: the
+direct element-wise sum, the closed form from Dirichlet-kernel ratios, and
+the large-surface limit where only aligned sub-surfaces contribute.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from rispart.channel import RisGeometry
+
+# gradient-to-zeta distance below which a sub-surface counts as aligned
+ALIGN_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -42,14 +45,6 @@ class PhaseGradient:
         )
 
 
-@dataclass
-class RoundingResult:
-    """Integer column counts plus the indices dropped in re-apportionment."""
-
-    counts: np.ndarray
-    dropped: list[int]
-
-
 def largest_remainder(t: np.ndarray, total: int) -> np.ndarray:
     """Integer shares of ``total`` by largest remainder of ``t * total``."""
     shares = t * total
@@ -61,34 +56,46 @@ def largest_remainder(t: np.ndarray, total: int) -> np.ndarray:
     return base
 
 
-def round_partition(t, ny: int) -> RoundingResult:
+def round_partition(t, ny: int) -> np.ndarray:
     """Largest-remainder apportionment of ``ny`` columns to ratios ``t``.
 
     A sub-surface with positive ratio that receives zero columns is dropped
-    and its mass re-apportioned among the survivors; dropped indices are
-    recorded in the result.  Counts always sum to ``ny``.
+    (its count stays 0) and its mass re-apportioned among the survivors.
+    Counts always sum to ``ny``.
     """
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ValueError("partition ratios must be nonnegative")
     if abs(t.sum() - 1.0) > 1e-9:
         raise ValueError("partition ratios must sum to 1")
-    active = [i for i in range(t.size) if t[i] > 0]
-    dropped: list[int] = []
+    active = t > 0
     while True:
-        sub = t[active] / t[active].sum()
-        counts_sub = largest_remainder(sub, ny)
-        zero = [active[i] for i in range(len(active)) if counts_sub[i] == 0]
-        if not zero:
-            break
-        dropped.extend(zero)
-        active = [i for i in active if i not in zero]
-        if not active:
+        counts = np.zeros(t.size, dtype=int)
+        counts[active] = largest_remainder(t[active] / t[active].sum(), ny)
+        dropped = active & (counts == 0)
+        if not dropped.any():
+            return counts
+        active &= ~dropped
+        if not active.any():
             raise ValueError("no sub-surface survived rounding")
-    counts = np.zeros(t.size, dtype=int)
-    for i, c in zip(active, counts_sub):
-        counts[i] = int(c)
-    return RoundingResult(counts=counts, dropped=sorted(dropped))
+
+
+class Blocks(NamedTuple):
+    """A realized plan as rectangular element blocks, one entry per block.
+
+    Block b covers rows ``x0[b] .. x0[b]+ex[b]-1`` and columns
+    ``y0[b] .. y0[b]+ey[b]-1`` of the RIS grid and belongs to sub-surface
+    ``owner[b]``.  Its common phase ``psi[b]`` is referenced to the RIS
+    origin element (0, 0): element (n_x, n_y) of the block, 0-based, gets
+    ``psi[b] + k*(n_x*g_x + n_y*g_y)`` with its sub-surface's gradient.
+    """
+
+    x0: np.ndarray
+    y0: np.ndarray
+    ex: np.ndarray
+    ey: np.ndarray
+    owner: np.ndarray
+    psi: np.ndarray
 
 
 @dataclass
@@ -142,35 +149,47 @@ class PartitionPlan:
         Returns the realized plan and the indices of the sub-surfaces it
         kept, in order.
         """
-        result = round_partition(self.t, ny)
-        keep = [i for i in range(self.s) if i not in result.dropped]
-        counts = result.counts[keep]
+        counts = round_partition(self.t, ny)
+        keep = [i for i in range(self.s) if counts[i] or self.t[i] == 0]
         realized = PartitionPlan(
-            t=counts / ny,
+            t=counts[keep] / ny,
             gradients=[self.gradients[i] for i in keep],
             psi=self.psi[keep],
-            column_counts=counts,
+            column_counts=counts[keep],
         )
         return realized, keep
 
+    def blocks(self, ris: RisGeometry) -> Blocks:
+        """Sub-surface s is the block of all rows over its column run."""
+        self.realized_ratios(ris.ny)  # raises unless realized on Ny columns
+        counts = self.column_counts
+        return Blocks(x0=np.zeros(self.s, dtype=int),
+                      y0=np.cumsum(counts) - counts,
+                      ex=np.full(self.s, ris.nx), ey=counts,
+                      owner=np.arange(self.s), psi=self.psi)
 
-def build_theta(plan: PartitionPlan, ris: RisGeometry) -> np.ndarray:
-    """Per-element reflection coefficients for a realized plan.
 
-    The element at grid position (n_x, n_y), both 1-based, gets phase
-    ``psi_s + k*(n_x-1)*g_x,s + k*(n_y-1)*g_y,s`` where s is the sub-surface
-    owning column n_y.  Flattened with the y-index fastest (see
+def _slopes(plan, owner: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gradient components (g_x, g_y) of each block's sub-surface."""
+    g = np.array([(g.g_x, g.g_y) for g in plan.gradients])[owner]
+    return g[:, 0], g[:, 1]
+
+
+def build_theta(plan: PartitionPlan | TilePlan,
+                ris: RisGeometry) -> np.ndarray:
+    """Per-element reflection coefficients of a realized plan.
+
+    The element at grid position (n_x, n_y), both 0-based, gets phase
+    ``psi_b + k*n_x*g_x + k*n_y*g_y`` from the block b that covers it
+    (see :class:`Blocks`).  Flattened with the y-index fastest (see
     :mod:`rispart.channel` layout note).
     """
-    plan.realized_ratios(ris.ny)  # raises unless realized on Ny columns
-    col_owner = np.repeat(np.arange(plan.s), plan.column_counts)
-    g_x = np.array([g.g_x for g in plan.gradients])[col_owner]
-    g_y = np.array([g.g_y for g in plan.gradients])[col_owner]
-    psi = plan.psi[col_owner]
-    nx_idx = np.arange(ris.nx)[:, None]
-    ny_idx = np.arange(ris.ny)[None, :]
-    phase = psi[None, :] + ris.k * (nx_idx * g_x[None, :]
-                                    + ny_idx * g_y[None, :])
+    phase = np.empty((ris.nx, ris.ny))
+    for x0, y0, ex, ey, owner, psi in zip(*plan.blocks(ris)):
+        g = plan.gradients[owner]
+        phase[x0:x0 + ex, y0:y0 + ey] = psi + ris.k * (
+            np.arange(x0, x0 + ex)[:, None] * g.g_x
+            + np.arange(y0, y0 + ey)[None, :] * g.g_y)
     return np.exp(1j * phase).ravel()
 
 
@@ -210,55 +229,52 @@ def dirichlet_ratio(extent, x):
     return np.where(extent == 0, 1.0, ratio)[()]
 
 
-def subsurface_gains(plan: PartitionPlan, ris: RisGeometry, zeta_x,
-                     zeta_y) -> np.ndarray:
-    """Closed-form gain of each sub-surface alone, common phase at zero.
+def subsurface_gains(plan: PartitionPlan | TilePlan, ris: RisGeometry,
+                     zeta_x, zeta_y) -> np.ndarray:
+    """Closed-form gain of each block alone, common phase at zero.
 
-    Shape ``(S,)`` plus the broadcast shape of ``zeta_x`` and ``zeta_y``;
-    the plan's gain is ``exp(j*psi) @ subsurface_gains(...)``, so only
-    this factor depends on the column split and the gradients.
+    Shape ``(B,)`` plus the broadcast shape of ``zeta_x`` and ``zeta_y``,
+    over the blocks of :meth:`PartitionPlan.blocks` (its sub-surfaces, in
+    order) or :meth:`TilePlan.blocks` (its tiles).  The plan's gain is
+    ``exp(j*psi_b) @ subsurface_gains(...)``, so only this factor depends
+    on the layout and the gradients.
     """
     zx, zy = np.broadcast_arrays(np.asarray(zeta_x, dtype=float),
                                  np.asarray(zeta_y, dtype=float))
+    b = plan.blocks(ris)
+    shape = (b.owner.size,) + (1,) * zx.ndim
+    g_x, g_y = _slopes(plan, b.owner)
+    eta_x = g_x.reshape(shape) - zx
+    eta_y = g_y.reshape(shape) - zy
+    x0, y0, ex, ey = (v.reshape(shape) for v in (b.x0, b.y0, b.ex, b.ey))
     k = ris.k
-    if plan.column_counts is not None:
-        ratios = plan.realized_ratios(ris.ny)
-        prefix = np.concatenate([[0], np.cumsum(plan.column_counts)])
-    else:
-        ratios = plan.t
-        prefix = np.concatenate([[0], np.cumsum(plan.t * ris.ny)])
-    shape = (plan.s,) + (1,) * zx.ndim
-    t = ratios.reshape(shape)
-    eta_x = np.array([g.g_x for g in plan.gradients]).reshape(shape) - zx
-    eta_y = np.array([g.g_y for g in plan.gradients]).reshape(shape) - zy
-    centre = (prefix[1:] + prefix[:-1] - 1).reshape(shape)
-    phase = 0.5 * k * ((ris.nx - 1) * eta_x + centre * eta_y)
-    return (np.exp(1j * phase) * t
-            * dirichlet_ratio(ris.nx, 0.5 * k * eta_x)
-            * dirichlet_ratio(t * ris.ny, 0.5 * k * eta_y))
+    phase = 0.5 * k * ((2 * x0 + ex - 1) * eta_x + (2 * y0 + ey - 1) * eta_y)
+    return (np.exp(1j * phase) * (ex * ey / ris.n)
+            * dirichlet_ratio(ex, 0.5 * k * eta_x)
+            * dirichlet_ratio(ey, 0.5 * k * eta_y))
 
 
-def gain_closed_form(plan: PartitionPlan, ris: RisGeometry,
+def gain_closed_form(plan: PartitionPlan | TilePlan, ris: RisGeometry,
                      zeta: tuple[float, float]) -> complex:
-    """Normalized gain as a sub-surface sum of Dirichlet-kernel ratios.
+    """Normalized gain as a block sum of Dirichlet-kernel ratios.
 
-    Exact (matching :func:`gain_direct_sum`) whenever the plan is realized
-    with integer column counts.
+    Exact (matching :func:`gain_direct_sum` of :func:`build_theta`) for
+    any realized plan.
     """
-    return complex(np.exp(1j * plan.psi) @ subsurface_gains(plan, ris,
-                                                            *zeta))
+    return complex(np.exp(1j * plan.blocks(ris).psi)
+                   @ subsurface_gains(plan, ris, *zeta))
 
 
-def gain_asymptotic(plan: PartitionPlan, zeta: tuple[float, float],
-                    tol: float = 1e-12) -> complex:
-    """Large-surface limit: only exactly aligned sub-surfaces contribute."""
-    zx, zy = zeta
-    total = 0.0 + 0.0j
-    for s in range(plan.s):
-        if (abs(plan.gradients[s].g_x - zx) < tol
-                and abs(plan.gradients[s].g_y - zy) < tol):
-            total += np.exp(1j * plan.psi[s]) * plan.t[s]
-    return complex(total)
+def gain_asymptotic(plan: PartitionPlan | TilePlan, ris: RisGeometry,
+                    zeta: tuple[float, float]) -> complex:
+    """Large-surface limit: only blocks of exactly aligned sub-surfaces
+    contribute, each its common phase times its area share."""
+    b = plan.blocks(ris)
+    g_x, g_y = _slopes(plan, b.owner)
+    aligned = ((np.abs(g_x - zeta[0]) < ALIGN_TOL)
+               & (np.abs(g_y - zeta[1]) < ALIGN_TOL))
+    share = b.ex * b.ey / ris.n
+    return complex(np.exp(1j * b.psi[aligned]) @ share[aligned])
 
 
 @dataclass
@@ -267,8 +283,9 @@ class TilePlan:
 
     The RIS is cut into a ``tiles_x x tiles_y`` grid of equal tiles; each
     tile carries its own common phase and belongs to exactly one
-    sub-surface.  ``psi_tiles[m_x, m_y]`` is the physical common phase of
-    tile (m_x, m_y) (the phase at its first element on top of the gradient).
+    sub-surface.  ``psi_tiles[m_x, m_y]`` is referenced to the RIS origin
+    element, as ``PartitionPlan.psi`` is (see :class:`Blocks`), so tiles of
+    one sub-surface with equal phases form one linear phase profile.
     """
 
     tiles_x: int
@@ -288,22 +305,20 @@ class TilePlan:
             raise ValueError("every tile must map to a valid sub-surface")
 
     @property
-    def n_tiles(self) -> int:
-        return self.tiles_x * self.tiles_y
-
-    @property
     def mu(self) -> np.ndarray:
         """Fraction of tiles owned by each sub-surface."""
-        return np.bincount(self.assignment.ravel(),
-                           minlength=len(self.gradients)) / self.n_tiles
+        counts = np.bincount(self.assignment.ravel(),
+                             minlength=len(self.gradients))
+        return counts / self.assignment.size
 
     @classmethod
     def from_mu(cls, mu, tiles_x: int, tiles_y: int, gradients,
                 psi) -> "TilePlan":
         """Raster-order assignment from tile fractions.
 
-        Each ``mu_s * n_tiles`` must be an integer; fractional tile counts
-        are rejected rather than rounded.
+        Each ``mu_s * tiles_x * tiles_y`` must be an integer; fractional
+        tile counts are rejected rather than rounded.  Every tile of
+        sub-surface s gets ``psi[s]``.
         """
         mu = np.asarray(mu, dtype=float)
         counts = mu * tiles_x * tiles_y
@@ -324,94 +339,30 @@ class TilePlan:
         """Horizontal-stripe tiling that reproduces a realized plan exactly.
 
         Requires the tile grid to divide the RIS grid and each sub-surface's
-        column block to be a whole number of tile columns.  Per-tile phases
-        absorb the gradient offset of the tile position, so the per-element
-        phase profile is identical to :func:`build_theta` of the plan.
+        column block to be a whole number of tile columns.
         """
-        if ris.nx % tiles_x or ris.ny % tiles_y:
-            raise ValueError("tile grid must divide the RIS grid")
-        ex, ey = ris.nx // tiles_x, ris.ny // tiles_y
-        if plan.column_counts is None:
-            raise ValueError("plan must be realized")
+        _, ey = _tile_extents(ris, tiles_x, tiles_y)
+        plan.realized_ratios(ris.ny)  # raises unless realized on Ny columns
         if np.any(plan.column_counts % ey):
             raise ValueError("column blocks must align with tile columns")
         owner_cols = np.repeat(np.arange(plan.s), plan.column_counts // ey)
         assignment = np.tile(owner_cols, (tiles_x, 1))
-        mx = np.arange(tiles_x)[:, None]
-        my = np.arange(tiles_y)[None, :]
-        g_x = np.array([g.g_x for g in plan.gradients])[assignment]
-        g_y = np.array([g.g_y for g in plan.gradients])[assignment]
-        psi_s = plan.psi[assignment]
-        psi_tiles = psi_s + ris.k * (mx * ex * g_x + my * ey * g_y)
         return cls(tiles_x=tiles_x, tiles_y=tiles_y, assignment=assignment,
-                   gradients=list(plan.gradients), psi_tiles=psi_tiles)
+                   gradients=list(plan.gradients),
+                   psi_tiles=plan.psi[assignment])
 
-    def build_theta(self, ris: RisGeometry) -> np.ndarray:
-        """Per-element reflection coefficients of the tiled configuration."""
-        if ris.nx % self.tiles_x or ris.ny % self.tiles_y:
-            raise ValueError("tile grid must divide the RIS grid")
-        ex, ey = ris.nx // self.tiles_x, ris.ny // self.tiles_y
-        g_x = np.array([g.g_x for g in self.gradients])
-        g_y = np.array([g.g_y for g in self.gradients])
-        phase = np.empty((ris.nx, ris.ny))
-        for mx in range(self.tiles_x):
-            for my in range(self.tiles_y):
-                s = self.assignment[mx, my]
-                loc_x = np.arange(ex)[:, None]
-                loc_y = np.arange(ey)[None, :]
-                phase[mx * ex:(mx + 1) * ex, my * ey:(my + 1) * ey] = (
-                    self.psi_tiles[mx, my]
-                    + ris.k * (loc_x * g_x[s] + loc_y * g_y[s]))
-        return np.exp(1j * phase).ravel()
+    def blocks(self, ris: RisGeometry) -> Blocks:
+        """One block per tile, in raster order."""
+        ex, ey = _tile_extents(ris, self.tiles_x, self.tiles_y)
+        mx, my = np.indices(self.assignment.shape).reshape(2, -1)
+        return Blocks(x0=mx * ex, y0=my * ey, ex=np.full(mx.size, ex),
+                      ey=np.full(mx.size, ey), owner=self.assignment.ravel(),
+                      psi=self.psi_tiles.ravel())
 
 
-def tile_plan_gain(tiles: TilePlan, ris: RisGeometry,
-                   zeta: tuple[float, float]) -> complex:
-    """Normalized gain of a tiled configuration, closed form.
-
-    One Dirichlet-ratio product per tile with the tile extents; exact for
-    any tile assignment.
-    """
-    if ris.nx % tiles.tiles_x or ris.ny % tiles.tiles_y:
+def _tile_extents(ris: RisGeometry, tiles_x: int,
+                  tiles_y: int) -> tuple[int, int]:
+    """Element extents of one tile of a ``tiles_x x tiles_y`` grid."""
+    if ris.nx % tiles_x or ris.ny % tiles_y:
         raise ValueError("tile grid must divide the RIS grid")
-    ex, ey = ris.nx // tiles.tiles_x, ris.ny // tiles.tiles_y
-    zx, zy = zeta
-    k = ris.k
-    total = 0.0 + 0.0j
-    for mx in range(tiles.tiles_x):
-        for my in range(tiles.tiles_y):
-            s = tiles.assignment[mx, my]
-            eta_x = tiles.gradients[s].g_x - zx
-            eta_y = tiles.gradients[s].g_y - zy
-            # tile-position offset folds the global zeta phase into the
-            # tile's effective common phase
-            psi_eff = (tiles.psi_tiles[mx, my]
-                       - k * (mx * ex * zx + my * ey * zy))
-            psi_tilde = (psi_eff + 0.5 * k * (ex - 1) * eta_x
-                         + 0.5 * k * (ey - 1) * eta_y)
-            dx = dirichlet_ratio(ex, 0.5 * k * eta_x)
-            dy = dirichlet_ratio(ey, 0.5 * k * eta_y)
-            total += np.exp(1j * psi_tilde) * dx * dy
-    return complex(total / tiles.n_tiles)
-
-
-def tile_plan_gain_asymptotic(tiles: TilePlan, zeta: tuple[float, float],
-                              tol: float = 1e-12) -> complex:
-    """Large-surface limit of the tiled gain: mu replaces t.
-
-    Assumes the per-tile phases of each aligned sub-surface share a common
-    value (which holds for aligned sub-surfaces built from a physical
-    common phase, since the position offset vanishes with eta = 0).
-    """
-    zx, zy = zeta
-    mu = tiles.mu
-    total = 0.0 + 0.0j
-    for s, g in enumerate(tiles.gradients):
-        if abs(g.g_x - zx) < tol and abs(g.g_y - zy) < tol:
-            first = np.argwhere(tiles.assignment == s)
-            if first.size == 0:
-                continue
-            mx, my = first[0]
-            # aligned: the position phase offset cancels
-            total += np.exp(1j * tiles.psi_tiles[mx, my]) * mu[s]
-    return complex(total)
+    return ris.nx // tiles_x, ris.ny // tiles_y

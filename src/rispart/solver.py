@@ -55,19 +55,18 @@ class KktResidual:
 def water_filling(m, budget: float) -> tuple[np.ndarray, float]:
     """Classic water-filling: p_i = max(0, 1/v - 1/m_i) meeting the budget.
 
-    ``m`` must be sorted non-increasing.  Returns the powers and the water
-    level dual v.
+    ``m`` may come in any order; the powers come back in that order.
+    Returns the powers and the water level dual v.
     """
     m = np.atleast_1d(np.asarray(m, dtype=float))
     if m.size == 0:
         raise ValueError("water_filling needs at least one channel")
-    if np.any(np.diff(m) > 0):
-        raise ValueError("coefficients must be sorted non-increasing")
     if budget < 0:
         raise ValueError("budget must be nonnegative")
+    order = np.argsort(-m, kind="stable")
     if budget == 0:
-        return np.zeros(m.size), float(m[0])
-    inv = 1.0 / m
+        return np.zeros(m.size), float(m[order[0]])
+    inv = 1.0 / m[order]
     # largest k with water level above 1/m_k
     for k in range(m.size, 0, -1):
         level = (budget + inv[:k].sum()) / k
@@ -77,8 +76,8 @@ def water_filling(m, budget: float) -> tuple[np.ndarray, float]:
     # holds to rounding even when 1/m dwarfs it
     p = np.zeros(m.size)
     head = inv[:k]
-    p[:k] = np.maximum(0.0, (budget + (head[None, :] - head[:, None])
-                             .sum(axis=1)) / k)
+    p[order[:k]] = np.maximum(0.0, (budget + (head[None, :] - head[:, None])
+                                    .sum(axis=1)) / k)
     return p, float(1.0 / level)
 
 
@@ -147,11 +146,8 @@ def solve_p32(m_tilde) -> tuple[np.ndarray, float]:
 
 def _seed_solution(problem: AsymptoticProblem) -> Solution:
     """Water-filling solution with the single-active partition t=[1,0,...]."""
-    coeffs = np.concatenate([[problem.m_r[0]], problem.m_d])
-    order = np.argsort(-coeffs, kind="stable")
-    p_sorted, v = water_filling(coeffs[order], problem.power)
-    p = np.empty_like(p_sorted)
-    p[order] = p_sorted
+    p, v = water_filling(np.concatenate([[problem.m_r[0]], problem.m_d]),
+                         problem.power)
     p_r = np.zeros(problem.s_max)
     p_r[0] = p[0]
     p_d = p[1:]

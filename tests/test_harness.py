@@ -130,13 +130,14 @@ class TestRunExperiment:
         assert [row_key(r) for r in serial] == [row_key(r) for r in parallel]
 
     def test_failures_flagged_not_raised(self):
-        spec = small_spec(sweep="N", values=[24.0, 7.0])
+        # -5000 dBm underflows to 0 W, which the swept config rejects
+        spec = small_spec(sweep="P", values=[30.0, -5000.0])
         rows, summary = run_experiment(spec)
-        bad = [r for r in rows if r.sweep_value == 7.0]
+        bad = [r for r in rows if r.sweep_value == -5000.0]
         assert bad and all(r.error.startswith("config: ValueError: ")
                            and (r.draws, r.margin) == (0, 0.0) for r in bad)
-        assert summary[7.0]["failures"] == len(bad)
-        good = [r for r in rows if r.sweep_value == 24.0]
+        assert summary[-5000.0]["failures"] == len(bad)
+        good = [r for r in rows if r.sweep_value == 30.0]
         assert all(not r.error for r in good)
 
     def test_error_names_failing_stage(self, monkeypatch):
@@ -243,6 +244,15 @@ class TestCli:
     def test_fig3_bad_args(self, capsys):
         assert main(["fig3", "--snr", "nonsense"]) == 2
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--snr", "0:10:0"), ("--snr", "0:nan:1"), ("--snr", "0:10:-1"),
+        ("--snr", "10:0:0.5"), ("--m", "93,-1"), ("--m", "1,2"),
+        ("--m", "nan,1")])
+    def test_fig3_unrunnable_range_exits_2(self, capsys, flag, value):
+        assert main(["fig3", flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage error: ") and not captured.out
+
     def test_verify(self, capsys):
         assert main(["verify", "all", "--seed", "0"]) == 0
         out = capsys.readouterr().out.splitlines()
@@ -289,6 +299,21 @@ class TestCli:
         assert "M_t must be an integer" in capsys.readouterr().err
         path.write_text(EXPERIMENT_TEXT + "solver = grid\n")
         assert main(["simulate", str(path)]) == 2
+
+    @pytest.mark.parametrize("edit, argv, message", [
+        (("seed = 1", "seed = -1"), [], "seed must be nonnegative"),
+        (("", ""), ["--seed", "-1"], "seed must be nonnegative"),
+        (("sweep = P\nvalues = 20, 30", "sweep = M\nvalues = 16.9"), [],
+         "positive integers"),
+        (("sweep = P\nvalues = 20, 30", "sweep = N\nvalues = 33"), [],
+         "divisible by Nx=4")])
+    def test_simulate_unrunnable_sweep_exits_2(self, tmp_path, capsys, edit,
+                                               argv, message):
+        path = tmp_path / "exp.cfg"
+        path.write_text(EXPERIMENT_TEXT.replace(*edit))
+        assert main(["simulate", str(path), *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err
 
     def test_simulate(self, tmp_path, capsys):
         path = tmp_path / "exp.cfg"

@@ -12,8 +12,8 @@ FILES = sorted([*ROOT.glob("src/rispart/*.py"), *ROOT.glob("tests/*.py")])
 PIPELINE = ("channel", "partition", "asymptotic", "solver", "finite",
             "harness")
 # Kept only for a paper result that a test checks: the large-surface gain
-# limit and the tiled gain of criterion 10.
-PAPER_ONLY = {"gain_asymptotic", "tile_plan_gain", "tile_plan_gain_asymptotic"}
+# limit and the tile plans of criterion 10.
+PAPER_ONLY = {"gain_asymptotic", "TilePlan"}
 
 
 def _ids(paths):

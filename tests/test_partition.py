@@ -1,5 +1,6 @@
 """Partition-plan tests: gradients, rounding, phase-profile construction,
-and the three gain evaluators."""
+the three gain evaluators, and the tile plans that share their block
+model."""
 
 import numpy as np
 import pytest
@@ -9,8 +10,7 @@ from rispart.partition import (PartitionPlan, PhaseGradient, TilePlan,
                                build_theta, dirichlet_ratio,
                                gain_asymptotic, gain_closed_form,
                                gain_direct_sum, round_partition,
-                               subsurface_gains, tile_plan_gain,
-                               tile_plan_gain_asymptotic)
+                               subsurface_gains)
 
 
 def make_ris(nx=4, ny=6):
@@ -44,27 +44,26 @@ class TestPhaseGradient:
 
 class TestRounding:
     def test_even_split(self):
-        r = round_partition([0.5, 0.5], 90)
-        np.testing.assert_array_equal(r.counts, [45, 45])
-        assert r.dropped == []
+        np.testing.assert_array_equal(round_partition([0.5, 0.5], 90),
+                                      [45, 45])
 
     def test_largest_remainder(self):
-        r = round_partition([1 / 3, 1 / 3, 1 / 3], 10)
-        np.testing.assert_array_equal(r.counts, [4, 3, 3])
+        counts = round_partition([1 / 3, 1 / 3, 1 / 3], 10)
+        np.testing.assert_array_equal(counts, [4, 3, 3])
 
     def test_tie_breaks_to_lower_index(self):
-        r = round_partition([0.5, 0.5], 3)
-        np.testing.assert_array_equal(r.counts, [2, 1])
+        np.testing.assert_array_equal(round_partition([0.5, 0.5], 3), [2, 1])
 
     def test_drop_and_reapportion(self):
-        r = round_partition([0.96, 0.04], 10)
-        np.testing.assert_array_equal(r.counts, [10, 0])
-        assert r.dropped == [1]
+        # a positive ratio with a zero count is a dropped sub-surface
+        np.testing.assert_array_equal(round_partition([0.96, 0.04], 10),
+                                      [10, 0])
+        np.testing.assert_array_equal(round_partition([0.9, 0.05, 0.05], 4),
+                                      [4, 0, 0])
 
     def test_zero_ratio_not_flagged_dropped(self):
-        r = round_partition([0.5, 0.0, 0.5], 10)
-        np.testing.assert_array_equal(r.counts, [5, 0, 5])
-        assert r.dropped == []
+        np.testing.assert_array_equal(round_partition([0.5, 0.0, 0.5], 10),
+                                      [5, 0, 5])
 
     def test_counts_always_sum(self):
         rng = np.random.default_rng(0)
@@ -72,7 +71,7 @@ class TestRounding:
             s = rng.integers(1, 7)
             t = rng.dirichlet(np.ones(s))
             ny = int(rng.integers(s, 200))
-            assert round_partition(t, ny).counts.sum() == ny
+            assert round_partition(t, ny).sum() == ny
 
 
 class TestPartitionPlan:
@@ -205,18 +204,18 @@ class TestGains:
             assert abs(gain_closed_form(plan, ris, zeta)) <= 1 + 1e-12
 
     def test_asymptotic_selects_aligned(self):
+        ris = make_ris(4, 10)
         zeta = (0.25, -0.5)
         grads = [PhaseGradient(*zeta), PhaseGradient(0.9, 0.9)]
         plan = PartitionPlan(t=[0.3, 0.7], gradients=grads,
-                             psi=[0.0, 2.0])
-        assert abs(gain_asymptotic(plan, zeta) - 0.3) < 1e-15
+                             psi=[0.0, 2.0], column_counts=[3, 7])
+        assert abs(gain_asymptotic(plan, ris, zeta) - 0.3) < 1e-15
         plan_rot = PartitionPlan(t=[0.3, 0.7], gradients=grads,
-                                 psi=[np.pi / 2, 2.0])
-        assert abs(gain_asymptotic(plan_rot, zeta) - 0.3j) < 1e-15
-        assert gain_asymptotic(plan, (0.1, 0.1)) == 0
+                                 psi=[np.pi / 2, 2.0], column_counts=[3, 7])
+        assert abs(gain_asymptotic(plan_rot, ris, zeta) - 0.3j) < 1e-15
+        assert gain_asymptotic(plan, ris, (0.1, 0.1)) == 0
 
     def test_converges_to_asymptotic(self):
-        rng = np.random.default_rng(5)
         zeta = (0.25, -0.5)
         grads = [PhaseGradient(*zeta), PhaseGradient(0.9, -0.15)]
         t = np.array([0.4, 0.6])
@@ -228,7 +227,7 @@ class TestGains:
             plan, _ = PartitionPlan(t=t, gradients=grads,
                                     psi=psi).realize(ny)
             gap = abs(gain_closed_form(plan, ris, zeta)
-                      - gain_asymptotic(plan, zeta))
+                      - gain_asymptotic(plan, ris, zeta))
             gaps.append(gap)
         assert gaps[2] < gaps[0]
 
@@ -254,11 +253,14 @@ class TestTilePlan:
             gradients=[PhaseGradient(0.3, -0.8), PhaseGradient(-1.1, 0.25)],
             psi=[0.5, 4.0], column_counts=[4, 8])
         tiles = TilePlan.from_partition_plan(plan, ris, tiles_x=2, tiles_y=6)
-        np.testing.assert_allclose(tiles.build_theta(ris),
-                                   build_theta(plan, ris), atol=1e-12)
+        # phases share the plan's origin reference, so they copy over
+        np.testing.assert_array_equal(tiles.psi_tiles,
+                                      plan.psi[tiles.assignment])
+        np.testing.assert_array_equal(build_theta(tiles, ris),
+                                      build_theta(plan, ris))
         for _ in range(5):
             zeta = (rng.uniform(-1, 1), rng.uniform(-1, 1))
-            assert abs(tile_plan_gain(tiles, ris, zeta)
+            assert abs(gain_closed_form(tiles, ris, zeta)
                        - gain_closed_form(plan, ris, zeta)) < 1e-12
 
     def test_tile_gain_matches_direct_sum(self):
@@ -272,8 +274,20 @@ class TestTilePlan:
                          gradients=grads, psi_tiles=psi_tiles)
         for _ in range(5):
             zeta = (rng.uniform(-1, 1), rng.uniform(-1, 1))
-            direct = gain_direct_sum(tiles.build_theta(ris), ris, zeta)
-            assert abs(tile_plan_gain(tiles, ris, zeta) - direct) < 1e-12
+            direct = gain_direct_sum(build_theta(tiles, ris), ris, zeta)
+            assert abs(gain_closed_form(tiles, ris, zeta) - direct) < 1e-12
+
+    def test_from_mu_subsurface_is_one_linear_profile(self):
+        ris = make_ris(4, 6)
+        grads = [PhaseGradient(0.3, -0.8), PhaseGradient(-1.1, 0.25)]
+        psi = [1.2, 0.4]
+        tiles = TilePlan.from_mu([0.5, 0.5], 2, 3, grads, psi)
+        theta = build_theta(tiles, ris).reshape(4, 6)
+        for s, rows in enumerate((slice(0, 2), slice(2, 4))):
+            whole = PartitionPlan(t=[1.0], gradients=[grads[s]],
+                                  psi=[psi[s]], column_counts=[6])
+            np.testing.assert_array_equal(
+                theta[rows], build_theta(whole, ris).reshape(4, 6)[rows])
 
     def test_tile_asymptotic(self):
         zeta = (0.25, -0.5)
@@ -281,5 +295,61 @@ class TestTilePlan:
                                  [PhaseGradient(*zeta),
                                   PhaseGradient(0.9, 0.9)],
                                  [1.2, 0.0])
-        g = tile_plan_gain_asymptotic(tiles, zeta)
+        g = gain_asymptotic(tiles, make_ris(4, 6), zeta)
         assert abs(g - 0.5 * np.exp(1.2j)) < 1e-14
+
+    def test_tiled_gain_converges_to_limit(self):
+        zeta = (0.25, -0.37)
+        tiles = TilePlan.from_mu([0.5, 0.5], 2, 2,
+                                 [PhaseGradient(*zeta),
+                                  PhaseGradient(-0.6, 0.45)],
+                                 [1.2, 0.3])
+        gaps = []
+        for side in (4, 16, 64, 256):
+            ris = make_ris(side, side)
+            gaps.append(abs(gain_closed_form(tiles, ris, zeta)
+                            - gain_asymptotic(tiles, ris, zeta)))
+        assert all(b < a for a, b in zip(gaps, gaps[1:])), gaps
+        assert gaps[-1] < 1e-3, gaps
+
+    def test_tile_grid_must_divide_ris(self):
+        tiles = TilePlan.from_mu([0.5, 0.5], 2, 2,
+                                 [PhaseGradient(0, 0), PhaseGradient(1, 1)],
+                                 [0.0, 1.0])
+        with pytest.raises(ValueError, match="divide"):
+            gain_closed_form(tiles, make_ris(5, 6), (0.0, 0.0))
+        plan = PartitionPlan(t=[1.0], gradients=[PhaseGradient(0, 0)],
+                             psi=[0.0], column_counts=[6])
+        with pytest.raises(ValueError, match="divide"):
+            TilePlan.from_partition_plan(plan, make_ris(4, 6), 3, 2)
+
+    def test_from_partition_plan_requires_realized(self):
+        plan = PartitionPlan(t=[0.5, 0.5],
+                             gradients=[PhaseGradient(0, 0),
+                                        PhaseGradient(1, 1)],
+                             psi=[0.0, 1.0])
+        with pytest.raises(ValueError, match="realized"):
+            TilePlan.from_partition_plan(plan, make_ris(4, 6), 2, 3)
+
+    def test_column_blocks_must_align_with_tiles(self):
+        plan = PartitionPlan(t=[0.5, 0.5],
+                             gradients=[PhaseGradient(0, 0),
+                                        PhaseGradient(1, 1)],
+                             psi=[0.0, 1.0], column_counts=[3, 3])
+        with pytest.raises(ValueError, match="align"):
+            TilePlan.from_partition_plan(plan, make_ris(4, 6), 2, 3)
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="shape"):
+            TilePlan(tiles_x=2, tiles_y=3, assignment=np.zeros((2, 3)),
+                     gradients=[PhaseGradient(0, 0)],
+                     psi_tiles=np.zeros((3, 2)))
+
+    @pytest.mark.parametrize("index", [-1, 2])
+    def test_assignment_index_out_of_range(self, index):
+        assignment = np.zeros((2, 2), dtype=int)
+        assignment[1, 1] = index
+        with pytest.raises(ValueError, match="valid sub-surface"):
+            TilePlan(tiles_x=2, tiles_y=2, assignment=assignment,
+                     gradients=[PhaseGradient(0, 0), PhaseGradient(1, 1)],
+                     psi_tiles=np.zeros((2, 2)))

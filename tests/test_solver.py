@@ -51,9 +51,15 @@ class TestWaterFilling:
         with pytest.raises(ValueError):
             water_filling([], 1.0)
         with pytest.raises(ValueError):
-            water_filling([1.0, 2.0], 1.0)
-        with pytest.raises(ValueError):
             water_filling([1.0], -0.5)
+        # coefficients in any order: the powers come back permuted alike
+        m = np.array([10.0, 0.1, 4.0, 4.0, 1.0])
+        p, v = water_filling(m, 0.5)
+        for perm in ([4, 1, 3, 0, 2], [2, 3, 0, 4, 1]):
+            p_perm, v_perm = water_filling(m[perm], 0.5)
+            np.testing.assert_array_equal(p_perm, p[perm])
+            assert v_perm == v
+        assert water_filling([1.0, 3.0], 0.0)[1] == 3.0
 
 
 class TestCubicRoots:
