@@ -24,7 +24,9 @@ Conventions
 from __future__ import annotations
 
 import configparser
+import functools
 import logging
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -41,7 +43,16 @@ HOP_KINDS = (HOP_TX_RIS, HOP_RIS_RX, HOP_TX_RX)
 
 
 def dbm_to_watts(dbm: float) -> float:
-    return 10.0 ** (dbm / 10.0) / 1000.0
+    """Power in watts of ``dbm``; raises ValueError when that is not a
+    finite positive float (NaN, or beyond about +-3200 dBm)."""
+    try:
+        watts = 10.0 ** (dbm / 10.0) / 1000.0
+    except OverflowError:
+        watts = math.inf
+    if not (math.isfinite(watts) and watts > 0.0):
+        raise ValueError(f"power must be finite and positive in watts, "
+                         f"got {dbm!r} dBm")
+    return watts
 
 
 @dataclass(frozen=True)
@@ -382,6 +393,16 @@ FIRST_CHUNK = 8
 SAMPLE_CHUNK = 128
 
 
+@functools.lru_cache(maxsize=16)
+def _pair_indices(width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the pairs ``i < j`` among ``width``
+    angles, read-only since every caller shares them."""
+    pairs = np.triu_indices(width, 1)
+    for index in pairs:
+        index.flags.writeable = False
+    return pairs
+
+
 def _min_cosine_gaps(angles: np.ndarray, scale: float) -> np.ndarray:
     """Smallest pairwise distance between steering arguments, per row.
 
@@ -391,7 +412,7 @@ def _min_cosine_gaps(angles: np.ndarray, scale: float) -> np.ndarray:
     angles has no pair and reads ``inf``.
     """
     phi = scale * np.sin(angles)
-    i, j = np.triu_indices(angles.shape[1], 1)
+    i, j = _pair_indices(angles.shape[1])
     gaps = np.abs(phi[:, i] - phi[:, j]) % 2.0
     return np.minimum(gaps, 2.0 - gaps).min(axis=1, initial=np.inf)
 

@@ -62,6 +62,13 @@ class ExperimentSpec:
         if self.sweep == "N" and any(v % self.config.n_x for v in self.values):
             raise ValueError(f"swept N values {self.values} must be "
                              f"divisible by Nx={self.config.n_x}")
+        # a swept power that under- or overflows fails here, not per row
+        for value in self.values if self.sweep in ("P", "SNR") else []:
+            try:
+                _apply_sweep(self.config, self.sweep, value)
+            except ValueError as exc:
+                raise ValueError(f"swept {self.sweep} = {value!r}: {exc}"
+                                 ) from exc
         if self.psi_mode not in PSI_MODES:
             raise ValueError(f"unknown psi mode {self.psi_mode!r}")
         if self.realizations is not None and self.realizations < 1:
@@ -133,9 +140,13 @@ def _apply_sweep(config: SimulationConfig, sweep: str,
         return dataclasses.replace(config, m_t=m, m_r=m)
     if sweep == "P":
         return dataclasses.replace(config, power_watts=dbm_to_watts(value))
-    # SNR in dB over the configured noise power
-    return dataclasses.replace(
-        config, power_watts=config.noise_watts * 10.0 ** (value / 10.0))
+    # SNR in dB over the configured noise power; the config rejects a power
+    # that overflows to inf or underflows to 0 W
+    try:
+        gain = 10.0 ** (value / 10.0)
+    except OverflowError:
+        gain = np.inf
+    return dataclasses.replace(config, power_watts=config.noise_watts * gain)
 
 
 def _run_one(task) -> ResultRow:

@@ -2,8 +2,9 @@
 
 These oracles evaluate the rate objective exhaustively on barycentric
 lattices (exact unit-sum grid points), enumerate every injective path
-pairing, grid the common phases, solve the KKT system of each activated
-block by Levenberg-Marquardt, evaluate the finite model on the dense
+pairing, grid the common phases, bisect the budget residual of each
+activated prefix, solve the KKT system of each activated block by
+Levenberg-Marquardt, evaluate the finite model on the dense
 N-column channel matrices (RIS response, per-hop synthesis, effective
 channel, M_r x M_r log-det rate), and sample channel realizations one
 whole draw at a time, so the analytical shortcuts in the solver and finite
@@ -25,7 +26,8 @@ from rispart.channel import (HOP_RIS_RX, HOP_TX_RIS, HOP_TX_RX,
                              sample_paths, steering_vector, ula_response)
 from rispart.finite import FiniteEvaluation
 from rispart.partition import build_theta, largest_remainder
-from rispart.solver import KktResidual, kkt_residual, solve, water_filling
+from rispart.solver import (KktResidual, budget_residual, kkt_residual,
+                            solve, water_filling)
 
 
 class LmDivergenceError(RuntimeError):
@@ -196,6 +198,37 @@ def lm_solve(problem: AsymptoticProblem, s_active, i_active,
                    w=float(x[-1]), rate=rate(problem, alloc),
                    s_active=list(s_active), i_active=list(i_active))
     return sol, kkt_residual(problem, sol)
+
+
+def bisect_dual_roots(problem: AsymptoticProblem, k) -> np.ndarray:
+    """Reference for ``solver._dual_roots``: the root of the budget residual
+    of every prefix k, bisected down to adjacent floats (geometric
+    midpoints while the bracket spans a factor of 2).
+
+    The bracket is the wide one: from the water level of the direct paths
+    alone (``k/(2P)`` without them), where the residual is positive, to
+    ``max(2k/P, m_d[0])``, where every direct path is off and the cascaded
+    powers sum to at most P/2.
+    """
+    k = np.asarray(k)
+    hi = 2.0 * k / problem.power
+    if problem.l3:
+        lo = np.full(k.shape, water_filling(problem.m_d, problem.power)[1])
+        hi = np.maximum(hi, problem.m_d[0])
+    else:
+        lo = k / (2.0 * problem.power)
+    for _ in range(200):
+        mid = np.where(hi > 2.0 * lo, np.sqrt(lo) * np.sqrt(hi),
+                       0.5 * (lo + hi))
+        inside = (mid > lo) & (mid < hi)
+        if not inside.any():
+            break
+        positive = budget_residual(problem, mid, k) > 0.0
+        lo = np.where(inside & positive, mid, lo)
+        hi = np.where(inside & ~positive, mid, hi)
+    nearer_lo = (np.abs(budget_residual(problem, lo, k))
+                 <= np.abs(budget_residual(problem, hi, k)))
+    return np.where(nearer_lo, lo, hi)
 
 
 def lm_cold_start(problem: AsymptoticProblem) -> Solution:

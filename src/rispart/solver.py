@@ -8,10 +8,19 @@ root of ``p^3 - p^2/v + P_r^2/m_s = 0``.  Only that root meets the
 validity floor ``p >= 1/(2v)``, so for an activated prefix of k cascaded
 paths the budget residual ``sum_s p_s(v) - P_r(v)`` is one strictly
 decreasing function of v.  The paper scans v on a 1D grid; here the root
-of that residual is bracketed and bisected to adjacent floats for every k
-at once (bracketed root finding, Brent 1973), which gives an exact KKT
-point per activated set.  The best of these and the single-active
-water-filling point is the solution.
+of that residual is found for every k at once by safeguarded Newton steps
+(``rtsafe``, after Brent 1973): every normalized root ``v p_s`` lies in
+[2/3, 1], which gives a closed-form bracket at most a factor 1.5 wide,
+the cubic root has an exact derivative, and a step that leaves the
+bracket or fails to halve the residual is replaced by bisection.  That
+gives an exact KKT point per activated set in a handful of residual
+evaluations.  The best of these and the single-active water-filling point
+is the solution.
+
+The problem is invariant under ``m -> m c`` with ``P -> P / c`` and
+``p -> p / c`` (``v -> v c``, the ratios and w unchanged), so the solve
+runs in the units where P = 1 and maps the winner back: at any P whose
+SNRs ``m P`` are finite positive floats, no quantity it forms overflows.
 """
 
 from __future__ import annotations
@@ -24,18 +33,24 @@ from rispart.asymptotic import Allocation, AsymptoticProblem, Solution, rate
 
 # y^3 - y^2 + a = 0 has a root in [2/3, 1] iff 0 <= a <= 4/27
 A_MAX = 4.0 / 27.0
-_MAX_HALVINGS = 200
+# Bounds the Newton loop only: bisection alone narrows a factor-1.5
+# bracket to 4 ulps in about 50 steps, and every step narrows it.
+_MAX_STEPS = 100
 
 
 @dataclass
 class KktResidual:
-    """First-order optimality diagnostics at a primal/dual point.
+    """First-order optimality diagnostics at a primal/dual point, each
+    unchanged when the coefficients scale by c and the power and the
+    powers of the point by 1/c.
 
     Stationarity residuals are zero at an exact KKT point; on activated
-    entries they equal the gradient-minus-dual gap directly, on inactive
-    entries only a positive gap (a violation of dual feasibility) is
-    reported.  ``primal`` holds (relative budget violation, ratio-sum
-    violation, worst negative power, worst negative ratio).
+    entries they equal the gradient-minus-dual gap relative to the dual
+    (v for the powers, w for the ratios), on inactive entries only a
+    positive gap (a violation of dual feasibility) is reported.
+    ``primal`` holds (relative budget violation, ratio-sum violation,
+    worst negative power over P, worst negative ratio); ``slackness`` the
+    relative multipliers times the powers over P and times the ratios.
     """
 
     stationarity_p_r: np.ndarray
@@ -144,23 +159,6 @@ def solve_p32(m_tilde) -> tuple[np.ndarray, float]:
     return best_t, float(best_w)
 
 
-def _seed_solution(problem: AsymptoticProblem) -> Solution:
-    """Water-filling solution with the single-active partition t=[1,0,...]."""
-    p, v = water_filling(np.concatenate([[problem.m_r[0]], problem.m_d]),
-                         problem.power)
-    p_r = np.zeros(problem.s_max)
-    p_r[0] = p[0]
-    p_d = p[1:]
-    t = np.zeros(problem.s_max)
-    t[0] = 1.0
-    alloc = Allocation(p_r=p_r, p_d=p_d, t=t)
-    w = 2.0 * v * p_r[0]
-    return Solution(problem=problem, allocation=alloc, v=v, w=w,
-                    rate=rate(problem, alloc),
-                    s_active=[0] if p_r[0] > 0 else [],
-                    i_active=[i for i in range(problem.l3) if p_d[i] > 0])
-
-
 def largest_root(a):
     """Largest real root y of ``y^3 - y^2 + a = 0``, vectorized over a.
 
@@ -178,24 +176,30 @@ def largest_root(a):
 
 def dual_bracket(m_d, power: float, k) -> tuple[np.ndarray, np.ndarray]:
     """Power-dual interval (lo, hi) holding the root of the budget residual
-    of the first k cascaded paths, vectorized over k.
+    of the first k cascaded paths, vectorized over k; ``hi / lo <= 1.5``.
 
-    At ``lo`` the direct paths alone use the whole budget (their
-    water-filling level; k/(2P) without direct paths), so the residual is
-    positive.  At ``hi`` every direct path is off and the cascaded powers
-    sum to at most P/2, so it is negative.
+    Every normalized cascaded root ``y = v p_s`` lies in [2/3, 1], so the
+    cascaded powers sum to between ``2k/(3v)`` and ``k/v``.  ``lo`` is the
+    water level at which the direct paths plus ``(2k/3)/v`` use the whole
+    budget, so the residual is nonnegative there; ``hi`` is the level at
+    which the direct paths plus ``k/v`` do, so it is nonpositive there.
     """
     k = np.asarray(k)
     if np.any(k < 1):
         raise ValueError("at least one cascaded path must be activated")
     if power <= 0:
         raise ValueError("power budget must be positive")
-    m_d = np.asarray(m_d, dtype=float)
-    hi = 2.0 * k / power
-    if not m_d.size:
-        return k / (2.0 * power), hi
-    lo = np.full(k.shape, water_filling(m_d, power)[1])
-    return lo, np.maximum(hi, m_d[0])
+    # water level 1/x with c extra channels of zero inverse gain: x solves
+    # sum_i max(0, x - 1/m_i) + c x = P, and x is the smallest over j of
+    # the level (P + sum of the j smallest 1/m_i) / (j + c)
+    inv = np.sort(1.0 / np.asarray(m_d, dtype=float))
+    head_sums = np.concatenate([[0.0], np.cumsum(inv)])
+    j = np.arange(inv.size + 1)
+
+    def level(c):
+        return 1.0 / np.min((power + head_sums) / (j + c[..., None]), axis=-1)
+
+    return level(2.0 * k / 3.0), level(k.astype(float))
 
 
 def _block_powers(problem: AsymptoticProblem, v, k):
@@ -223,92 +227,154 @@ def budget_residual(problem: AsymptoticProblem, v, k) -> np.ndarray:
     return p_r.sum(axis=-1) - budget_r
 
 
+def _residual_slope(problem: AsymptoticProblem, v, k):
+    """Budget residual and its exact derivative in v.
+
+    With ``y = v p_s`` and ``a = v^3 P_r^2 / m_s``, ``dp_s/dv = y'(a)
+    a'(v) / v - y / v^2``, where ``y'(a) = -1 / (3y^2 - 2y)`` and
+    ``a'(v) = v P_r (3 v P_r + 2 n_on) / m_s`` for the ``n_on`` direct
+    paths that are on.  A clipped entry (``a >= 4/27``) is ``2/(3v)`` and
+    has no ``y'`` term; the direct powers add ``-n_on / v^2``.
+    """
+    p_r, p_d, budget_r, a = _block_powers(problem, v, k)
+    v = np.asarray(v, dtype=float)[..., None]
+    n_on = np.count_nonzero(p_d, axis=-1)[..., None]
+    y = p_r * v
+    cubic_slope = y * (3.0 * y - 2.0)  # zero off the head
+    steep = (a < A_MAX) & (cubic_slope > 0.0)
+    b = np.maximum(budget_r, 0.0)[..., None]
+    da = v * b * (3.0 * v * b + 2.0 * n_on) / problem.m_r
+    dy = np.where(steep, -da / np.where(steep, cubic_slope, 1.0), 0.0)
+    slope = ((dy - y / v).sum(axis=-1, keepdims=True) - n_on / v) / v
+    return p_r.sum(axis=-1) - budget_r, slope[..., 0]
+
+
 def _dual_roots(problem: AsymptoticProblem, k: np.ndarray) -> np.ndarray:
-    """Root of the budget residual for every k, bisected down to adjacent
-    floats (geometric midpoints while the bracket spans a factor of 2)."""
+    """Root of the budget residual for every k by safeguarded Newton steps.
+
+    Starts from the middle of :func:`dual_bracket` and shrinks the bracket
+    with every evaluation.  A Newton step that leaves the bracket (ends
+    included) or follows a step that did not halve ``|f|`` is replaced by
+    bisection; the second rule stops the ping-pong across the kink where
+    the weakest root's ``a`` reaches 4/27 and the slope jumps.  An entry
+    stops when its step or its bracket is within 4 ulps, and the bracket
+    end with the smaller ``|f|`` is returned.
+    """
     lo, hi = dual_bracket(problem.m_d, problem.power, k)
-    for _ in range(_MAX_HALVINGS):
-        mid = np.where(hi > 2.0 * lo, np.sqrt(lo) * np.sqrt(hi),
-                       0.5 * (lo + hi))
-        inside = (mid > lo) & (mid < hi)
-        if not inside.any():
+    f_lo = np.full(lo.shape, np.inf)
+    f_hi = np.full(hi.shape, -np.inf)
+    f_prev = np.full(lo.shape, np.inf)
+    x = 0.5 * (lo + hi)
+    running = np.ones(lo.shape, dtype=bool)
+    for _ in range(_MAX_STEPS):
+        f, slope = _residual_slope(problem, x, k)
+        above = f >= 0.0
+        below = f <= 0.0
+        lo, f_lo = np.where(above, x, lo), np.where(above, f, f_lo)
+        hi, f_hi = np.where(below, x, hi), np.where(below, f, f_hi)
+        step = x - f / slope
+        newton = ((step >= lo) & (step <= hi)
+                  & (np.abs(f) <= 0.5 * np.abs(f_prev)))
+        nxt = np.where(newton, step, 0.5 * (lo + hi))
+        running &= ~((np.abs(nxt - x) <= 4.0 * np.spacing(x))
+                     | (hi - lo <= 4.0 * np.spacing(lo)) | (f == 0.0))
+        if not running.any():
             break
-        positive = budget_residual(problem, mid, k) > 0.0
-        lo = np.where(inside & positive, mid, lo)
-        hi = np.where(inside & ~positive, mid, hi)
-    nearer_lo = (np.abs(budget_residual(problem, lo, k))
-                 <= np.abs(budget_residual(problem, hi, k)))
-    return np.where(nearer_lo, lo, hi)
+        x = np.where(running, nxt, x)
+        f_prev = np.where(running, f, f_prev)
+    return np.where(np.abs(f_lo) <= np.abs(f_hi), lo, hi)
 
 
 def kkt_residual(problem: AsymptoticProblem, solution: Solution,
                  active_tol: float = 1e-12) -> KktResidual:
-    """Stationarity, primal-feasibility, and slackness diagnostics."""
+    """Stationarity, primal-feasibility, and slackness diagnostics, each
+    free of the scale of the problem (see :class:`KktResidual`).
+
+    A power counts as activated above ``active_tol * P`` and a ratio above
+    ``active_tol``.
+    """
     a = solution.allocation
-    v, w = solution.v, solution.w
+    v, w, power = solution.v, solution.w, problem.power
     m_r, m_d = problem.m_r, problem.m_d
     grad_p_r = m_r * a.t ** 2 / (1.0 + m_r * a.p_r * a.t ** 2)
     grad_t = 2.0 * m_r * a.p_r * a.t / (1.0 + m_r * a.p_r * a.t ** 2)
-    stat_p_r = np.where(a.p_r > active_tol, grad_p_r - v,
-                        np.maximum(grad_p_r - v, 0.0))
-    stat_t = np.where(a.t > active_tol, grad_t - w,
-                      np.maximum(grad_t - w, 0.0))
-    if problem.l3:
-        grad_p_d = m_d / (1.0 + m_d * a.p_d)
-        stat_p_d = np.where(a.p_d > active_tol, grad_p_d - v,
-                            np.maximum(grad_p_d - v, 0.0))
-        lam_d = np.where(a.p_d > active_tol, 0.0,
-                         np.maximum(v - grad_p_d, 0.0))
-        slack_d = lam_d * a.p_d
-    else:
-        stat_p_d = np.empty(0)
-        slack_d = np.empty(0)
-    lam_r = np.where(a.p_r > active_tol, 0.0, np.maximum(v - grad_p_r, 0.0))
-    mu = np.where(a.t > active_tol, 0.0, np.maximum(w - grad_t, 0.0))
+    grad_p_d = m_d / (1.0 + m_d * a.p_d)
+    # (gradient-minus-dual gap relative to the dual, primal value relative
+    # to its scale); w is 0 only when no cascaded power is on, and then
+    # every grad_t is 0 as well
+    blocks = [((grad_p_r - v) / v, a.p_r / power),
+              ((grad_p_d - v) / v, a.p_d / power),
+              ((grad_t - w) / w if w > 0 else grad_t, a.t)]
+    stationarity, slackness = [], []
+    for gap, x in blocks:
+        on = x > active_tol
+        stationarity.append(np.where(on, gap, np.maximum(gap, 0.0)))
+        slackness.append(np.where(on, 0.0, np.maximum(-gap, 0.0)) * x)
     primal = np.array([
-        abs(a.total_power - problem.power) / problem.power,
+        abs(a.total_power - power) / power,
         abs(a.t.sum() - 1.0),
-        max(0.0, -min(a.p_r.min(), a.p_d.min() if problem.l3 else 0.0)),
+        max(0.0, -min(a.p_r.min(), a.p_d.min(initial=0.0))) / power,
         max(0.0, -a.t.min()),
     ])
-    slackness = np.concatenate([lam_r * a.p_r, slack_d, mu * a.t])
-    return KktResidual(stationarity_p_r=stat_p_r, stationarity_p_d=stat_p_d,
-                       stationarity_t=stat_t, primal=primal,
-                       slackness=slackness)
+    return KktResidual(*stationarity, primal=primal,
+                       slackness=np.concatenate(slackness))
 
 
 def solve(problem: AsymptoticProblem) -> Solution:
     """Exact joint power/partition optimum over all activated sets.
 
-    Starts from the single-active water-filling point, then solves the
-    budget equation of every cascaded prefix k = 2..S at once and keeps
-    each block whose weakest root exists at its dual.  Returns the best
-    point by rate (ties keep the fewest activated paths) after checking
-    the linear ratio/power relation and the non-increasing ordering.
+    Works in the units where P = 1.  Takes the single-active water-filling
+    point, then solves the budget equation of every cascaded prefix
+    k = 2..S at once and keeps each block whose weakest root exists at its
+    dual.  The rates of all these points come from one vectorized pass;
+    the best (ties keep the fewest activated paths) is mapped back to the
+    units of ``problem`` and checked: the budget, the linear ratio/power
+    relation and the non-increasing ordering.
     """
-    sol = _seed_solution(problem)
-    if problem.s_max > 1:
-        k = np.arange(2, problem.s_max + 1)
-        v = _dual_roots(problem, k)
-        p_r, p_d, _, a = _block_powers(problem, v, k)
-        exists = a[np.arange(k.size), k - 1] <= A_MAX * (1.0 + 1e-12)
-        for b in np.flatnonzero(exists):
-            total = p_r[b].sum()
-            alloc = Allocation(p_r=p_r[b], p_d=p_d[b], t=p_r[b] / total)
-            c = rate(problem, alloc)
-            if c > sol.rate + 1e-12:
-                sol = Solution(
-                    problem=problem, allocation=alloc, v=float(v[b]),
-                    w=float(2.0 * v[b] * total), rate=c,
-                    s_active=list(range(k[b])),
-                    i_active=[i for i in range(problem.l3) if p_d[b, i] > 0])
+    power = problem.power
+    with np.errstate(over="ignore"):
+        m_r, m_d = problem.m_r * power, problem.m_d * power
+    if not all(np.all(np.isfinite(m) & (m > 0.0)) for m in (m_r, m_d)):
+        raise ValueError(f"coefficients times P = {power!r} (the SNRs m * P) "
+                         f"must be finite positive floats")
+    unit = AsymptoticProblem(m_r=m_r, m_d=m_d, power=1.0)
+    s = unit.s_max
+    p, v = water_filling(np.concatenate([[unit.m_r[0]], unit.m_d]), 1.0)
+    p_r = np.zeros((1, s))
+    p_r[0, 0] = p[0]
+    p_d = p[None, 1:]
+    t = np.eye(1, s)
+    v = np.array([v])
+    k = np.array([int(p[0] > 0)])
+    if s > 1:
+        k_b = np.arange(2, s + 1)
+        v_b = _dual_roots(unit, k_b)
+        p_r_b, p_d_b, _, a = _block_powers(unit, v_b, k_b)
+        exists = a[np.arange(k_b.size), k_b - 1] <= A_MAX * (1.0 + 1e-12)
+        p_r_b = p_r_b[exists]
+        p_r = np.concatenate([p_r, p_r_b])
+        p_d = np.concatenate([p_d, p_d_b[exists]])
+        t = np.concatenate([t, p_r_b / p_r_b.sum(axis=1, keepdims=True)])
+        v = np.concatenate([v, v_b[exists]])
+        k = np.concatenate([k, k_b[exists]])
+    rates = (np.log2(1.0 + unit.m_r * p_r * t ** 2).sum(axis=1)
+             + np.log2(1.0 + unit.m_d * p_d).sum(axis=1))
+    best = 0
+    for b in range(1, rates.size):
+        if rates[b] > rates[best] + 1e-12:
+            best = b
 
-    a = sol.allocation
-    p_r_tot = a.p_r.sum()
-    if p_r_tot > 0:
-        gap = np.max(np.abs(a.t - a.p_r / p_r_tot))
+    alloc = Allocation(p_r=p_r[best] * power, p_d=p_d[best] * power,
+                       t=t[best])
+    sol = Solution(problem=problem, allocation=alloc, v=float(v[best] / power),
+                   w=float(2.0 * v[best] * p_r[best].sum()),
+                   rate=rate(problem, alloc), s_active=list(range(k[best])),
+                   i_active=[int(i) for i in np.flatnonzero(p_d[best] > 0)])
+    p_r, t = p_r[best], t[best]
+    if p_r.sum() > 0:
+        gap = np.max(np.abs(t - p_r / p_r.sum()))
         if gap > 1e-6:
             raise RuntimeError(f"ratio/power relation violated ({gap:.2e})")
-    if np.any(np.diff(a.t) > 1e-9) or np.any(np.diff(a.p_r) > 1e-9):
+    if np.any(np.diff(t) > 1e-9) or np.any(np.diff(p_r) > 1e-9):
         raise RuntimeError("ratios/powers not in non-increasing order")
     return sol

@@ -130,8 +130,10 @@ class TestRunExperiment:
         assert [row_key(r) for r in serial] == [row_key(r) for r in parallel]
 
     def test_failures_flagged_not_raised(self):
-        # -5000 dBm underflows to 0 W, which the swept config rejects
-        spec = small_spec(sweep="P", values=[30.0, -5000.0])
+        # -5000 dBm underflows to 0 W; the spec rejects it, so it is set
+        # after validation to reach the per-row config-stage failure
+        spec = small_spec(sweep="P", values=[30.0])
+        spec.values = [30.0, -5000.0]
         rows, summary = run_experiment(spec)
         bad = [r for r in rows if r.sweep_value == -5000.0]
         assert bad and all(r.error.startswith("config: ValueError: ")
@@ -277,6 +279,13 @@ class TestCli:
         assert "rate =" in capsys.readouterr().out
         assert "rate =" in out.read_text()
 
+    @pytest.mark.parametrize("power", ["1e300", "1e-300"])
+    def test_solve_at_extreme_power(self, tmp_path, capsys, power):
+        problem = tmp_path / "problem.txt"
+        problem.write_text(f"m_r = 1,0.5\nm_d = 2\nP = {power}\n")
+        assert main(["solve", str(problem)]) == 0
+        assert "rate =" in capsys.readouterr().out
+
     def test_solve_missing_file(self, tmp_path, capsys):
         assert main(["solve", str(tmp_path / "nope.txt")]) == 2
 
@@ -306,7 +315,12 @@ class TestCli:
         (("sweep = P\nvalues = 20, 30", "sweep = M\nvalues = 16.9"), [],
          "positive integers"),
         (("sweep = P\nvalues = 20, 30", "sweep = N\nvalues = 33"), [],
-         "divisible by Nx=4")])
+         "divisible by Nx=4"),
+        (("P = 30", "P = 5000"), [], "got 5000.0 dBm"),
+        (("values = 20, 30", "values = 20, -5000"), [],
+         "swept P = -5000.0: power must be finite and positive"),
+        (("sweep = P\nvalues = 20, 30", "sweep = SNR\nvalues = 4000"), [],
+         "swept SNR = 4000.0: power_watts must be finite and positive")])
     def test_simulate_unrunnable_sweep_exits_2(self, tmp_path, capsys, edit,
                                                argv, message):
         path = tmp_path / "exp.cfg"

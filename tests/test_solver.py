@@ -1,16 +1,21 @@
 """Solver tests: water-filling, the cascaded-power cubic, fixed-power
-partition ratios, the exact dual solve, and its Levenberg-Marquardt
-cross-check."""
+partition ratios, the exact dual solve, and its bisection and
+Levenberg-Marquardt cross-checks."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from rispart import solver
 from rispart.asymptotic import (Allocation, AsymptoticProblem, Solution,
-                                rate, validate_allocation)
+                                coefficients, optimal_pairing, rate,
+                                validate_allocation)
+from rispart.channel import (SimulationConfig, realization_rng,
+                             realize_channels)
 from rispart.checks import random_problem
-from rispart.oracle import LmDivergenceError, lm_cold_start, lm_solve
+from rispart.oracle import (LmDivergenceError, bisect_dual_roots,
+                            lm_cold_start, lm_solve)
 from rispart.solver import (A_MAX, budget_residual, dual_bracket,
                             kkt_residual, largest_root, solve, solve_p32,
                             water_filling)
@@ -149,25 +154,29 @@ class TestSolveP32:
 
 
 class TestSearchBounds:
-    """The power-dual bracket of the budget residual."""
+    """The closed-form power-dual bracket of the budget residual."""
 
     def test_with_direct(self):
         lo, hi = dual_bracket([1.0], 1.0, 2)
-        # the direct path alone: p = 1/v - 1 = 1 at v = 1/2
-        assert abs(lo - 0.5) < 1e-12
-        assert hi == 4.0
-        prob = AsymptoticProblem(m_r=[4.0, 2.0], m_d=[1.0], power=1.0)
-        assert budget_residual(prob, lo * (1 + 1e-12), 2) > 0
+        # the direct path is off at both ends: (4/3)/v = 1 and 2/v = 1
+        assert abs(lo - 4.0 / 3.0) < 1e-15
+        assert abs(hi - 2.0) < 1e-15
+        prob = AsymptoticProblem(m_r=[40.0, 20.0], m_d=[1.0], power=1.0)
+        assert budget_residual(prob, lo, 2) > 0
         assert budget_residual(prob, hi, 2) < 0
 
     def test_direct_cap(self):
         lo, hi = dual_bracket([10.0], 1.0, 2)
-        assert hi == 10.0  # every direct path is off from v = m_d[0] on
+        # the direct path stays on at both ends and caps the cascaded
+        # budget: 1/v - 1/10 + c/v = 1 gives v = (1 + c) / 1.1 for c = 4/3
+        # and c = 2
+        assert abs(lo - (7.0 / 3.0) / 1.1) < 1e-14
+        assert abs(hi - 3.0 / 1.1) < 1e-14
 
     def test_without_direct(self):
         lo, hi = dual_bracket([], 2.0, np.array([2, 3]))
-        np.testing.assert_array_equal(lo, [0.5, 0.75])
-        np.testing.assert_array_equal(hi, [2.0, 3.0])
+        np.testing.assert_allclose(lo, [2.0 / 3.0, 1.0], rtol=1e-15)
+        np.testing.assert_allclose(hi, [1.0, 1.5], rtol=1e-15)
 
     def test_needs_cascaded(self):
         with pytest.raises(ValueError):
@@ -179,10 +188,63 @@ class TestSearchBounds:
             prob = random_problem(rng, s_max=int(rng.integers(2, 6)))
             k = np.arange(2, prob.s_max + 1)
             lo, hi = dual_bracket(prob.m_d, prob.power, k)
-            v = lo[:, None] * (hi / lo)[:, None] ** np.linspace(1e-9, 1, 200)
+            assert np.all(hi <= 1.5 * lo * (1 + 1e-15))
+            v = lo[:, None] * (hi / lo)[:, None] ** np.linspace(0, 1, 200)
             res = budget_residual(prob, v, k[:, None])
-            assert np.all(res[:, 0] > 0) and np.all(res[:, -1] < 0)
+            scale = 1e-14 * prob.power
+            assert np.all(res[:, 0] >= -scale) and np.all(res[:, -1] <= scale)
             assert np.all(np.diff(res, axis=1) < 0)
+
+
+class TestDualRoots:
+    """Safeguarded Newton steps against the bisection reference."""
+
+    @staticmethod
+    def realized_problems(config, count):
+        pairing = optimal_pairing(config.l1, config.l2)
+        for index in range(count):
+            realization = realize_channels(
+                config, realization_rng(config.seed, index))
+            yield coefficients(realization, pairing, config)
+
+    @pytest.mark.parametrize("config", [
+        SimulationConfig(seed=3),
+        SimulationConfig(m_t=64, m_r=64, l1=8, l2=8, l3=4, seed=3)],
+        ids=["default", "paths-8x8"])
+    def test_few_residual_evaluations(self, monkeypatch, config):
+        # one evaluation covers every prefix; bisection took 58 per solve
+        evaluations = []
+        residual_slope = solver._residual_slope
+
+        def counted(*args):
+            evaluations[-1] += 1
+            return residual_slope(*args)
+
+        for prob in self.realized_problems(config, 300):
+            evaluations.append(0)
+            with monkeypatch.context() as patch:
+                patch.setattr(solver, "_residual_slope", counted)
+                sol = solve(prob)
+            with monkeypatch.context() as patch:
+                patch.setattr(solver, "_dual_roots", bisect_dual_roots)
+                ref = solve(prob)
+            assert (sol.s_active, sol.i_active) == (ref.s_active,
+                                                    ref.i_active)
+            assert abs(sol.rate - ref.rate) <= 1e-12 * ref.rate
+        assert np.mean(evaluations) <= 8 and max(evaluations) <= 58
+
+    def test_slope_matches_finite_difference(self):
+        rng = np.random.default_rng(4)
+        for _ in range(20):
+            prob = random_problem(rng, s_max=4)
+            k = np.arange(2, 5)
+            lo, hi = dual_bracket(prob.m_d, prob.power, k)
+            v = lo + rng.uniform(0.0, 1.0, k.size) * (hi - lo)
+            _, slope = solver._residual_slope(prob, v, k)
+            h = 1e-6 * v
+            central = (budget_residual(prob, v + h, k)
+                       - budget_residual(prob, v - h, k)) / (2.0 * h)
+            np.testing.assert_allclose(slope, central, rtol=1e-5)
 
 
 class TestGridSearch:
@@ -200,6 +262,11 @@ class TestGridSearch:
         p, _ = water_filling([4.0, 1.0], 1.0)
         expected = np.sum(np.log2(1 + np.array([4.0, 1.0]) * p))
         assert abs(sol.rate - expected) < 1e-6
+
+    def test_snr_outside_float_range_rejected(self):
+        for m_r, power in (([1e200], 1e200), ([1e-200], 1e-200)):
+            with pytest.raises(ValueError, match=r"m \* P"):
+                solve(AsymptoticProblem(m_r=m_r, m_d=[], power=power))
 
     def test_deterministic(self):
         prob = random_problem(np.random.default_rng(5))
@@ -254,6 +321,16 @@ class TestKktResidual:
         sol.v *= 1.01
         assert kkt_residual(prob, sol).max_abs > 1e-3
 
+    def test_scale_free(self):
+        # one normalized instance (m P fixed) at three powers
+        m_r, m_d = np.array([3.0, 2.0, 1.0]) * 1e4, np.array([2.5, 0.5]) * 1e4
+        readings = []
+        for power in (1e-16, 1.0, 1e16):
+            prob = AsymptoticProblem(m_r=m_r / power, m_d=m_d / power,
+                                     power=power)
+            readings.append(kkt_residual(prob, solve(prob)).max_abs)
+        assert max(readings) - min(readings) <= 1e-12
+
 
 class TestSolve:
     def test_lm_polish_does_not_improve(self):
@@ -305,19 +382,25 @@ def _coefficients(max_size):
 
 @settings(max_examples=300, deadline=None)
 @given(m_r=_coefficients(8).filter(len), m_d=_coefficients(4),
-       power_exp=st.floats(min_value=-4.0, max_value=4.0))
+       power_exp=st.floats(min_value=-300.0, max_value=300.0))
 def test_exact_kkt_point_over_the_whole_range(m_r, m_d, power_exp):
-    prob = AsymptoticProblem(m_r=m_r, m_d=m_d, power=10.0 ** power_exp)
+    # the coefficients are drawn normalized, as m P
+    power = 10.0 ** power_exp
+    with np.errstate(over="ignore"):
+        m_r, m_d = m_r / power, m_d / power
+    assume(np.all(np.isfinite(m_r)) and np.all(np.isfinite(m_d)))
+    assume(np.all(m_r > 0) and np.all(m_d > 0))
+    prob = AsymptoticProblem(m_r=m_r, m_d=m_d, power=power)
     sol = solve(prob)
     a = sol.allocation
     validate_allocation(prob, a)
-    res = kkt_residual(prob, sol)
-    stationarity = max(np.max(np.abs(res.stationarity_p_r)),
-                       np.max(np.abs(res.stationarity_p_d), initial=0.0))
-    assert stationarity <= 1e-9 * sol.v
-    if sol.w > 0:
-        assert np.max(np.abs(res.stationarity_t)) <= 1e-9 * sol.w
+    assert kkt_residual(prob, sol).max_abs <= 1e-9
     assert np.all(np.diff(a.p_r) <= 0.0) and np.all(np.diff(a.t) <= 0.0)
     if a.p_r.sum() > 0:
         np.testing.assert_allclose(a.t, a.p_r / a.p_r.sum(), rtol=0.0,
                                    atol=1e-12)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver, "_dual_roots", bisect_dual_roots)
+        ref = solve(prob)
+    assert (sol.s_active, sol.i_active) == (ref.s_active, ref.i_active)
+    assert abs(sol.rate - ref.rate) <= 1e-12 * ref.rate
