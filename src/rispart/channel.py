@@ -95,6 +95,14 @@ class RisGeometry:
         return 2.0 * np.pi * self.element_spacing / self.wavelength
 
 
+# Each angle is ``(1 - u) * high`` for a uniform u, on the half-open
+# interval (0, high]: terminal ("tx"/"rx") boresight angles use the full
+# azimuth range, so their direction cosines cover [-1, 1]; a RIS endpoint
+# has an elevation on (0, pi/2] and an azimuth on (0, 2*pi].
+_HIGH = {"tx": 2.0 * np.pi, "rx": 2.0 * np.pi, "ris_elev": np.pi / 2.0,
+         "ris_azim": 2.0 * np.pi}
+
+
 @dataclass
 class PathSet:
     """Angles and complex gains for one propagation hop.
@@ -126,13 +134,37 @@ class PathSet:
     def count(self) -> int:
         return self.gains.size
 
+    @classmethod
+    def from_draws(cls, kind: str, normals: np.ndarray,
+                   **uniforms: np.ndarray) -> PathSet:
+        """One hop's path set from its draws.
+
+        ``uniforms`` maps each angle block of the hop's endpoints to its L
+        draws of ``rng.random``: ``tx`` or ``rx`` for a terminal, and
+        ``ris_elev`` and ``ris_azim`` for the RIS.  ``normals`` holds 2L
+        standard normals, the real parts of the gains and then the
+        imaginary parts.  Paths are sorted by non-increasing gain
+        magnitude.
+        """
+        angles = {name: (1.0 - u) * _HIGH[name]
+                  for name, u in uniforms.items()}
+        ris = (None if kind == HOP_TX_RX else
+               np.column_stack([angles["ris_elev"], angles["ris_azim"]]))
+        departure, arrival = angles.get("tx", ris), angles.get("rx", ris)
+        l = normals.size // 2
+        gains = (normals[:l] + 1j * normals[l:]) / np.sqrt(2)
+        order = np.argsort(-np.abs(gains), kind="stable")
+        return cls(kind=kind, gains=gains[order],
+                   departure=departure[order], arrival=arrival[order])
+
 
 @dataclass
 class ChannelRealization:
     """One draw of the three hops' path sets plus losses and noise power.
 
     ``m_t``, ``m_r`` and ``n`` are the Tx, Rx and RIS element counts.
-    ``draws`` is the number of whole path sets the sampler drew and
+    ``draws`` is the number of candidate terminal-angle draws the sampler
+    scored, up to and including the kept one when it met the target, and
     ``margin`` the kept draw's smallest path separation in units of the
     terminal resolution, ``min(gap * M)`` (the sampler's target is 2).
     """
@@ -156,6 +188,37 @@ class ChannelRealization:
             raise ValueError("array sizes must be positive")
         if set(self.path_sets) != set(HOP_KINDS):
             raise ValueError(f"path sets needed for exactly {HOP_KINDS}")
+
+    @classmethod
+    def from_draws(cls, config: SimulationConfig, terminal: np.ndarray,
+                   rng: np.random.Generator, draws: int,
+                   margin: float) -> ChannelRealization:
+        """The realization whose terminal-side angles come from the
+        L1 + L2 + 2*L3 uniforms ``terminal``: the Tx angles of the tx_ris
+        and tx_rx hops, then the Rx angles of the ris_rx and tx_rx hops.
+
+        One ``rng.random(2*(L1 + L2))`` call then draws the RIS elevations
+        and azimuths (tx_ris, then ris_rx) and one
+        ``rng.standard_normal(2*(L1 + L2 + L3))`` call the gains, hop after
+        hop (see :meth:`PathSet.from_draws`).
+        """
+        l1, l2, l3 = config.l1, config.l2, config.l3
+        tx1, tx3, rx2, rx3 = np.split(terminal, np.cumsum([l1, l3, l2]))
+        elev1, azim1, elev2, azim2 = np.split(rng.random(2 * (l1 + l2)),
+                                              np.cumsum([l1, l1, l2]))
+        g1, g2, g3 = np.split(rng.standard_normal(2 * (l1 + l2 + l3)),
+                              [2 * l1, 2 * (l1 + l2)])
+        pl_r, pl_d = path_loss(config)
+        return cls(
+            path_sets={
+                HOP_TX_RIS: PathSet.from_draws(
+                    HOP_TX_RIS, g1, tx=tx1, ris_elev=elev1, ris_azim=azim1),
+                HOP_RIS_RX: PathSet.from_draws(
+                    HOP_RIS_RX, g2, ris_elev=elev2, ris_azim=azim2, rx=rx2),
+                HOP_TX_RX: PathSet.from_draws(HOP_TX_RX, g3, tx=tx3, rx=rx3)},
+            pl_r=pl_r, pl_d=pl_d, noise_power=config.noise_watts,
+            m_t=config.m_t, m_r=config.m_r, n=config.n, draws=draws,
+            margin=margin)
 
 
 @dataclass
@@ -309,59 +372,6 @@ def ula_response(theta: float, geometry: ArrayGeometry) -> np.ndarray:
     return steering_vector(phi, geometry.element_count)
 
 
-# Per hop, the blocks of L uniforms one path set draws, in stream order.
-# Each angle is ``(1 - u) * high`` on the half-open interval (0, high]:
-# terminal ("tx"/"rx") boresight angles use the full azimuth range, so their
-# direction cosines cover [-1, 1]; a RIS endpoint takes an elevation block
-# on (0, pi/2] and then an azimuth block on (0, 2*pi].
-_BLOCKS = {
-    HOP_TX_RIS: ("tx", "ris_elev", "ris_azim"),
-    HOP_RIS_RX: ("ris_elev", "ris_azim", "rx"),
-    HOP_TX_RX: ("tx", "rx"),
-}
-_HIGH = {"tx": 2.0 * np.pi, "rx": 2.0 * np.pi, "ris_elev": np.pi / 2.0,
-         "ris_azim": 2.0 * np.pi}
-
-
-def _path_set(kind: str, uniforms: np.ndarray, normals: np.ndarray,
-              ) -> PathSet:
-    """One hop's path set from its uniform block and its normal block.
-
-    ``uniforms`` holds the hop's ``len(_BLOCKS[kind]) * L`` draws of
-    ``rng.random`` in the order of ``_BLOCKS``; ``normals`` holds ``2L``
-    standard normals, the real parts of the gains and then the imaginary
-    parts.  Paths are sorted by non-increasing gain magnitude.
-    """
-    l = normals.size // 2
-    angles = {name: (1.0 - uniforms[i * l:(i + 1) * l]) * _HIGH[name]
-              for i, name in enumerate(_BLOCKS[kind])}
-    ris = (None if kind == HOP_TX_RX else
-           np.column_stack([angles["ris_elev"], angles["ris_azim"]]))
-    departure, arrival = angles.get("tx", ris), angles.get("rx", ris)
-    gains = (normals[:l] + 1j * normals[l:]) / np.sqrt(2)
-    order = np.argsort(-np.abs(gains), kind="stable")
-    return PathSet(kind=kind, gains=gains[order], departure=departure[order],
-                   arrival=arrival[order])
-
-
-def sample_paths(rng: np.random.Generator, l: int, kind: str,
-                 config: SimulationConfig) -> PathSet:
-    """Draw one hop's path set: uniform continuous angles, CSCG unit gains.
-
-    Elevations are uniform on (0, pi/2], azimuths on (0, 2*pi]; ULA
-    boresight angles use the full azimuth range so their direction cosines
-    cover [-1, 1].  Gains are sorted by non-increasing magnitude.
-    Deterministic for a given generator state: one ``rng.random`` call for
-    the angles, then one ``rng.standard_normal`` call for the gains.
-    """
-    if l < 1:
-        raise ValueError("L must be >= 1")
-    if kind not in HOP_KINDS:
-        raise ValueError(f"unknown hop kind {kind!r}")
-    uniforms = rng.random(len(_BLOCKS[kind]) * l)
-    return _path_set(kind, uniforms, rng.standard_normal(2 * l))
-
-
 def path_loss(config: SimulationConfig) -> tuple[float, float]:
     """Cascaded and direct path losses.
 
@@ -385,11 +395,7 @@ def realization_rng(master_seed: int, index: int) -> np.random.Generator:
         np.random.SeedSequence(master_seed, spawn_key=(index,)))
 
 
-# Candidate draws realize_channels generates and scores at a time: the
-# first chunk holds FIRST_CHUNK draws and each next one twice as many, up to
-# SAMPLE_CHUNK, so an accept within the first few draws wastes few draws and
-# a long rejection run pays the per-chunk scoring cost rarely.
-FIRST_CHUNK = 8
+# Candidate rows realize_channels scores at a time.
 SAMPLE_CHUNK = 128
 
 
@@ -424,87 +430,53 @@ def realize_channels(config: SimulationConfig, rng: np.random.Generator,
     Path counts L denote *resolvable* paths, so a draw is accepted only
     when the direction cosines of all paths seen by each terminal array
     are separated by that array's resolution (2/M in steering-argument
-    units, wrapped with period 2).  If no draw within ``max_tries`` meets
-    the target, the first best-separated draw is kept and a DEBUG record
-    is logged.
+    units, wrapped with period 2).  Only the terminal-side angles enter
+    that test, so only they are drawn for every candidate: the first of
+    ``max_tries`` candidates that meets the target is kept, or else the
+    first best-separated one, with a DEBUG record.  The RIS angles and the
+    gains are independent of the terminal angles and are drawn for the
+    kept candidate alone, so the kept path sets have the law of rejection
+    sampling whole path sets.
 
-    Stream contract: the generator is consumed exactly as by drawing whole
-    path sets with :func:`sample_paths` one by one (tx_ris, ris_rx, tx_rx
-    per draw) up to and including the accepted draw, or ``max_tries``
-    draws; the kept path sets, ``draws`` and ``margin`` are those of that
-    draw-by-draw loop (``oracle.serial_realize_channels``).  The draws are
-    generated in chunks of ``FIRST_CHUNK``, twice that, and so on up to
-    ``SAMPLE_CHUNK`` draws, into preallocated rows, and the margins of a
-    chunk are scored in one step; when a chunk holds an accepted draw, the
-    generator state saved at the chunk's start is restored and the chunk
-    drawn again up to that draw, so the generator ends where the loop would
-    leave it.  Only the kept draw becomes path sets.
+    Stream contract: one ``rng.random((max_tries, L1 + L2 + 2*L3))`` call
+    draws the terminal uniforms of every candidate, a row each; then
+    :meth:`ChannelRealization.from_draws` draws the kept candidate's RIS
+    angles and gains, one generator call each.  The rows are scored
+    ``SAMPLE_CHUNK`` at a time; ``oracle.serial_realize_channels`` scores
+    them one by one to the same result.  Memory is O(``max_tries`` *
+    (L1 + L2 + 2*L3)) doubles, 160 KB at the default config.
+
+    Raises ValueError when ``max_tries < 1`` or the kept margin is not
+    finite (a NaN element spacing, say).
     """
     if max_tries < 1:
         raise ValueError("max_tries must be >= 1")
+    n_tx = config.l1 + config.l3
     scale = 2.0 * config.spacing / config.wavelength
-    counts = dict(zip(HOP_KINDS, (config.l1, config.l2, config.l3)))
-    # a draw is one row in each hop's uniform and normal buffer
-    buffers = {k: (np.empty((SAMPLE_CHUNK, len(_BLOCKS[k]) * l)),
-                   np.empty((SAMPLE_CHUNK, 2 * l)))
-               for k, l in counts.items()}
-    in_stream_order = [b for k in HOP_KINDS for b in buffers[k]]
-    random, normal = rng.random, rng.standard_normal
-
-    def fill(rows):
-        for u1, n1, u2, n2, u3, n3 in zip(*(b[:rows]
-                                            for b in in_stream_order)):
-            random(out=u1)
-            normal(out=n1)
-            random(out=u2)
-            normal(out=n2)
-            random(out=u3)
-            normal(out=n3)
-
-    def margins(rows):
-        """Each row's margin: min over terminals of ``gap * M``."""
-        out = np.inf
-        for side, m in (("tx", config.m_t), ("rx", config.m_r)):
-            angles = np.concatenate(
-                [buffers[k][0][:rows, i * l:(i + 1) * l]
-                 for k, l in counts.items()
-                 for i, name in enumerate(_BLOCKS[k]) if name == side],
-                axis=1)
-            gaps = _min_cosine_gaps((1.0 - angles) * _HIGH[side], scale)
-            out = np.minimum(out, gaps * m)
-        return out
-
-    best_margin, best = -np.inf, None
-    done, chunk_size = 0, FIRST_CHUNK
-    while done < max_tries:
-        size = min(chunk_size, max_tries - done)
-        chunk_size = min(2 * chunk_size, SAMPLE_CHUNK)
-        state = rng.bit_generator.state
-        fill(size)
-        chunk = margins(size)
-        accepted = np.flatnonzero(chunk >= 2.0)
-        if accepted.size:
-            row = accepted[0]
-            rng.bit_generator.state = state
-            fill(row + 1)
-            best_margin = chunk[row]
-            best = {k: (u[row], n[row]) for k, (u, n) in buffers.items()}
-            draws = done + row + 1
+    rows = rng.random((max_tries, n_tx + config.l2 + config.l3))
+    best, best_margin = 0, -np.inf
+    for start in range(0, max_tries, SAMPLE_CHUNK):
+        # Tx and Rx angles share the range (0, 2*pi]
+        angles = (1.0 - rows[start:start + SAMPLE_CHUNK]) * _HIGH["tx"]
+        margins = np.minimum(
+            _min_cosine_gaps(angles[:, :n_tx], scale) * config.m_t,
+            _min_cosine_gaps(angles[:, n_tx:], scale) * config.m_r)
+        accepted = np.flatnonzero(margins >= 2.0)
+        row = accepted[0] if accepted.size else np.argmax(margins)
+        if margins[row] > best_margin:
+            best, best_margin = start + row, margins[row]
+        if best_margin >= 2.0:
             break
-        row = np.argmax(chunk)
-        if chunk[row] > best_margin:
-            best_margin = chunk[row]
-            best = {k: (u[row].copy(), n[row].copy())
-                    for k, (u, n) in buffers.items()}
-        done += size
+    if not np.isfinite(best_margin):
+        raise ValueError(f"path separation margin is not finite "
+                         f"(spacing {config.spacing!r} m, wavelength "
+                         f"{config.wavelength!r} m)")
+    if best_margin >= 2.0:
+        draws = best + 1
     else:
         draws = max_tries
         logger.debug("no path set in %d draws is 2/M separated; keeping "
                      "margin %.3g", max_tries, best_margin)
-    pl_r, pl_d = path_loss(config)
-    return ChannelRealization(path_sets={k: _path_set(k, *best[k])
-                                         for k in HOP_KINDS},
-                              pl_r=pl_r, pl_d=pl_d,
-                              noise_power=config.noise_watts,
-                              m_t=config.m_t, m_r=config.m_r, n=config.n,
-                              draws=int(draws), margin=float(best_margin))
+    return ChannelRealization.from_draws(config, rows[best], rng,
+                                         draws=int(draws),
+                                         margin=float(best_margin))

@@ -15,7 +15,6 @@ import json
 import os
 import subprocess
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -79,7 +78,7 @@ class ExperimentSpec:
         return self.realizations or self.config.realizations
 
 
-@dataclass
+@dataclass(slots=True)
 class ResultRow:
     """One realization's outcome within a sweep.
 
@@ -172,7 +171,7 @@ def _run_one(task) -> ResultRow:
         wall = (time.perf_counter() - start) * 1e3
         return ResultRow(
             seed=index, sweep_value=value,
-            rate_asymptotic=sol.rate, rate_finite=ev.rate,
+            rate_asymptotic=float(sol.rate), rate_finite=float(ev.rate),
             activated_cascaded=len(sol.s_active),
             activated_direct=len(sol.i_active),
             s_min_star=sol.s_min_star, wall_ms=wall,
@@ -202,6 +201,8 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1,
              for vi, value in enumerate(spec.values)
              for r in range(runs)]
     if jobs > 1:
+        # imported here so that a serial run does not load multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_run_one, tasks))
     else:

@@ -6,9 +6,10 @@ pairing, grid the common phases, bisect the budget residual of each
 activated prefix, solve the KKT system of each activated block by
 Levenberg-Marquardt, evaluate the finite model on the dense
 N-column channel matrices (RIS response, per-hop synthesis, effective
-channel, M_r x M_r log-det rate), and sample channel realizations one
-whole draw at a time, so the analytical shortcuts in the solver and finite
-modules and the batched path sampler can be validated independently.
+channel, M_r x M_r log-det rate), draw whole path sets, and score the
+path sampler's candidates one at a time, so the analytical shortcuts in
+the solver and finite modules and the batched path sampler can be
+validated independently.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from rispart.asymptotic import (Allocation, AsymptoticProblem, Solution,
                                 rate)
 from rispart.channel import (HOP_RIS_RX, HOP_TX_RIS, HOP_TX_RX,
                              ArrayGeometry, ChannelRealization, PathSet,
-                             RisGeometry, SimulationConfig, path_loss,
-                             sample_paths, steering_vector, ula_response)
+                             RisGeometry, SimulationConfig, steering_vector,
+                             ula_response)
 from rispart.finite import FiniteEvaluation
 from rispart.partition import build_theta, largest_remainder
 from rispart.solver import (KktResidual, budget_residual, kkt_residual,
@@ -461,33 +462,54 @@ def min_cosine_gap(angles: np.ndarray, scale: float) -> float:
     return float(gaps[np.triu_indices(phi.size, 1)].min())
 
 
+# Per hop, the blocks of L uniforms one whole path set draws, in stream
+# order (see ``PathSet.from_draws``).
+_BLOCKS = {
+    HOP_TX_RIS: ("tx", "ris_elev", "ris_azim"),
+    HOP_RIS_RX: ("ris_elev", "ris_azim", "rx"),
+    HOP_TX_RX: ("tx", "rx"),
+}
+
+
+def sample_paths(rng: np.random.Generator, l: int, kind: str) -> PathSet:
+    """Draw one hop's whole path set: uniform continuous angles, CSCG unit
+    gains, sorted by non-increasing magnitude.
+
+    Elevations are uniform on (0, pi/2], azimuths on (0, 2*pi]; ULA
+    boresight angles use the full azimuth range so their direction cosines
+    cover [-1, 1].  One ``rng.random`` call draws the angle blocks of
+    ``_BLOCKS[kind]`` and one ``rng.standard_normal`` call the gains.
+    """
+    if l < 1:
+        raise ValueError("L must be >= 1")
+    if kind not in _BLOCKS:
+        raise ValueError(f"unknown hop kind {kind!r}")
+    uniforms = rng.random((len(_BLOCKS[kind]), l))
+    return PathSet.from_draws(kind, rng.standard_normal(2 * l),
+                              **dict(zip(_BLOCKS[kind], uniforms)))
+
+
 def serial_realize_channels(config: SimulationConfig,
                             rng: np.random.Generator,
                             max_tries: int = 1000) -> ChannelRealization:
-    """Reference for ``channel.realize_channels``: draw whole path sets one
-    by one with ``sample_paths`` and score each draw with
-    :func:`min_cosine_gap`, keeping the first draw whose margin reaches 2,
-    else the first best one."""
+    """Reference for ``channel.realize_channels``: draw the candidates'
+    terminal uniforms one row at a time (the same doubles as one
+    ``(max_tries, L1 + L2 + 2*L3)`` call), score each row alone with
+    :func:`min_cosine_gap`, keep the first row whose margin reaches 2, else
+    the first best one, and let ``ChannelRealization.from_draws`` draw that
+    row's RIS angles and gains."""
+    n_tx = config.l1 + config.l3
     scale = 2.0 * config.spacing / config.wavelength
-    best = None
-    best_gap = -np.inf
-    for draws in range(1, max_tries + 1):
-        p1 = sample_paths(rng, config.l1, HOP_TX_RIS, config)
-        p2 = sample_paths(rng, config.l2, HOP_RIS_RX, config)
-        p3 = sample_paths(rng, config.l3, HOP_TX_RX, config)
-        tx_gap = min_cosine_gap(
-            np.concatenate([p1.departure, p3.departure]), scale)
-        rx_gap = min_cosine_gap(
-            np.concatenate([p2.arrival, p3.arrival]), scale)
-        margin = min(tx_gap * config.m_t, rx_gap * config.m_r)
+    rows = [rng.random(n_tx + config.l2 + config.l3)
+            for _ in range(max_tries)]
+    best, best_gap = None, -np.inf
+    for draws, row in enumerate(rows, start=1):
+        angles = (1.0 - row) * (2.0 * np.pi)
+        margin = min(min_cosine_gap(angles[:n_tx], scale) * config.m_t,
+                     min_cosine_gap(angles[n_tx:], scale) * config.m_r)
         if margin > best_gap:
-            best_gap = margin
-            best = (p1, p2, p3)
+            best_gap, best = margin, row
         if margin >= 2.0:
             break
-    pl_r, pl_d = path_loss(config)
-    return ChannelRealization(
-        path_sets=dict(zip((HOP_TX_RIS, HOP_RIS_RX, HOP_TX_RX), best)),
-        pl_r=pl_r, pl_d=pl_d, noise_power=config.noise_watts,
-        m_t=config.m_t, m_r=config.m_r, n=config.n,
-        draws=draws, margin=float(best_gap))
+    return ChannelRealization.from_draws(config, best, rng, draws=draws,
+                                         margin=float(best_gap))

@@ -8,15 +8,16 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from rispart.channel import (FIRST_CHUNK, HOP_KINDS, SAMPLE_CHUNK,
-                             ArrayGeometry, ChannelRealization, PathSet, RisGeometry,
+from rispart.channel import (HOP_KINDS, SAMPLE_CHUNK, ArrayGeometry,
+                             ChannelRealization, PathSet, RisGeometry,
                              SimulationConfig, dbm_to_watts, load_config,
                              path_loss, realization_rng, realize_channels,
-                             sample_paths, steering_vector, ula_response)
-from rispart.oracle import (dense_channels, effective_channel, ris_response,
+                             steering_vector, ula_response)
+from rispart.oracle import (dense_channels, effective_channel, min_cosine_gap,
+                            ris_response, sample_paths,
                             serial_realize_channels, synth_channel)
 
 HOP_TX_RIS, HOP_RIS_RX, HOP_TX_RX = "tx_ris", "ris_rx", "tx_rx"
@@ -112,34 +113,29 @@ class TestArrayResponses:
 
 class TestSamplePaths:
     def test_deterministic(self):
-        cfg = small_config()
-        a = sample_paths(np.random.default_rng(5), 5, HOP_TX_RIS, cfg)
-        b = sample_paths(np.random.default_rng(5), 5, HOP_TX_RIS, cfg)
+        a = sample_paths(np.random.default_rng(5), 5, HOP_TX_RIS)
+        b = sample_paths(np.random.default_rng(5), 5, HOP_TX_RIS)
         np.testing.assert_array_equal(a.gains, b.gains)
         np.testing.assert_array_equal(a.arrival, b.arrival)
 
     def test_sorted_gains(self):
-        p = sample_paths(np.random.default_rng(1), 50, HOP_RIS_RX,
-                         small_config())
+        p = sample_paths(np.random.default_rng(1), 50, HOP_RIS_RX)
         mags = np.abs(p.gains)
         assert np.all(mags[:-1] >= mags[1:])
 
     def test_unit_variance(self):
-        p = sample_paths(np.random.default_rng(2), 1000, HOP_TX_RX,
-                         small_config())
+        p = sample_paths(np.random.default_rng(2), 1000, HOP_TX_RX)
         assert abs(np.mean(np.abs(p.gains) ** 2) - 1.0) < 0.05
 
     def test_angle_ranges(self):
-        p = sample_paths(np.random.default_rng(3), 200, HOP_TX_RIS,
-                         small_config())
+        p = sample_paths(np.random.default_rng(3), 200, HOP_TX_RIS)
         elev, azim = p.arrival[:, 0], p.arrival[:, 1]
         assert np.all((elev > 0) & (elev <= np.pi / 2))
         assert np.all((azim > 0) & (azim <= 2 * np.pi))
 
     def test_rejects_zero_paths(self):
         with pytest.raises(ValueError):
-            sample_paths(np.random.default_rng(0), 0, HOP_TX_RIS,
-                         small_config())
+            sample_paths(np.random.default_rng(0), 0, HOP_TX_RIS)
 
 
 class TestSynthChannel:
@@ -155,13 +151,13 @@ class TestSynthChannel:
 
     def test_rank_bound(self):
         cfg = small_config(m_t=16, m_r=16)
-        p = sample_paths(np.random.default_rng(4), 3, HOP_TX_RX, cfg)
+        p = sample_paths(np.random.default_rng(4), 3, HOP_TX_RX)
         h = synth_channel(p, cfg.tx_geometry, cfg.rx_geometry)
         assert np.linalg.matrix_rank(h, tol=1e-10) <= 3
 
     def test_matches_direct_sum(self):
         cfg = small_config()
-        p = sample_paths(np.random.default_rng(6), 3, HOP_TX_RIS, cfg)
+        p = sample_paths(np.random.default_rng(6), 3, HOP_TX_RIS)
         ris = cfg.ris_geometry
         h = synth_channel(p, cfg.tx_geometry, ris)
         manual = np.zeros((ris.n, cfg.m_t), dtype=complex)
@@ -311,6 +307,14 @@ class TestRealization:
             ChannelRealization(**dict(
                 fields, path_sets={HOP_TX_RIS: re.path_sets[HOP_TX_RIS]}))
 
+    def test_non_finite_margin_rejected(self):
+        # the config validates at construction only; a NaN assigned later
+        # makes every margin NaN
+        cfg = small_config()
+        cfg.spacing_wavelengths = float("nan")
+        with pytest.raises(ValueError, match="margin is not finite"):
+            realize_channels(cfg, realization_rng(0, 0))
+
     def test_resolvable_separation(self):
         cfg = small_config(m_t=32, m_r=32)
         re = realize_channels(cfg, realization_rng(0, 0))
@@ -343,28 +347,20 @@ def _sampler_config(m, paths, d):
 
 class TestBatchedSampler:
     """``realize_channels`` against ``oracle.serial_realize_channels``,
-    which draws whole path sets one by one and scores each draw alone."""
+    which draws the candidates' terminal angles row by row and scores each
+    row alone."""
 
     PATHS = ((1, 1, 1), (2, 3, 1), (5, 7, 4), (8, 8, 4), (1, 8, 2),
              (3, 2, 2), (8, 1, 1))
-    # (M, (L1, L2, L3), d, seed, index) whose first accepted draw is the
-    # last of a chunk or the first of the next: at 8/9 and 24 (growing
-    # chunks), 120/121 (the first full chunk) and 249 (two full chunks)
-    BOUNDARY = ((64, (5, 7, 4), 0.5, 5, 45),
-                (64, (5, 7, 4), 0.5, 5, 405),
-                (32, (4, 4, 3), 1.0, 5, 171),
-                (64, (5, 7, 4), 0.5, 5, 828),
-                (64, (5, 7, 4), 0.5, 5, 77),
-                (64, (5, 7, 4), 0.5, 5, 341))
-
-    @staticmethod
-    def chunk_ends(max_tries):
-        """Draw counts at which a chunk ends, as the sampler chunks them."""
-        ends, size = [FIRST_CHUNK], FIRST_CHUNK
-        while ends[-1] < max_tries:
-            size = min(2 * size, SAMPLE_CHUNK)
-            ends.append(ends[-1] + size)
-        return ends
+    # (M, (L1, L2, L3), d, seed, index) whose first accepted row is the
+    # last of a scoring chunk or the first of the next: 128 and 129 (the
+    # first chunk edge), 256 and 257 (the second)
+    BOUNDARY = ((64, (5, 7, 4), 0.5, 5, 134),
+                (64, (5, 7, 4), 0.5, 5, 505),
+                (32, (4, 4, 3), 1.0, 5, 631),
+                (32, (4, 4, 3), 1.0, 5, 361),
+                (64, (5, 7, 4), 0.5, 5, 291),
+                (64, (5, 7, 4), 0.5, 5, 2155))
 
     @staticmethod
     def compare(config, seed, index, max_tries):
@@ -382,18 +378,17 @@ class TestBatchedSampler:
         assert rng.random() == ref_rng.random()
         return got
 
+    @staticmethod
+    def outcome(re):
+        if re.margin < 2.0:
+            return "never"
+        if re.draws == 1:
+            return "first"
+        if re.draws % SAMPLE_CHUNK in (0, 1):
+            return "chunk boundary"
+        return "inside a chunk"
+
     def test_matches_serial_reference(self):
-        ends = self.chunk_ends(1000)
-
-        def outcome(re):
-            if re.margin < 2.0:
-                return "never"
-            if re.draws == 1:
-                return "first"
-            if re.draws in ends or re.draws - 1 in ends:
-                return "chunk boundary"
-            return "inside a chunk"
-
         outcomes = set()
         case = 0
         for m in (4, 8, 16, 32, 64):
@@ -402,28 +397,55 @@ class TestBatchedSampler:
                     paths = self.PATHS[case % len(self.PATHS)]
                     re = self.compare(_sampler_config(m, paths, d), 3, case,
                                       max_tries)
-                    outcomes.add(outcome(re))
+                    outcomes.add(self.outcome(re))
                     case += 1
         assert outcomes >= {"never", "first", "inside a chunk"}
         for m, paths, d, seed, index in self.BOUNDARY:
             re = self.compare(_sampler_config(m, paths, d), seed, index, 1000)
-            assert outcome(re) == "chunk boundary"
+            assert self.outcome(re) == "chunk boundary"
+
+    @given(m=st.integers(2, 64), d=st.sampled_from([0.5, 1.0]),
+           max_tries=st.integers(1, 64),
+           paths=st.tuples(*[st.integers(1, 4)] * 3),
+           index=st.integers(0, 2 ** 16))
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_kept_draw_properties(self, caplog, m, d, max_tries, paths,
+                                  index):
+        caplog.clear()
+        with caplog.at_level("DEBUG", logger="rispart"):
+            re = self.compare(_sampler_config(m, paths, d), 11, index,
+                              max_tries)
+        p = re.path_sets
+        margin = min(
+            min_cosine_gap(np.concatenate([p[HOP_TX_RIS].departure,
+                                           p[HOP_TX_RX].departure]),
+                           2.0 * d) * m,
+            min_cosine_gap(np.concatenate([p[HOP_RIS_RX].arrival,
+                                           p[HOP_TX_RX].arrival]),
+                           2.0 * d) * m)
+        assert re.margin == margin
+        assert 1 <= re.draws <= max_tries
+        assert (re.margin < 2.0) == (re.draws == max_tries
+                                     and bool(caplog.records))
 
     # (config, seed, index) -> draws, repr(margin), sha256 of the kept
-    # path sets and the generator's next random(), as the draw-by-draw
-    # sampler produced them; a change to the draw layout must not move them
+    # path sets and the generator's next random(); a change to the draw
+    # layout must not move them.  Recorded when the sampler started drawing
+    # the terminal angles of all candidates in one call and the RIS angles
+    # and gains of the kept candidate only, which changed every stream.
     PINS = (
-        (SimulationConfig(), 0, 0, 1000, "1.56919070956033",
-         "2e3c181fc91f4e560c961ffc75bebed5a84f5183bcba1e15ebab0f7311bc387f",
-         0.0612524606059065),
-        (SimulationConfig(m_t=64, m_r=64, l1=8, l2=8, l3=4), 1, 2, 40,
-         "2.7774477550662766",
-         "fbb38ed23c1048a34474ace39d7e1a4cef06fc8030c15b601bf92191bd636352",
-         0.12210259137234647),
+        (SimulationConfig(), 0, 0, 1000, "1.6482945578096295",
+         "a3835b0bc880275fcff72eee37a68c21699761b17ccdf8b84a58132609eea9bb",
+         0.9436267855883983),
+        (SimulationConfig(m_t=64, m_r=64, l1=8, l2=8, l3=4), 1, 2, 1000,
+         "1.8413020848368973",
+         "b192b295d335910485eebfaf79c16034b85e13a7df519aab74cacfe869410ae6",
+         0.7232870764715302),
         (SimulationConfig(m_t=16, m_r=16, n_x=4, n_y=6, l1=2, l2=3, l3=1),
-         7, 5, 3, "4.365274208645026",
-         "3d9df851b83d830a5a0c795cec945e509aa4ce52e18991609975cad978f22f77",
-         0.033414070673691176),
+         7, 5, 3, "2.8694730510684963",
+         "41e8c40a348a986f228c3f4551cb6a535db68cbc9ee5e50e063f2f9f3e236d14",
+         0.5083697136410039),
     )
 
     @pytest.mark.parametrize("pin", PINS, ids=["default", "paths-8x8",
@@ -435,6 +457,77 @@ class TestBatchedSampler:
         assert (re.draws, repr(re.margin), _digest(re)) == (draws, margin,
                                                             digest)
         assert rng.random() == next_draw
+
+
+def _ks_statistic(a, b) -> float:
+    """Two-sample Kolmogorov-Smirnov statistic: the largest distance
+    between the two empirical distribution functions."""
+    a, b = np.sort(a), np.sort(b)
+    points = np.concatenate([a, b])
+    return float(np.abs(np.searchsorted(a, points, side="right") / a.size
+                        - np.searchsorted(b, points, side="right") / b.size
+                        ).max())
+
+
+class TestSamplerLaw:
+    """The kept draw has the law of rejection sampling whole path sets,
+    although only the terminal angles are drawn per candidate."""
+
+    RUNS = 400
+    # asymptotic two-sample KS critical coefficient at alpha = 0.001,
+    # sqrt(-ln(alpha / 2) / 2)
+    KS_COEFFICIENT = float(np.sqrt(-np.log(0.001 / 2) / 2))
+
+    @staticmethod
+    def whole_set(config, rng, max_tries=1000):
+        """Kept path sets, margin and draw count of rejection sampling whole
+        path sets with ``oracle.sample_paths``: the first draw whose margin
+        reaches 2, else the first best one."""
+        scale = 2.0 * config.spacing_wavelengths
+        best, best_margin = None, -np.inf
+        for draws in range(1, max_tries + 1):
+            p = {kind: sample_paths(rng, l, kind) for kind, l in zip(
+                HOP_KINDS, (config.l1, config.l2, config.l3))}
+            margin = min(
+                min_cosine_gap(np.concatenate([p[HOP_TX_RIS].departure,
+                                               p[HOP_TX_RX].departure]),
+                               scale) * config.m_t,
+                min_cosine_gap(np.concatenate([p[HOP_RIS_RX].arrival,
+                                               p[HOP_TX_RX].arrival]),
+                               scale) * config.m_r)
+            if margin > best_margin:
+                best, best_margin = p, margin
+            if margin >= 2.0:
+                break
+        return best, best_margin, draws
+
+    @staticmethod
+    def statistics(path_sets, margin, draws):
+        ris = np.concatenate([path_sets[HOP_TX_RIS].arrival,
+                              path_sets[HOP_RIS_RX].departure])
+        gains = np.concatenate([path_sets[k].gains for k in HOP_KINDS])
+        return {"margin": [margin], "draws": [draws],
+                "ris elevation": ris[:, 0], "ris azimuth": ris[:, 1],
+                "|gain|": np.abs(gains)}
+
+    def test_kept_draw_law_matches_whole_set_rejection(self):
+        # M = 64 with L = 5/7/4: whole-set rejection accepts about 1.2% of
+        # draws, so most realizations reject many draws first
+        config = SimulationConfig(m_t=64, m_r=64)
+        ours, theirs = {}, {}
+        for i in range(self.RUNS):
+            re = realize_channels(config, realization_rng(101, i))
+            for name, values in self.statistics(re.path_sets, re.margin,
+                                                re.draws).items():
+                ours.setdefault(name, []).extend(values)
+            kept = self.whole_set(config, realization_rng(102, i))
+            for name, values in self.statistics(*kept).items():
+                theirs.setdefault(name, []).extend(values)
+        assert np.mean(ours["draws"]) > 20
+        for name in ours:
+            n, k = len(ours[name]), len(theirs[name])
+            bound = self.KS_COEFFICIENT * np.sqrt((n + k) / (n * k))
+            assert _ks_statistic(ours[name], theirs[name]) < bound, name
 
 
 class TestConfig:

@@ -224,7 +224,9 @@ class TestPathDomain:
             "S=1", "dropped", "no direct", "r < M_t", "r >= M_t"}
 
     def test_refinement_matches_dense_ascent(self):
-        rng = np.random.default_rng(21)
+        # seed 23, the first after 21 whose 20 instances all keep two or
+        # more sub-surfaces under the current path sampler's stream
+        rng = np.random.default_rng(23)
         surfaces = []
         for i in range(20):
             # larger surfaces and powers than random_evaluation, so that

@@ -3,7 +3,10 @@ result output, region tables, the property-check suites, and the CLI."""
 
 import csv
 import json
+import os
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -128,6 +131,16 @@ class TestRunExperiment:
         serial, _ = run_experiment(spec, jobs=1)
         parallel, _ = run_experiment(spec, jobs=2)
         assert [row_key(r) for r in serial] == [row_key(r) for r in parallel]
+
+    def test_serial_import_leaves_out_multiprocessing(self):
+        # the process pool is imported only when jobs > 1
+        src = Path(harness.__file__).resolve().parents[1]
+        out = subprocess.run(
+            [sys.executable, "-c", "import sys, rispart, rispart.harness; "
+             "print('multiprocessing' in sys.modules)"],
+            env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+            text=True, check=True).stdout
+        assert out.strip() == "False"
 
     def test_failures_flagged_not_raised(self):
         # -5000 dBm underflows to 0 W; the spec rejects it, so it is set
