@@ -56,21 +56,6 @@ def dbm_to_watts(dbm: float) -> float:
 
 
 @dataclass(frozen=True)
-class ArrayGeometry:
-    """Uniform linear array: element count, spacing, carrier wavelength."""
-
-    element_count: int
-    element_spacing: float
-    wavelength: float
-
-    def __post_init__(self):
-        if self.element_count < 1:
-            raise ValueError("element_count must be >= 1")
-        if self.element_spacing <= 0 or self.wavelength <= 0:
-            raise ValueError("element_spacing and wavelength must be positive")
-
-
-@dataclass(frozen=True)
 class RisGeometry:
     """Uniform rectangular RIS array in the x-y plane."""
 
@@ -259,6 +244,14 @@ class SimulationConfig:
                                  f"got {value!r}")
         if not self.seed >= 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed!r}")
+        try:
+            derived = (self.wavelength, self.spacing, *path_loss(self))
+        except ArithmeticError:  # a distance power under- or overflows
+            derived = (math.nan,)
+        if not all(math.isfinite(x) and x > 0 for x in derived):
+            raise ValueError("f, d, d1/d2/d3 and path_loss_exponent must give "
+                             "a finite positive wavelength, element spacing "
+                             "and path losses")
         # Angular resolution assumption: L1+L3 << M_t, L2+L3 << M_r,
         # L1, L2 << N.  Warn, do not enforce.
         if (self.l1 + self.l3 > self.m_t // 2
@@ -279,14 +272,6 @@ class SimulationConfig:
     @property
     def n(self) -> int:
         return self.n_x * self.n_y
-
-    @property
-    def tx_geometry(self) -> ArrayGeometry:
-        return ArrayGeometry(self.m_t, self.spacing, self.wavelength)
-
-    @property
-    def rx_geometry(self) -> ArrayGeometry:
-        return ArrayGeometry(self.m_r, self.spacing, self.wavelength)
 
     @property
     def ris_geometry(self) -> RisGeometry:
@@ -358,18 +343,23 @@ def load_config(path: str, ignore_sections: tuple[str, ...] = ()) -> SimulationC
     return SimulationConfig(**kwargs)
 
 
-def steering_vector(phi: float, m: int) -> np.ndarray:
-    """Normalized steering vector; entry ``i`` is ``exp(+j*pi*i*phi)/sqrt(M)``."""
+def steering(phi, m: int) -> np.ndarray:
+    """Normalized steering vectors (M x K), one column per argument in
+    ``phi``; entry ``(i, k)`` is ``exp(+j*pi*i*phi_k)/sqrt(M)``.  A ULA
+    with spacing d at angle theta has the argument ``2d/lambda*sin(theta)``.
+    """
     if m < 1:
         raise ValueError("M must be >= 1")
-    idx = np.arange(m)
-    return np.exp(1j * np.pi * idx * phi) / np.sqrt(m)
+    return (np.exp(1j * np.pi * np.arange(m)[:, None] * np.atleast_1d(phi))
+            / np.sqrt(m))
 
 
-def ula_response(theta: float, geometry: ArrayGeometry) -> np.ndarray:
-    """Array response of a ULA at boresight angle ``theta``."""
-    phi = 2.0 * geometry.element_spacing / geometry.wavelength * np.sin(theta)
-    return steering_vector(phi, geometry.element_count)
+def ris_cosines(angles) -> tuple[np.ndarray, np.ndarray]:
+    """RIS direction cosines ``(sin(el)*cos(az), sin(el)*sin(az))`` of
+    (elevation, azimuth) rows.  A sub-surface reflecting arrival u into
+    departure v has the phase gradient ``cos(dep_v) - cos(arr_u)``."""
+    elev, azim = np.asarray(angles, dtype=float).T
+    return np.sin(elev) * np.cos(azim), np.sin(elev) * np.sin(azim)
 
 
 def path_loss(config: SimulationConfig) -> tuple[float, float]:

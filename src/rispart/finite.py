@@ -32,8 +32,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from rispart.channel import (HOP_RIS_RX, HOP_TX_RIS, HOP_TX_RX,
-                             ArrayGeometry, ChannelRealization, RisGeometry,
-                             ula_response)
+                             ChannelRealization, RisGeometry, ris_cosines,
+                             steering)
 from rispart.partition import PartitionPlan, PhaseGradient, subsurface_gains
 from rispart.asymptotic import Solution
 from rispart.solver import water_filling
@@ -103,44 +103,34 @@ def eigenmode_covariance(steering_basis: np.ndarray,
     return (a * powers) @ a.conj().T
 
 
-def _steering(angles, m: int, ris: RisGeometry) -> np.ndarray:
-    """ULA steering vectors (M x len(angles)) sharing the RIS spacing."""
-    geom = ArrayGeometry(element_count=m, element_spacing=ris.element_spacing,
-                         wavelength=ris.wavelength)
-    return np.stack([ula_response(a, geom) for a in angles], axis=1)
-
-
-def _cosines(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """RIS direction cosines of (elevation, azimuth) rows."""
-    elev, azim = angles[:, 0], angles[:, 1]
-    return np.sin(elev) * np.cos(azim), np.sin(elev) * np.sin(azim)
-
-
 def path_model(realization: ChannelRealization, ris: RisGeometry,
-               plan: PartitionPlan, basis_paths: list[int],
+               plan: PartitionPlan, zeta: tuple[np.ndarray, np.ndarray],
+               basis_paths: list[int],
                powers: np.ndarray) -> tuple[PathModel, np.ndarray]:
     """Path-domain model of a realized plan, and the covariance Q.
 
-    ``basis_paths`` index the columns of ``B_tx = [A_tx1 | A_tx3]`` that
-    carry the eigenmodes (Tx-RIS paths first, then direct paths offset by
-    L1), one per entry of ``powers``.
+    ``zeta`` holds the x and y direction-cosine differences (L2 x L1) of
+    every RIS-Rx departure v and Tx-RIS arrival u.  ``basis_paths`` index
+    the columns of ``B_tx = [A_tx1 | A_tx3]`` that carry the eigenmodes
+    (Tx-RIS paths first, then direct paths offset by L1), one per entry of
+    ``powers``.
     """
     if ris.n != realization.n:
         raise ValueError("RIS geometry does not match the realization")
     tx = realization.path_sets[HOP_TX_RIS]
     rx = realization.path_sets[HOP_RIS_RX]
     direct = realization.path_sets[HOP_TX_RX]
-    arr_x, arr_y = _cosines(tx.arrival)
-    dep_x, dep_y = _cosines(rx.departure)
-    gains = subsurface_gains(plan, ris, dep_x[:, None] - arr_x[None, :],
-                             dep_y[:, None] - arr_y[None, :])
+    gains = subsurface_gains(plan, ris, *zeta)
     m_t, m_r = realization.m_t, realization.m_r
     c_r = (np.sqrt(realization.pl_r) * realization.n
            * np.sqrt(m_t * m_r / (tx.count * rx.count)))
     c_d = np.sqrt(realization.pl_d * m_t * m_r / direct.count)
-    b_tx = _steering(np.concatenate([tx.departure, direct.departure]), m_t,
-                     ris)
-    b_rx = _steering(np.concatenate([rx.arrival, direct.arrival]), m_r, ris)
+    # the terminal ULAs share the RIS element spacing
+    scale = 2.0 * ris.element_spacing / ris.wavelength
+    b_tx = steering(scale * np.sin(np.concatenate([tx.departure,
+                                                   direct.departure])), m_t)
+    b_rx = steering(scale * np.sin(np.concatenate([rx.arrival,
+                                                   direct.arrival])), m_r)
     basis = b_tx[:, basis_paths]
     model = PathModel(
         cascaded=c_r * rx.gains[:, None] * gains * tx.gains[None, :],
@@ -173,10 +163,11 @@ def adapt_solution(solution: Solution, realization: ChannelRealization,
 
     tx = realization.path_sets[HOP_TX_RIS]
     rx = realization.path_sets[HOP_RIS_RX]
-    pairs = [problem.pairs[s] for s in active]
-    gradients = [PhaseGradient.from_path_pair(tuple(tx.arrival[u]),
-                                              tuple(rx.departure[v]))
-                 for u, v in pairs]
+    arr_x, arr_y = ris_cosines(tx.arrival)
+    dep_x, dep_y = ris_cosines(rx.departure)
+    zeta = (dep_x[:, None] - arr_x, dep_y[:, None] - arr_y)
+    gradients = [PhaseGradient(zeta[0][v, u], zeta[1][v, u])
+                 for u, v in (problem.pairs[s] for s in active)]
     if psi is None:
         psi = rng.uniform(0.0, 2.0 * np.pi, size=len(active))
     plan = PartitionPlan(t=alloc.t[active], gradients=gradients, psi=psi)
@@ -203,7 +194,7 @@ def adapt_solution(solution: Solution, realization: ChannelRealization,
 
     basis_paths = ([problem.pairs[s][0] for s in survivors]
                    + [tx.count + int(problem.d_perm[i]) for i in i_active])
-    model, q = path_model(realization, ris, realized, basis_paths,
+    model, q = path_model(realization, ris, realized, zeta, basis_paths,
                           np.concatenate([p_r, p_d]))
     rate_finite = float(model.rates(realized.psi)[0])
     ref = solution.rate

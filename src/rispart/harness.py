@@ -58,11 +58,8 @@ class ExperimentSpec:
                 v >= 1 and float(v).is_integer() for v in self.values):
             raise ValueError(f"swept {self.sweep} values must be positive "
                              f"integers, got {self.values}")
-        if self.sweep == "N" and any(v % self.config.n_x for v in self.values):
-            raise ValueError(f"swept N values {self.values} must be "
-                             f"divisible by Nx={self.config.n_x}")
-        # a swept power that under- or overflows fails here, not per row
-        for value in self.values if self.sweep in ("P", "SNR") else []:
+        # a swept value the config rejects fails here, not per row
+        for value in self.values:
             try:
                 _apply_sweep(self.config, self.sweep, value)
             except ValueError as exc:
@@ -132,7 +129,7 @@ def _apply_sweep(config: SimulationConfig, sweep: str,
     if sweep == "N":
         n = int(value)
         if n % config.n_x:
-            raise ValueError(f"swept N={n} not divisible by Nx={config.n_x}")
+            raise ValueError(f"{n} is not divisible by Nx={config.n_x}")
         return dataclasses.replace(config, n_y=n // config.n_x)
     if sweep == "M":
         m = int(value)
@@ -214,17 +211,12 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1,
     for value in spec.values:
         good = [r for r in rows if r.sweep_value == value and not r.error]
         summary[value] = {
-            "mean_rate_asymptotic": float(np.mean(
-                [r.rate_asymptotic for r in good])) if good else float("nan"),
-            "mean_rate_finite": float(np.mean(
-                [r.rate_finite for r in good])) if good else float("nan"),
-            "mean_activated_cascaded": float(np.mean(
-                [r.activated_cascaded for r in good])) if good else float("nan"),
-            "mean_activated_direct": float(np.mean(
-                [r.activated_direct for r in good])) if good else float("nan"),
-            "failures": sum(1 for r in rows
-                            if r.sweep_value == value and r.error),
-        }
+            f"mean_{name}": float(np.mean([getattr(r, name) for r in good]))
+            if good else float("nan")
+            for name in ("rate_asymptotic", "rate_finite",
+                         "activated_cascaded", "activated_direct")}
+        summary[value]["failures"] = sum(
+            1 for r in rows if r.sweep_value == value and r.error)
     if spec.out:
         write_results(spec, rows, summary)
     return rows, summary

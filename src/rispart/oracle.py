@@ -22,9 +22,8 @@ import numpy as np
 from rispart.asymptotic import (Allocation, AsymptoticProblem, Solution,
                                 rate)
 from rispart.channel import (HOP_RIS_RX, HOP_TX_RIS, HOP_TX_RX,
-                             ArrayGeometry, ChannelRealization, PathSet,
-                             RisGeometry, SimulationConfig, steering_vector,
-                             ula_response)
+                             ChannelRealization, PathSet, RisGeometry,
+                             SimulationConfig, ris_cosines, steering)
 from rispart.finite import FiniteEvaluation
 from rispart.partition import build_theta, largest_remainder
 from rispart.solver import (KktResidual, budget_residual, kkt_residual,
@@ -309,48 +308,28 @@ def exhaustive_psi(evaluation: FiniteEvaluation, grid_points: int,
     return trials[best], float(rates[best])
 
 
-def ris_response(phi: float, theta_az: float,
-                 geometry: RisGeometry) -> np.ndarray:
-    """RIS array response for elevation ``phi`` and azimuth ``theta_az``.
+def ris_response(angles, geometry: RisGeometry) -> np.ndarray:
+    """RIS array responses (N x K) of K (elevation, azimuth) rows.
 
-    Kronecker product of the x-axis factor (length ``Nx``) and the y-axis
-    factor (length ``Ny``), in that order, so the y-index varies fastest
-    (the layout of ``partition.build_theta``).
+    Each column is the Kronecker product of the x-axis factor (length
+    ``Nx``) and the y-axis factor (length ``Ny``), in that order, so the
+    y-index varies fastest (the layout of ``partition.build_theta``).
     """
     scale = 2.0 * geometry.element_spacing / geometry.wavelength
-    arg_x = scale * np.sin(phi) * np.cos(theta_az)
-    arg_y = scale * np.sin(phi) * np.sin(theta_az)
-    return np.kron(steering_vector(arg_x, geometry.nx),
-                   steering_vector(arg_y, geometry.ny))
+    cos_x, cos_y = ris_cosines(np.reshape(angles, (-1, 2)))
+    a_x = steering(scale * cos_x, geometry.nx)
+    a_y = steering(scale * cos_y, geometry.ny)
+    return (a_x[:, None, :] * a_y[None, :, :]).reshape(geometry.n, -1)
 
 
-def synth_channel(paths: PathSet, tx_geom, rx_geom) -> np.ndarray:
-    """Synthesize one hop's channel matrix from its path set.
+def synth_channel(paths: PathSet, a_tx: np.ndarray,
+                  a_rx: np.ndarray) -> np.ndarray:
+    """Synthesize one hop's channel matrix from its path set and the
+    endpoint responses of its paths (``dim x L`` each).
 
-    Returns ``sqrt(dim_rx*dim_tx/L) * sum_l g_l * rx_vec_l * tx_vec_l^H``,
-    where the RIS endpoint uses :func:`ris_response` and terminal endpoints
-    use ``channel.ula_response``.
+    Returns ``sqrt(dim_rx*dim_tx/L) * sum_l g_l * a_rx[:, l] * a_tx[:, l]^H``.
     """
-    if paths.kind == HOP_TX_RIS:
-        if not isinstance(rx_geom, RisGeometry):
-            raise ValueError("tx_ris hop expects a RisGeometry receive side")
-        rx_vecs = [ris_response(e, a, rx_geom) for e, a in paths.arrival]
-        tx_vecs = [ula_response(t, tx_geom) for t in paths.departure]
-        dim_rx, dim_tx = rx_geom.n, tx_geom.element_count
-    elif paths.kind == HOP_RIS_RX:
-        if not isinstance(tx_geom, RisGeometry):
-            raise ValueError("ris_rx hop expects a RisGeometry transmit side")
-        rx_vecs = [ula_response(t, rx_geom) for t in paths.arrival]
-        tx_vecs = [ris_response(e, a, tx_geom) for e, a in paths.departure]
-        dim_rx, dim_tx = rx_geom.element_count, tx_geom.n
-    else:
-        rx_vecs = [ula_response(t, rx_geom) for t in paths.arrival]
-        tx_vecs = [ula_response(t, tx_geom) for t in paths.departure]
-        dim_rx, dim_tx = rx_geom.element_count, tx_geom.element_count
-
-    a_rx = np.column_stack(rx_vecs)
-    a_tx = np.column_stack(tx_vecs)
-    scale = np.sqrt(dim_rx * dim_tx / paths.count)
+    scale = np.sqrt(a_rx.shape[0] * a_tx.shape[0] / paths.count)
     return scale * (a_rx * paths.gains) @ a_tx.conj().T
 
 
@@ -363,12 +342,17 @@ def dense_channels(realization: ChannelRealization, ris: RisGeometry,
     """
     if ris.n != realization.n:
         raise ValueError("RIS geometry does not match the realization")
-    tx = ArrayGeometry(realization.m_t, ris.element_spacing, ris.wavelength)
-    rx = ArrayGeometry(realization.m_r, ris.element_spacing, ris.wavelength)
-    paths = realization.path_sets
-    return (synth_channel(paths[HOP_TX_RIS], tx, ris),
-            synth_channel(paths[HOP_RIS_RX], ris, rx),
-            synth_channel(paths[HOP_TX_RX], tx, rx))
+    scale = 2.0 * ris.element_spacing / ris.wavelength
+    m_t, m_r = realization.m_t, realization.m_r
+    tx, rx, direct = (realization.path_sets[kind]
+                      for kind in (HOP_TX_RIS, HOP_RIS_RX, HOP_TX_RX))
+    return (synth_channel(tx, steering(scale * np.sin(tx.departure), m_t),
+                          ris_response(tx.arrival, ris)),
+            synth_channel(rx, ris_response(rx.departure, ris),
+                          steering(scale * np.sin(rx.arrival), m_r)),
+            synth_channel(direct,
+                          steering(scale * np.sin(direct.departure), m_t),
+                          steering(scale * np.sin(direct.arrival), m_r)))
 
 
 def effective_channel(realization: ChannelRealization, channels,

@@ -25,24 +25,12 @@ ALIGN_TOL = 1e-12
 
 @dataclass(frozen=True)
 class PhaseGradient:
-    """Per-element phase slope (g_x, g_y) in direction-cosine units."""
+    """Per-element phase slope (g_x, g_y) in direction-cosine units; the
+    slope that reflects an arrival into a departure is the difference of
+    their ``channel.ris_cosines``."""
 
     g_x: float
     g_y: float
-
-    @classmethod
-    def from_path_pair(cls, aoa: tuple[float, float],
-                       aod: tuple[float, float]) -> "PhaseGradient":
-        """Gradient reflecting arrival ``aoa`` to departure ``aod``.
-
-        Both angles are (elevation, azimuth) pairs at the RIS.
-        """
-        phi_u, th_u = aoa
-        phi_v, th_v = aod
-        return cls(
-            g_x=np.sin(phi_v) * np.cos(th_v) - np.sin(phi_u) * np.cos(th_u),
-            g_y=np.sin(phi_v) * np.sin(th_v) - np.sin(phi_u) * np.sin(th_u),
-        )
 
 
 def largest_remainder(t: np.ndarray, total: int) -> np.ndarray:

@@ -20,7 +20,9 @@ is the solution.
 The problem is invariant under ``m -> m c`` with ``P -> P / c`` and
 ``p -> p / c`` (``v -> v c``, the ratios and w unchanged), so the solve
 runs in the units where P = 1 and maps the winner back: at any P whose
-SNRs ``m P`` are finite positive floats, no quantity it forms overflows.
+SNRs ``m P`` are finite normal floats (at least ``np.finfo(float).tiny``),
+no quantity it keeps overflows; only the cubic constant of a path weaker
+than about 4e-308 in those units reaches inf, which clips to 4/27.
 """
 
 from __future__ import annotations
@@ -33,6 +35,8 @@ from rispart.asymptotic import Allocation, AsymptoticProblem, Solution, rate
 
 # y^3 - y^2 + a = 0 has a root in [2/3, 1] iff 0 <= a <= 4/27
 A_MAX = 4.0 / 27.0
+# Smallest SNR m * P the solve accepts: 1/(m * P) overflows below it
+_TINY = float(np.finfo(float).tiny)
 # Bounds the Newton loop only: bisection alone narrows a factor-1.5
 # bracket to 4 ulps in about 50 steps, and every step narrows it.
 _MAX_STEPS = 100
@@ -334,9 +338,9 @@ def solve(problem: AsymptoticProblem) -> Solution:
     power = problem.power
     with np.errstate(over="ignore"):
         m_r, m_d = problem.m_r * power, problem.m_d * power
-    if not all(np.all(np.isfinite(m) & (m > 0.0)) for m in (m_r, m_d)):
+    if not all(np.all(np.isfinite(m) & (m >= _TINY)) for m in (m_r, m_d)):
         raise ValueError(f"coefficients times P = {power!r} (the SNRs m * P) "
-                         f"must be finite positive floats")
+                         f"must be finite normal floats, at least {_TINY!r}")
     unit = AsymptoticProblem(m_r=m_r, m_d=m_d, power=1.0)
     s = unit.s_max
     p, v = water_filling(np.concatenate([[unit.m_r[0]], unit.m_d]), 1.0)

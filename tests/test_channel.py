@@ -11,11 +11,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from rispart.channel import (HOP_KINDS, SAMPLE_CHUNK, ArrayGeometry,
-                             ChannelRealization, PathSet, RisGeometry,
-                             SimulationConfig, dbm_to_watts, load_config,
-                             path_loss, realization_rng, realize_channels,
-                             steering_vector, ula_response)
+from rispart.channel import (HOP_KINDS, SAMPLE_CHUNK, ChannelRealization,
+                             PathSet, RisGeometry, SimulationConfig,
+                             dbm_to_watts, load_config, path_loss,
+                             realization_rng, realize_channels, steering)
 from rispart.oracle import (dense_channels, effective_channel, min_cosine_gap,
                             ris_response, sample_paths,
                             serial_realize_channels, synth_channel)
@@ -32,47 +31,47 @@ def small_config(**kw):
 
 class TestSteeringVector:
     def test_all_ones(self):
-        np.testing.assert_allclose(steering_vector(0.0, 4),
-                                   np.full(4, 0.5), atol=1e-15)
+        np.testing.assert_allclose(steering(0.0, 4),
+                                   np.full((4, 1), 0.5), atol=1e-15)
 
     def test_alternating(self):
-        np.testing.assert_allclose(steering_vector(1.0, 2),
+        np.testing.assert_allclose(steering(1.0, 2)[:, 0],
                                    np.array([1, -1]) / np.sqrt(2), atol=1e-15)
 
     def test_componentwise(self):
-        phi, m = 0.37, 8
-        v = steering_vector(phi, m)
+        phi, m = np.array([0.37, -1.2, 3.1]), 8
+        a = steering(phi, m)
+        assert a.shape == (m, phi.size)
         for i in range(m):
-            assert abs(v[i] - np.exp(1j * np.pi * i * phi) / np.sqrt(m)) < 1e-14
+            for k in range(phi.size):
+                assert abs(a[i, k] - np.exp(1j * np.pi * i * phi[k])
+                           / np.sqrt(m)) < 1e-14
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            steering_vector(0.3, 0)
+            steering(0.3, 0)
 
     @given(st.floats(-4, 4), st.integers(1, 64))
     @settings(max_examples=30, deadline=None)
     def test_unit_norm_and_period(self, phi, m):
-        v = steering_vector(phi, m)
+        v = steering(phi, m)
         assert abs(np.linalg.norm(v) - 1.0) < 1e-12
-        np.testing.assert_allclose(v, steering_vector(phi + 2.0, m),
-                                   atol=1e-9)
+        np.testing.assert_allclose(v, steering(phi + 2.0, m), atol=1e-9)
 
 
 class TestArrayResponses:
+    # a ULA at half-wavelength spacing has the argument sin(theta)
     def test_ula_boresight(self):
-        g = ArrayGeometry(element_count=3, element_spacing=0.5, wavelength=1.0)
-        np.testing.assert_allclose(ula_response(0.0, g),
-                                   np.full(3, 1 / np.sqrt(3)), atol=1e-15)
+        np.testing.assert_allclose(steering(np.sin(0.0), 3),
+                                   np.full((3, 1), 1 / np.sqrt(3)),
+                                   atol=1e-15)
 
     def test_ula_endfire(self):
-        g = ArrayGeometry(element_count=2, element_spacing=0.5, wavelength=1.0)
-        np.testing.assert_allclose(ula_response(np.pi / 2, g),
-                                   steering_vector(1.0, 2), atol=1e-12)
+        np.testing.assert_allclose(steering(np.sin(np.pi / 2), 2),
+                                   steering(1.0, 2), atol=1e-12)
 
     def test_ula_componentwise(self):
-        g = ArrayGeometry(element_count=16, element_spacing=0.5,
-                          wavelength=1.0)
-        v = ula_response(0.6, g)
+        v = steering(np.sin(0.6), 16)[:, 0]
         assert abs(np.linalg.norm(v) - 1.0) < 1e-12
         np.testing.assert_allclose(
             v, np.exp(1j * np.pi * np.arange(16) * np.sin(0.6)) / 4.0,
@@ -80,32 +79,33 @@ class TestArrayResponses:
 
     def test_ris_zero_elevation(self):
         g = RisGeometry(nx=2, ny=2, element_spacing=0.5, wavelength=1.0)
-        np.testing.assert_allclose(ris_response(0.0, 1.3, g),
-                                   np.full(4, 0.5), atol=1e-15)
+        np.testing.assert_allclose(ris_response([(0.0, 1.3)], g),
+                                   np.full((4, 1), 0.5), atol=1e-15)
 
     def test_ris_kron_structure(self):
         g = RisGeometry(nx=4, ny=6, element_spacing=0.5, wavelength=1.0)
-        phi, az = 0.8, 2.1
-        v = ris_response(phi, az, g)
-        ax = np.sin(phi) * np.cos(az)
-        ay = np.sin(phi) * np.sin(az)
-        for nx in range(4):
-            for ny in range(6):
-                expected = (np.exp(1j * np.pi * (nx * ax + ny * ay))
-                            / np.sqrt(24))
-                assert abs(v[nx * 6 + ny] - expected) < 1e-13
+        angles = np.array([(0.8, 2.1), (0.3, 5.0)])
+        a = ris_response(angles, g)
+        assert a.shape == (24, 2)
+        for k, (phi, az) in enumerate(angles):
+            ax = np.sin(phi) * np.cos(az)
+            ay = np.sin(phi) * np.sin(az)
+            for nx in range(4):
+                for ny in range(6):
+                    expected = (np.exp(1j * np.pi * (nx * ax + ny * ay))
+                                / np.sqrt(24))
+                    assert abs(a[nx * 6 + ny, k] - expected) < 1e-13
 
     def test_inner_product_bound(self):
         # asymptotic orthogonality, quantitative form
         rng = np.random.default_rng(0)
         for m in (16, 64, 256):
-            g = ArrayGeometry(element_count=m, element_spacing=0.5,
-                              wavelength=1.0)
             for _ in range(20):
                 t1, t2 = rng.uniform(0, np.pi / 2, 2)
                 if abs(np.sin(t1) - np.sin(t2)) < 1e-6:
                     continue
-                ip = abs(ula_response(t1, g).conj() @ ula_response(t2, g))
+                a = steering(np.sin([t1, t2]), m)
+                ip = abs(a[:, 0].conj() @ a[:, 1])
                 bound = 1.0 / (m * abs(np.sin(
                     np.pi * 0.5 * (np.sin(t1) - np.sin(t2)))))
                 assert ip <= bound + 1e-12
@@ -138,32 +138,39 @@ class TestSamplePaths:
             sample_paths(np.random.default_rng(0), 0, HOP_TX_RIS)
 
 
+def _ula(angles, m, config):
+    """Responses of an M-element terminal at the config's element spacing,
+    as ``oracle.dense_channels`` builds them."""
+    return steering(2.0 * config.spacing / config.wavelength
+                    * np.sin(angles), m)
+
+
 class TestSynthChannel:
     def test_single_path_all_ones(self):
-        tx = ArrayGeometry(element_count=2, element_spacing=0.5,
-                           wavelength=1.0)
-        rx = ArrayGeometry(element_count=2, element_spacing=0.5,
-                           wavelength=1.0)
         paths = PathSet(kind=HOP_TX_RX, gains=[1.0 + 0j],
                         departure=[0.0], arrival=[0.0])
-        np.testing.assert_allclose(synth_channel(paths, tx, rx),
+        a = steering(np.sin(paths.departure), 2)
+        np.testing.assert_allclose(synth_channel(paths, a, a),
                                    np.ones((2, 2)), atol=1e-14)
 
     def test_rank_bound(self):
         cfg = small_config(m_t=16, m_r=16)
         p = sample_paths(np.random.default_rng(4), 3, HOP_TX_RX)
-        h = synth_channel(p, cfg.tx_geometry, cfg.rx_geometry)
+        h = synth_channel(p, _ula(p.departure, 16, cfg),
+                          _ula(p.arrival, 16, cfg))
+        assert h.shape == (16, 16)
         assert np.linalg.matrix_rank(h, tol=1e-10) <= 3
 
     def test_matches_direct_sum(self):
         cfg = small_config()
         p = sample_paths(np.random.default_rng(6), 3, HOP_TX_RIS)
         ris = cfg.ris_geometry
-        h = synth_channel(p, cfg.tx_geometry, ris)
+        h = synth_channel(p, _ula(p.departure, cfg.m_t, cfg),
+                          ris_response(p.arrival, ris))
         manual = np.zeros((ris.n, cfg.m_t), dtype=complex)
         for ell in range(3):
-            a_ris = ris_response(p.arrival[ell][0], p.arrival[ell][1], ris)
-            a_tx = ula_response(p.departure[ell], cfg.tx_geometry)
+            a_ris = ris_response(p.arrival[ell], ris)[:, 0]
+            a_tx = _ula(p.departure[ell], cfg.m_t, cfg)[:, 0]
             manual += p.gains[ell] * np.outer(a_ris, a_tx.conj())
         manual *= np.sqrt(ris.n * cfg.m_t / 3)
         np.testing.assert_allclose(h, manual, atol=1e-12)
@@ -228,13 +235,16 @@ class TestEffectiveChannel:
     def test_dense_channels_match_synthesis(self):
         cfg, re, (h1, h2, h3) = self.make_realization(
             np.random.default_rng(12))
-        paths = re.path_sets
+        tx, rx, direct = (re.path_sets[kind]
+                          for kind in (HOP_TX_RIS, HOP_RIS_RX, HOP_TX_RX))
+        ris, m_t, m_r = cfg.ris_geometry, cfg.m_t, cfg.m_r
         np.testing.assert_array_equal(h1, synth_channel(
-            paths[HOP_TX_RIS], cfg.tx_geometry, cfg.ris_geometry))
+            tx, _ula(tx.departure, m_t, cfg), ris_response(tx.arrival, ris)))
         np.testing.assert_array_equal(h2, synth_channel(
-            paths[HOP_RIS_RX], cfg.ris_geometry, cfg.rx_geometry))
+            rx, ris_response(rx.departure, ris), _ula(rx.arrival, m_r, cfg)))
         np.testing.assert_array_equal(h3, synth_channel(
-            paths[HOP_TX_RX], cfg.tx_geometry, cfg.rx_geometry))
+            direct, _ula(direct.departure, m_t, cfg),
+            _ula(direct.arrival, m_r, cfg)))
         with pytest.raises(ValueError):
             dense_channels(re, small_config(n_y=7).ris_geometry)
 

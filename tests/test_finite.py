@@ -10,7 +10,7 @@ import pytest
 from rispart.asymptotic import (Allocation, Solution, coefficients,
                                 optimal_pairing, rate)
 from rispart.channel import (SimulationConfig, dbm_to_watts, realization_rng,
-                             realize_channels, ula_response)
+                             realize_channels, steering)
 from rispart.finite import (adapt_solution, eigenmode_covariance,
                             refine_common_phases)
 from rispart.oracle import dense_rate, dense_refine, logdet_rate
@@ -76,10 +76,9 @@ class TestEigenmodeCovariance:
 
     def test_trace_equals_power_for_unit_columns(self):
         cfg = SimulationConfig()
-        g = cfg.tx_geometry
         rng = np.random.default_rng(0)
-        a = np.stack([ula_response(t, g) for t in rng.uniform(0, np.pi, 3)],
-                     axis=1)
+        a = steering(2.0 * cfg.spacing / cfg.wavelength
+                     * np.sin(rng.uniform(0, np.pi, 3)), cfg.m_t)
         p = rng.uniform(0, 2, 3)
         q = eigenmode_covariance(a, p)
         assert abs(np.trace(q).real - p.sum()) < 1e-12 * p.sum()

@@ -126,6 +126,44 @@ class TestRunExperiment:
         assert summary_a[20.0]["failures"] == 0
         assert summary_a[30.0]["mean_rate_asymptotic"] > 0
 
+    def test_subnormal_snr_row_flagged(self):
+        # noise of 1e300 W leaves SNRs near 1e-313: the row fails at the
+        # solve instead of carrying NaN rates
+        cfg = SimulationConfig(m_t=8, m_r=8, n_x=4, n_y=6, l1=2, l2=2, l3=2,
+                               realizations=2, seed=1, noise_watts=1e300)
+        rows, summary = run_experiment(small_spec(config=cfg, values=[30.0]))
+        assert all(r.error.startswith("solve: ValueError") for r in rows)
+        assert summary[30.0]["failures"] == len(rows)
+
+    # (config, psi mode, (repr(rate_asymptotic), repr(rate_finite)) of the
+    # first three realizations at P = 30 dBm), so that a change anywhere
+    # downstream of the sampler's stream shows.
+    RATE_PINS = (
+        (SimulationConfig(seed=1), "random",
+         (("58.62651370402199", "58.18686907838214"),
+          ("52.71934279147618", "52.15225144695503"),
+          ("55.71540691561694", "55.18470363717579"))),
+        (SimulationConfig(seed=1), "refine",
+         (("58.62651370402199", "58.42420513780455"),
+          ("52.71934279147618", "52.16267621112814"),
+          ("55.71540691561694", "55.30432822191488"))),
+        (SimulationConfig(m_t=64, m_r=64, l1=8, l2=8, l3=4, seed=2), "random",
+         (("66.57367855692414", "66.4605608723401"),
+          ("65.17815502997605", "65.1481480715157"),
+          ("60.74792181627941", "60.57684581595069"))),
+    )
+
+    @pytest.mark.parametrize("pin", RATE_PINS, ids=["default-random",
+                                                    "default-refine",
+                                                    "paths-8x8"])
+    def test_rates_pinned(self, pin):
+        config, psi_mode, rates = pin
+        rows, _ = run_experiment(ExperimentSpec(
+            config=config, sweep="P", values=[30.0], psi_mode=psi_mode,
+            realizations=len(rates)))
+        assert [(repr(r.rate_asymptotic), repr(r.rate_finite))
+                for r in rows] == list(rates)
+
     def test_parallel_matches_serial(self):
         spec = small_spec()
         serial, _ = run_experiment(spec, jobs=1)
@@ -299,6 +337,13 @@ class TestCli:
         assert main(["solve", str(problem)]) == 0
         assert "rate =" in capsys.readouterr().out
 
+    def test_solve_subnormal_snr_exits_1(self, tmp_path, capsys):
+        problem = tmp_path / "problem.txt"
+        problem.write_text("m_r = 2.8e-313,8.3e-314\nm_d = 2.1e-309\nP = 1\n")
+        assert main(["solve", str(problem)]) == 1
+        captured = capsys.readouterr()
+        assert "solve failed" in captured.err and "rate =" not in captured.out
+
     def test_solve_missing_file(self, tmp_path, capsys):
         assert main(["solve", str(tmp_path / "nope.txt")]) == 2
 
@@ -333,7 +378,12 @@ class TestCli:
         (("values = 20, 30", "values = 20, -5000"), [],
          "swept P = -5000.0: power must be finite and positive"),
         (("sweep = P\nvalues = 20, 30", "sweep = SNR\nvalues = 4000"), [],
-         "swept SNR = 4000.0: power_watts must be finite and positive")])
+         "swept SNR = 4000.0: power_watts must be finite and positive"),
+        # these used to pass the config and fail only at realize_channels
+        *((("seed = 1", f"seed = 1\n{key} = {value}"), [], "path losses")
+          for key, value in (("d1", "1e-300"), ("d2", "1e300"),
+                             ("path_loss_exponent", "1e6"), ("f", "1e300"),
+                             ("f", "1e-300")))])
     def test_simulate_unrunnable_sweep_exits_2(self, tmp_path, capsys, edit,
                                                argv, message):
         path = tmp_path / "exp.cfg"

@@ -5,7 +5,7 @@ model."""
 import numpy as np
 import pytest
 
-from rispart.channel import RisGeometry
+from rispart.channel import RisGeometry, ris_cosines
 from rispart.partition import (PartitionPlan, PhaseGradient, TilePlan,
                                build_theta, dirichlet_ratio,
                                gain_asymptotic, gain_closed_form,
@@ -29,14 +29,20 @@ def random_plan(rng, s, ny, aligned_zeta=None):
     return realized
 
 
+def reflecting(arrival, departure) -> PhaseGradient:
+    """Gradient reflecting an (elevation, azimuth) arrival into a
+    departure, as ``finite.adapt_solution`` forms it."""
+    (arr_x, dep_x), (arr_y, dep_y) = ris_cosines([arrival, departure])
+    return PhaseGradient(dep_x - arr_x, dep_y - arr_y)
+
+
 class TestPhaseGradient:
     def test_specular(self):
-        g = PhaseGradient.from_path_pair((0.7, 1.1), (0.7, 1.1))
+        g = reflecting((0.7, 1.1), (0.7, 1.1))
         assert g.g_x == 0.0 and g.g_y == 0.0
 
     def test_unit_cosines(self):
-        g = PhaseGradient.from_path_pair((np.pi / 2, 0.0),
-                                         (np.pi / 2, np.pi / 2))
+        g = reflecting((np.pi / 2, 0.0), (np.pi / 2, np.pi / 2))
         assert abs(g.g_x - (-1.0)) < 1e-12
         assert abs(g.g_y - 1.0) < 1e-12
 

@@ -264,9 +264,17 @@ class TestGridSearch:
         assert abs(sol.rate - expected) < 1e-6
 
     def test_snr_outside_float_range_rejected(self):
-        for m_r, power in (([1e200], 1e200), ([1e-200], 1e-200)):
+        # subnormal SNRs, where 1/(m P) overflows, used to give a NaN rate
+        for m_r, m_d, power in (([1e200], [], 1e200), ([1e-200], [], 1e-200),
+                                ([2.8e-313, 8.3e-314], [2.1e-309], 1.0)):
             with pytest.raises(ValueError, match=r"m \* P"):
-                solve(AsymptoticProblem(m_r=m_r, m_d=[], power=power))
+                solve(AsymptoticProblem(m_r=m_r, m_d=m_d, power=power))
+
+    def test_smallest_normal_snr_solves(self):
+        tiny = np.finfo(float).tiny
+        for m_r, m_d in (([tiny], []), ([1.0], [tiny])):
+            sol = solve(AsymptoticProblem(m_r=m_r, m_d=m_d, power=1.0))
+            assert np.isfinite(sol.rate)
 
     def test_deterministic(self):
         prob = random_problem(np.random.default_rng(5))
