@@ -44,9 +44,8 @@ def random_plan(rng: np.random.Generator, ny: int) -> PartitionPlan:
     counts = np.diff(np.concatenate([[0], cuts, [ny]])).astype(int)
     gradients = [PhaseGradient(rng.uniform(-2, 2), rng.uniform(-2, 2))
                  for _ in range(s)]
-    return PartitionPlan(t=counts / ny, gradients=gradients,
-                         psi=rng.uniform(0, 2 * np.pi, s),
-                         column_counts=counts)
+    return PartitionPlan(column_counts=counts, gradients=gradients,
+                         psi=rng.uniform(0, 2 * np.pi, s))
 
 
 def gain_identity(rng: np.random.Generator, count: int) -> list[Line]:

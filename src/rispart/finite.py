@@ -34,7 +34,8 @@ import numpy as np
 from rispart.channel import (HOP_RIS_RX, HOP_TX_RIS, HOP_TX_RX,
                              ChannelRealization, RisGeometry, ris_cosines,
                              steering)
-from rispart.partition import PartitionPlan, PhaseGradient, subsurface_gains
+from rispart.partition import (PartitionPlan, PhaseGradient, round_partition,
+                               subsurface_gains)
 from rispart.asymptotic import Solution
 from rispart.solver import water_filling
 
@@ -83,12 +84,17 @@ class FiniteEvaluation:
     q: np.ndarray
     rate: float
     rate_asymptotic: float
-    gap: float
     realization: ChannelRealization = field(repr=False)
     ris: RisGeometry = field(repr=False)
     model: PathModel = field(repr=False)
     direct_powers: np.ndarray = field(default_factory=lambda: np.empty(0))
     rewaterfilled: bool = False
+
+    @property
+    def gap(self) -> float:
+        """Relative gap of the exact rate to the asymptotic prediction."""
+        ref = self.rate_asymptotic
+        return abs(self.rate - ref) / ref if ref > 0 else 0.0
 
 
 def eigenmode_covariance(steering_basis: np.ndarray,
@@ -166,16 +172,21 @@ def adapt_solution(solution: Solution, realization: ChannelRealization,
     arr_x, arr_y = ris_cosines(tx.arrival)
     dep_x, dep_y = ris_cosines(rx.departure)
     zeta = (dep_x[:, None] - arr_x, dep_y[:, None] - arr_y)
-    gradients = [PhaseGradient(zeta[0][v, u], zeta[1][v, u])
-                 for u, v in (problem.pairs[s] for s in active)]
     if psi is None:
         psi = rng.uniform(0.0, 2.0 * np.pi, size=len(active))
-    plan = PartitionPlan(t=alloc.t[active], gradients=gradients, psi=psi)
-    realized, keep = plan.realize(ris.ny)
+    psi = np.asarray(psi, dtype=float)
+    if psi.size != len(active):
+        raise ValueError("one common phase per active sub-surface required")
+    counts = round_partition(alloc.t[active], ris.ny)
+    keep = np.flatnonzero(counts)
     survivors = [active[i] for i in keep]
     rewaterfilled = len(survivors) < len(active)
+    plan = PartitionPlan(
+        column_counts=counts[keep],
+        gradients=[PhaseGradient(zeta[0][v, u], zeta[1][v, u])
+                   for u, v in (problem.pairs[s] for s in survivors)],
+        psi=psi[keep])
 
-    t_real = realized.realized_ratios(ris.ny)
     i_active = [i for i in range(problem.l3) if alloc.p_d[i] > 0]
     if rewaterfilled:
         logger.debug("column rounding dropped %d of %d sub-surfaces; "
@@ -183,26 +194,23 @@ def adapt_solution(solution: Solution, realization: ChannelRealization,
                      len(active) - len(survivors), len(active))
         # redistribute the full budget over the surviving channels
         p, _ = water_filling(np.concatenate([
-            problem.m_r[survivors] * t_real ** 2,
-            problem.m_d[i_active] if i_active else np.empty(0)]),
-            problem.power)
+            problem.m_r[survivors] * (plan.column_counts / ris.ny) ** 2,
+            problem.m_d[i_active]]), problem.power)
         p_r = p[:len(survivors)]
         p_d = p[len(survivors):]
     else:
         p_r = alloc.p_r[survivors]
-        p_d = alloc.p_d[i_active] if i_active else np.empty(0)
+        p_d = alloc.p_d[i_active]
 
     basis_paths = ([problem.pairs[s][0] for s in survivors]
                    + [tx.count + int(problem.d_perm[i]) for i in i_active])
-    model, q = path_model(realization, ris, realized, zeta, basis_paths,
+    model, q = path_model(realization, ris, plan, zeta, basis_paths,
                           np.concatenate([p_r, p_d]))
-    rate_finite = float(model.rates(realized.psi)[0])
-    ref = solution.rate
-    gap = abs(rate_finite - ref) / ref if ref > 0 else 0.0
-    return FiniteEvaluation(plan=realized, q=q, rate=rate_finite,
-                            rate_asymptotic=ref, gap=gap,
+    return FiniteEvaluation(plan=plan, q=q,
+                            rate=float(model.rates(plan.psi)[0]),
+                            rate_asymptotic=solution.rate,
                             realization=realization, ris=ris, model=model,
-                            direct_powers=np.asarray(p_d),
+                            direct_powers=p_d,
                             rewaterfilled=rewaterfilled)
 
 
@@ -230,7 +238,4 @@ def refine_common_phases(evaluation: FiniteEvaluation, sweeps: int = 2,
                 best_rate = float(rates[best])
                 psi = trials[best]
     plan = dataclasses.replace(evaluation.plan, psi=psi)
-    ref = evaluation.rate_asymptotic
-    return dataclasses.replace(
-        evaluation, plan=plan, rate=best_rate,
-        gap=abs(best_rate - ref) / ref if ref > 0 else 0.0)
+    return dataclasses.replace(evaluation, plan=plan, rate=best_rate)

@@ -29,9 +29,6 @@ from rispart.solver import all_plus_exists, solve, solve_p32
 SWEEPS = ("N", "M", "P", "SNR")
 PSI_MODES = ("random", "refine")
 
-CSV_COLUMNS = ["seed", "sweep_value", "rate_asymptotic", "rate_finite",
-               "activated_cascaded", "activated_direct", "s_min_star",
-               "wall_ms", "error", "draws", "margin"]
 EXPERIMENT_KEYS = ("sweep", "values", "psi", "realizations", "out")
 
 
@@ -77,24 +74,28 @@ class ExperimentSpec:
 
 @dataclass(slots=True)
 class ResultRow:
-    """One realization's outcome within a sweep.
+    """One realization's outcome within a sweep, one field per CSV column.
 
     ``draws`` and ``margin`` are the path sampler's diagnostics (see
     :class:`rispart.channel.ChannelRealization`); they read 0 when the
-    realization failed before its channels were sampled.
+    realization failed before its channels were sampled.  A failed row
+    keeps 0 rates and counts and names the failing stage in ``error``.
     """
 
     seed: int
     sweep_value: float
-    rate_asymptotic: float
-    rate_finite: float
-    activated_cascaded: int
-    activated_direct: int
-    s_min_star: int
-    wall_ms: float
+    rate_asymptotic: float = 0.0
+    rate_finite: float = 0.0
+    activated_cascaded: int = 0
+    activated_direct: int = 0
+    s_min_star: int = 0
+    wall_ms: float = 0.0
     error: str = ""
     draws: int = 0
     margin: float = 0.0
+
+
+CSV_COLUMNS = [f.name for f in dataclasses.fields(ResultRow)]
 
 
 def load_experiment(path: str) -> ExperimentSpec:
@@ -148,13 +149,14 @@ def _apply_sweep(config: SimulationConfig, sweep: str,
 def _run_one(task) -> ResultRow:
     config, sweep, value, index, psi_mode = task
     start = time.perf_counter()
+    row = ResultRow(seed=index, sweep_value=value)
     stage = "config"
-    realization = None
     try:
         cfg = _apply_sweep(config, sweep, value)
         stage = "realize_channels"
         rng = realization_rng(cfg.seed, index)
         realization = realize_channels(cfg, rng)
+        row.draws, row.margin = realization.draws, realization.margin
         stage = "coefficients"
         pairing = optimal_pairing(cfg.l1, cfg.l2)
         problem = coefficients(realization, pairing, cfg)
@@ -165,23 +167,14 @@ def _run_one(task) -> ResultRow:
         if psi_mode == "refine":
             stage = "refine_common_phases"
             ev = refine_common_phases(ev)
-        wall = (time.perf_counter() - start) * 1e3
-        return ResultRow(
-            seed=index, sweep_value=value,
-            rate_asymptotic=float(sol.rate), rate_finite=float(ev.rate),
-            activated_cascaded=len(sol.s_active),
-            activated_direct=len(sol.i_active),
-            s_min_star=sol.s_min_star, wall_ms=wall,
-            draws=realization.draws, margin=realization.margin)
+        row.rate_asymptotic, row.rate_finite = float(sol.rate), float(ev.rate)
+        row.activated_cascaded = len(sol.s_active)
+        row.activated_direct = len(sol.i_active)
+        row.s_min_star = sol.s_min_star
     except Exception as exc:  # flag and keep sweeping
-        wall = (time.perf_counter() - start) * 1e3
-        return ResultRow(seed=index, sweep_value=value,
-                         rate_asymptotic=0.0, rate_finite=0.0,
-                         activated_cascaded=0, activated_direct=0,
-                         s_min_star=0, wall_ms=wall,
-                         error=f"{stage}: {type(exc).__name__}: {exc}",
-                         draws=realization.draws if realization else 0,
-                         margin=realization.margin if realization else 0.0)
+        row.error = f"{stage}: {type(exc).__name__}: {exc}"
+    row.wall_ms = (time.perf_counter() - start) * 1e3
+    return row
 
 
 def run_experiment(spec: ExperimentSpec, jobs: int = 1,
@@ -243,11 +236,11 @@ def write_results(spec: ExperimentSpec, rows: list[ResultRow],
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
         for r in rows:
-            writer.writerow([r.seed, repr(r.sweep_value),
-                             repr(r.rate_asymptotic), repr(r.rate_finite),
-                             r.activated_cascaded, r.activated_direct,
-                             r.s_min_star, f"{r.wall_ms:.3f}", r.error,
-                             r.draws, repr(r.margin)])
+            # floats round-trip through repr, the wall time to 1 us
+            writer.writerow([
+                f"{v:.3f}" if name == "wall_ms"
+                else repr(v) if isinstance(v, float) else v
+                for name, v in zip(CSV_COLUMNS, dataclasses.astuple(r))])
     meta = {
         "config": dataclasses.asdict(spec.config),
         "sweep": spec.sweep,

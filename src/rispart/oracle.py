@@ -438,12 +438,13 @@ def min_cosine_gap(angles: np.ndarray, scale: float) -> float:
     Arguments are ``scale*sin(angle)``; the steering vector is periodic
     with period 2, so distances wrap accordingly.
     """
-    phi = np.sort(scale * np.sin(np.asarray(angles, dtype=float)))
+    phi = scale * np.sin(np.asarray(angles, dtype=float))
     if phi.size < 2:
         return np.inf
     gaps = np.abs(phi[:, None] - phi[None, :]) % 2.0
     gaps = np.minimum(gaps, 2.0 - gaps)
-    return float(gaps[np.triu_indices(phi.size, 1)].min())
+    np.fill_diagonal(gaps, np.inf)
+    return float(gaps.min())
 
 
 # Per hop, the blocks of L uniforms one whole path set draws, in stream

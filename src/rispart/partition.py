@@ -69,7 +69,7 @@ def round_partition(t, ny: int) -> np.ndarray:
 
 
 class Blocks(NamedTuple):
-    """A realized plan as rectangular element blocks, one entry per block.
+    """A plan as rectangular element blocks, one entry per block.
 
     Block b covers rows ``x0[b] .. x0[b]+ex[b]-1`` and columns
     ``y0[b] .. y0[b]+ey[b]-1`` of the RIS grid and belongs to sub-surface
@@ -90,67 +90,36 @@ class Blocks(NamedTuple):
 class PartitionPlan:
     """Full passive-beamforming configuration for a horizontal partition.
 
-    ``t`` holds partition ratios summing to 1.  ``column_counts`` is the
-    realized integer split (``None`` while the plan is still continuous).
-    ``gradients`` and ``psi`` are per sub-surface.
+    Sub-surface s spans ``column_counts[s]`` whole columns, left to right
+    in order, with phase gradient ``gradients[s]`` and common phase
+    ``psi[s]``.
     """
 
-    t: np.ndarray
+    column_counts: np.ndarray
     gradients: list[PhaseGradient]
     psi: np.ndarray
-    column_counts: np.ndarray | None = None
 
     def __post_init__(self):
-        self.t = np.asarray(self.t, dtype=float)
+        self.column_counts = np.asarray(self.column_counts, dtype=int)
         self.psi = np.asarray(self.psi, dtype=float)
-        s = self.t.size
+        s = self.column_counts.size
         if len(self.gradients) != s or self.psi.size != s:
-            raise ValueError("t, gradients, and psi must have equal length")
-        if np.any(self.t < -1e-12) or np.any(self.t > 1 + 1e-12):
-            raise ValueError("partition ratios must lie in [0, 1]")
-        if abs(self.t.sum() - 1.0) > 1e-9:
-            raise ValueError("partition ratios must sum to 1")
+            raise ValueError("column_counts, gradients, and psi must have "
+                             "equal length")
+        if np.any(self.column_counts < 0):
+            raise ValueError("column counts must be nonnegative")
         if np.any(self.psi < 0) or np.any(self.psi >= 2 * np.pi):
             raise ValueError("common phases must lie in [0, 2*pi)")
-        if self.column_counts is not None:
-            self.column_counts = np.asarray(self.column_counts, dtype=int)
-            if self.column_counts.size != s:
-                raise ValueError("column_counts length mismatch")
-            if np.any(self.column_counts < 0):
-                raise ValueError("column counts must be nonnegative")
 
     @property
     def s(self) -> int:
-        return self.t.size
-
-    def realized_ratios(self, ny: int) -> np.ndarray:
-        """Exact ratios implied by the integer column counts."""
-        if self.column_counts is None:
-            raise ValueError("plan is not realized")
-        if self.column_counts.sum() != ny:
-            raise ValueError("column counts do not sum to Ny")
-        return self.column_counts / ny
-
-    def realize(self, ny: int) -> tuple["PartitionPlan", list[int]]:
-        """Round ratios onto ``ny`` columns (drop-and-reapportion rule).
-
-        Returns the realized plan and the indices of the sub-surfaces it
-        kept, in order.
-        """
-        counts = round_partition(self.t, ny)
-        keep = [i for i in range(self.s) if counts[i] or self.t[i] == 0]
-        realized = PartitionPlan(
-            t=counts[keep] / ny,
-            gradients=[self.gradients[i] for i in keep],
-            psi=self.psi[keep],
-            column_counts=counts[keep],
-        )
-        return realized, keep
+        return self.column_counts.size
 
     def blocks(self, ris: RisGeometry) -> Blocks:
         """Sub-surface s is the block of all rows over its column run."""
-        self.realized_ratios(ris.ny)  # raises unless realized on Ny columns
         counts = self.column_counts
+        if counts.sum() != ris.ny:
+            raise ValueError("column counts do not sum to Ny")
         return Blocks(x0=np.zeros(self.s, dtype=int),
                       y0=np.cumsum(counts) - counts,
                       ex=np.full(self.s, ris.nx), ey=counts,
@@ -165,7 +134,7 @@ def _slopes(plan, owner: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def build_theta(plan: PartitionPlan | TilePlan,
                 ris: RisGeometry) -> np.ndarray:
-    """Per-element reflection coefficients of a realized plan.
+    """Per-element reflection coefficients of a plan.
 
     The element at grid position (n_x, n_y), both 0-based, gets phase
     ``psi_b + k*n_x*g_x + k*n_y*g_y`` from the block b that covers it
@@ -247,7 +216,7 @@ def gain_closed_form(plan: PartitionPlan | TilePlan, ris: RisGeometry,
     """Normalized gain as a block sum of Dirichlet-kernel ratios.
 
     Exact (matching :func:`gain_direct_sum` of :func:`build_theta`) for
-    any realized plan.
+    any plan.
     """
     return complex(np.exp(1j * plan.blocks(ris).psi)
                    @ subsurface_gains(plan, ris, *zeta))
@@ -292,48 +261,19 @@ class TilePlan:
         if self.assignment.min() < 0 or self.assignment.max() >= s:
             raise ValueError("every tile must map to a valid sub-surface")
 
-    @property
-    def mu(self) -> np.ndarray:
-        """Fraction of tiles owned by each sub-surface."""
-        counts = np.bincount(self.assignment.ravel(),
-                             minlength=len(self.gradients))
-        return counts / self.assignment.size
-
-    @classmethod
-    def from_mu(cls, mu, tiles_x: int, tiles_y: int, gradients,
-                psi) -> "TilePlan":
-        """Raster-order assignment from tile fractions.
-
-        Each ``mu_s * tiles_x * tiles_y`` must be an integer; fractional
-        tile counts are rejected rather than rounded.  Every tile of
-        sub-surface s gets ``psi[s]``.
-        """
-        mu = np.asarray(mu, dtype=float)
-        counts = mu * tiles_x * tiles_y
-        if np.any(np.abs(counts - np.round(counts)) > 1e-9):
-            raise ValueError("mu_s times the tile count must be integer")
-        counts = np.round(counts).astype(int)
-        if counts.sum() != tiles_x * tiles_y:
-            raise ValueError("mu must sum to 1")
-        owner = np.repeat(np.arange(mu.size), counts).reshape(tiles_x, tiles_y)
-        psi = np.asarray(psi, dtype=float)
-        return cls(tiles_x=tiles_x, tiles_y=tiles_y, assignment=owner,
-                   gradients=list(gradients),
-                   psi_tiles=psi[owner])
-
     @classmethod
     def from_partition_plan(cls, plan: PartitionPlan, ris: RisGeometry,
                             tiles_x: int, tiles_y: int) -> "TilePlan":
-        """Horizontal-stripe tiling that reproduces a realized plan exactly.
+        """Horizontal-stripe tiling that reproduces a column plan exactly.
 
         Requires the tile grid to divide the RIS grid and each sub-surface's
         column block to be a whole number of tile columns.
         """
         _, ey = _tile_extents(ris, tiles_x, tiles_y)
-        plan.realized_ratios(ris.ny)  # raises unless realized on Ny columns
-        if np.any(plan.column_counts % ey):
+        counts = plan.blocks(ris).ey  # raises unless the counts cover Ny
+        if np.any(counts % ey):
             raise ValueError("column blocks must align with tile columns")
-        owner_cols = np.repeat(np.arange(plan.s), plan.column_counts // ey)
+        owner_cols = np.repeat(np.arange(plan.s), counts // ey)
         assignment = np.tile(owner_cols, (tiles_x, 1))
         return cls(tiles_x=tiles_x, tiles_y=tiles_y, assignment=assignment,
                    gradients=list(plan.gradients),

@@ -140,15 +140,10 @@ def solve_p32(m_tilde) -> tuple[np.ndarray, float]:
         head = m_tilde[:k]
         if not all_plus_exists(head):
             continue
-        w_max = np.sqrt(head[-1])
-        lo = w_max
-        while _pattern_sum(lo, head) < 1.0:
-            lo /= 2.0
-            if lo < 1e-300:
-                break
-        hi = w_max
-        while hi - lo > 1e-12:
-            mid = 0.5 * (lo + hi)
+        # each all-plus ratio lies in [1/w, 2/w], so the root has w >= k;
+        # bisect until no float lies strictly between the ends
+        lo, hi = float(k), float(np.sqrt(head[-1]))
+        while lo < (mid := 0.5 * (lo + hi)) < hi:
             if _pattern_sum(mid, head) >= 1.0:
                 lo = mid
             else:
@@ -218,7 +213,8 @@ def _block_powers(problem: AsymptoticProblem, v, k):
     v = np.asarray(v, dtype=float)[..., None]
     p_d = np.maximum(0.0, 1.0 / v - 1.0 / problem.m_d)
     budget_r = problem.power - p_d.sum(axis=-1, keepdims=True)
-    a = v ** 3 * np.maximum(budget_r, 0.0) ** 2 / problem.m_r
+    with np.errstate(over="ignore"):  # an inf is clipped to 4/27 below
+        a = v ** 3 * np.maximum(budget_r, 0.0) ** 2 / problem.m_r
     head = np.arange(problem.s_max) < np.asarray(k)[..., None]
     p_r = np.where(head, largest_root(np.minimum(a, A_MAX)) / v, 0.0)
     return p_r, p_d, budget_r[..., 0], a
@@ -247,7 +243,8 @@ def _residual_slope(problem: AsymptoticProblem, v, k):
     cubic_slope = y * (3.0 * y - 2.0)  # zero off the head
     steep = (a < A_MAX) & (cubic_slope > 0.0)
     b = np.maximum(budget_r, 0.0)[..., None]
-    da = v * b * (3.0 * v * b + 2.0 * n_on) / problem.m_r
+    with np.errstate(over="ignore"):  # inf only where a is clipped too
+        da = v * b * (3.0 * v * b + 2.0 * n_on) / problem.m_r
     dy = np.where(steep, -da / np.where(steep, cubic_slope, 1.0), 0.0)
     slope = ((dy - y / v).sum(axis=-1, keepdims=True) - n_on / v) / v
     return p_r.sum(axis=-1) - budget_r, slope[..., 0]

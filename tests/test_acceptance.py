@@ -169,11 +169,10 @@ def test_criterion_10_tile_equivalence(criterion):
                                   replace=False))
         counts = np.diff(np.concatenate([[0], cuts, [tiles_y]])) * ey
         plan = PartitionPlan(
-            t=counts / ris.ny,
+            column_counts=counts,
             gradients=[PhaseGradient(rng.uniform(-2, 2), rng.uniform(-2, 2))
                        for _ in range(s)],
-            psi=rng.uniform(0, 2 * np.pi, s),
-            column_counts=counts)
+            psi=rng.uniform(0, 2 * np.pi, s))
         tiles = TilePlan.from_partition_plan(plan, ris, tiles_x, tiles_y)
         for _ in range(3):
             zeta = (rng.uniform(-2, 2), rng.uniform(-2, 2))

@@ -136,6 +136,13 @@ class TestAdaptSolution:
         b = adapt_solution(sol, re, cfg.ris_geometry, psi=psi)
         assert a.rate == b.rate
 
+    def test_rejects_wrong_psi_length(self):
+        cfg, re, prob, sol = pipeline(seed=2)
+        k = sum(1 for t in sol.allocation.t if t > 0)
+        with pytest.raises(ValueError):
+            adapt_solution(sol, re, cfg.ris_geometry,
+                           psi=np.linspace(0.5, 1.5, k + 1))
+
     def test_covariance_trace_meets_budget(self):
         cfg, re, prob, sol = pipeline(seed=3)
         ev = adapt_solution(sol, re, cfg.ris_geometry,

@@ -12,7 +12,8 @@ FILES = sorted([*ROOT.glob("src/rispart/*.py"), *ROOT.glob("tests/*.py")])
 PIPELINE = ("channel", "partition", "asymptotic", "solver", "finite",
             "harness")
 # Kept only for a paper result that a test checks: the large-surface gain
-# limit and the tile plans of criterion 10.
+# limit, and the tile plans that criterion 10 builds with
+# ``TilePlan.from_partition_plan``.
 PAPER_ONLY = {"gain_asymptotic", "TilePlan"}
 
 

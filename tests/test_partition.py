@@ -17,16 +17,16 @@ def make_ris(nx=4, ny=6):
     return RisGeometry(nx=nx, ny=ny, element_spacing=0.5, wavelength=1.0)
 
 
-def random_plan(rng, s, ny, aligned_zeta=None):
-    """Realized plan with random gradients/ratios/phases on ny columns."""
+def random_plan(rng, s, ny):
+    """Plan with random gradients/ratios/phases rounded onto ny columns;
+    sub-surfaces that rounding drops are left out."""
     grads = [PhaseGradient(rng.uniform(-2, 2), rng.uniform(-2, 2))
              for _ in range(s)]
-    if aligned_zeta is not None:
-        grads[0] = PhaseGradient(*aligned_zeta)
-    t = rng.dirichlet(np.ones(s))
+    counts = round_partition(rng.dirichlet(np.ones(s)), ny)
     psi = rng.uniform(0, 2 * np.pi, s)
-    realized, _ = PartitionPlan(t=t, gradients=grads, psi=psi).realize(ny)
-    return realized
+    keep = np.flatnonzero(counts)
+    return PartitionPlan(column_counts=counts[keep],
+                         gradients=[grads[i] for i in keep], psi=psi[keep])
 
 
 def reflecting(arrival, departure) -> PhaseGradient:
@@ -82,45 +82,39 @@ class TestRounding:
 
 class TestPartitionPlan:
     def test_validation(self):
-        g = [PhaseGradient(0, 0)]
-        with pytest.raises(ValueError):
-            PartitionPlan(t=[0.9], gradients=g, psi=[0.0])
-        with pytest.raises(ValueError):
-            PartitionPlan(t=[1.0], gradients=g, psi=[2 * np.pi])
-
-    def test_realize_drops_tiny_share(self):
-        plan = PartitionPlan(t=[0.96, 0.04],
-                             gradients=[PhaseGradient(0, 0),
-                                        PhaseGradient(1, 1)],
+        g = [PhaseGradient(0, 0), PhaseGradient(1, 1)]
+        with pytest.raises(ValueError, match="nonnegative"):
+            PartitionPlan(column_counts=[7, -1], gradients=g, psi=[0.0, 0.0])
+        with pytest.raises(ValueError, match="2\\*pi"):
+            PartitionPlan(column_counts=[3, 3], gradients=g,
+                          psi=[0.0, 2 * np.pi])
+        plan = PartitionPlan(column_counts=[2, 3], gradients=g,
                              psi=[0.0, 1.0])
-        realized, kept = plan.realize(10)
-        assert kept == [0]
-        assert realized.s == 1
-        np.testing.assert_array_equal(realized.column_counts, [10])
-        assert realized.gradients[0].g_x == 0.0
+        with pytest.raises(ValueError, match="sum to Ny"):
+            build_theta(plan, make_ris(4, 6))
 
 
 class TestBuildTheta:
     def test_single_element(self):
         ris = make_ris(1, 1)
-        plan = PartitionPlan(t=[1.0], gradients=[PhaseGradient(0.4, -0.2)],
-                             psi=[0.7], column_counts=[1])
+        plan = PartitionPlan(column_counts=[1],
+                             gradients=[PhaseGradient(0.4, -0.2)], psi=[0.7])
         np.testing.assert_allclose(build_theta(plan, ris),
                                    [np.exp(0.7j)], atol=1e-15)
 
     def test_zero_gradient_constant_phase(self):
         ris = make_ris()
-        plan = PartitionPlan(t=[1.0], gradients=[PhaseGradient(0, 0)],
-                             psi=[0.0], column_counts=[6])
+        plan = PartitionPlan(column_counts=[6],
+                             gradients=[PhaseGradient(0, 0)], psi=[0.0])
         np.testing.assert_allclose(build_theta(plan, ris),
                                    np.ones(24), atol=1e-15)
 
     def test_per_element_phases(self):
         ris = make_ris(4, 6)
-        plan = PartitionPlan(t=[1 / 3, 2 / 3],
+        plan = PartitionPlan(column_counts=[2, 4],
                              gradients=[PhaseGradient(0.3, -0.8),
                                         PhaseGradient(-1.1, 0.25)],
-                             psi=[0.5, 4.0], column_counts=[2, 4])
+                             psi=[0.5, 4.0])
         theta = build_theta(plan, ris)
         for n in range(24):
             nx, ny = n // 6, n % 6
@@ -196,8 +190,8 @@ class TestGains:
     def test_aligned_subsurface_exact_term(self):
         ris = make_ris(8, 12)
         zeta = (0.37, -0.81)
-        plan = PartitionPlan(t=[1.0], gradients=[PhaseGradient(*zeta)],
-                             psi=[1.9], column_counts=[12])
+        plan = PartitionPlan(column_counts=[12],
+                             gradients=[PhaseGradient(*zeta)], psi=[1.9])
         g = gain_closed_form(plan, ris, zeta)
         assert abs(g - np.exp(1.9j)) < 1e-12
 
@@ -213,11 +207,11 @@ class TestGains:
         ris = make_ris(4, 10)
         zeta = (0.25, -0.5)
         grads = [PhaseGradient(*zeta), PhaseGradient(0.9, 0.9)]
-        plan = PartitionPlan(t=[0.3, 0.7], gradients=grads,
-                             psi=[0.0, 2.0], column_counts=[3, 7])
+        plan = PartitionPlan(column_counts=[3, 7], gradients=grads,
+                             psi=[0.0, 2.0])
         assert abs(gain_asymptotic(plan, ris, zeta) - 0.3) < 1e-15
-        plan_rot = PartitionPlan(t=[0.3, 0.7], gradients=grads,
-                                 psi=[np.pi / 2, 2.0], column_counts=[3, 7])
+        plan_rot = PartitionPlan(column_counts=[3, 7], gradients=grads,
+                                 psi=[np.pi / 2, 2.0])
         assert abs(gain_asymptotic(plan_rot, ris, zeta) - 0.3j) < 1e-15
         assert gain_asymptotic(plan, ris, (0.1, 0.1)) == 0
 
@@ -230,8 +224,8 @@ class TestGains:
         for scale in (1, 3, 9):
             ny = 12 * scale
             ris = make_ris(4 * scale, ny)
-            plan, _ = PartitionPlan(t=t, gradients=grads,
-                                    psi=psi).realize(ny)
+            plan = PartitionPlan(column_counts=round_partition(t, ny),
+                                 gradients=grads, psi=psi)
             gap = abs(gain_closed_form(plan, ris, zeta)
                       - gain_asymptotic(plan, ris, zeta))
             gaps.append(gap)
@@ -239,25 +233,13 @@ class TestGains:
 
 
 class TestTilePlan:
-    def test_from_mu_rejects_fractional(self):
-        with pytest.raises(ValueError):
-            TilePlan.from_mu([0.3, 0.7], 2, 3,
-                             [PhaseGradient(0, 0), PhaseGradient(1, 1)],
-                             [0.0, 0.0])
-
-    def test_mu_property(self):
-        tiles = TilePlan.from_mu([0.25, 0.75], 2, 2,
-                                 [PhaseGradient(0, 0), PhaseGradient(1, 1)],
-                                 [0.0, 1.0])
-        np.testing.assert_allclose(tiles.mu, [0.25, 0.75])
-
     def test_stripe_tiling_reproduces_plan(self):
         rng = np.random.default_rng(6)
         ris = make_ris(4, 12)
         plan = PartitionPlan(
-            t=[1 / 3, 2 / 3],
+            column_counts=[4, 8],
             gradients=[PhaseGradient(0.3, -0.8), PhaseGradient(-1.1, 0.25)],
-            psi=[0.5, 4.0], column_counts=[4, 8])
+            psi=[0.5, 4.0])
         tiles = TilePlan.from_partition_plan(plan, ris, tiles_x=2, tiles_y=6)
         # phases share the plan's origin reference, so they copy over
         np.testing.assert_array_equal(tiles.psi_tiles,
@@ -283,33 +265,35 @@ class TestTilePlan:
             direct = gain_direct_sum(build_theta(tiles, ris), ris, zeta)
             assert abs(gain_closed_form(tiles, ris, zeta) - direct) < 1e-12
 
-    def test_from_mu_subsurface_is_one_linear_profile(self):
+    def test_tile_subsurface_is_one_linear_profile(self):
         ris = make_ris(4, 6)
         grads = [PhaseGradient(0.3, -0.8), PhaseGradient(-1.1, 0.25)]
         psi = [1.2, 0.4]
-        tiles = TilePlan.from_mu([0.5, 0.5], 2, 3, grads, psi)
+        tiles = TilePlan(tiles_x=2, tiles_y=3,
+                         assignment=[[0, 0, 0], [1, 1, 1]], gradients=grads,
+                         psi_tiles=[[1.2, 1.2, 1.2], [0.4, 0.4, 0.4]])
         theta = build_theta(tiles, ris).reshape(4, 6)
         for s, rows in enumerate((slice(0, 2), slice(2, 4))):
-            whole = PartitionPlan(t=[1.0], gradients=[grads[s]],
-                                  psi=[psi[s]], column_counts=[6])
+            whole = PartitionPlan(column_counts=[6], gradients=[grads[s]],
+                                  psi=[psi[s]])
             np.testing.assert_array_equal(
                 theta[rows], build_theta(whole, ris).reshape(4, 6)[rows])
 
     def test_tile_asymptotic(self):
         zeta = (0.25, -0.5)
-        tiles = TilePlan.from_mu([0.5, 0.5], 2, 2,
-                                 [PhaseGradient(*zeta),
-                                  PhaseGradient(0.9, 0.9)],
-                                 [1.2, 0.0])
+        tiles = TilePlan(tiles_x=2, tiles_y=2, assignment=[[0, 0], [1, 1]],
+                         gradients=[PhaseGradient(*zeta),
+                                    PhaseGradient(0.9, 0.9)],
+                         psi_tiles=[[1.2, 1.2], [0.0, 0.0]])
         g = gain_asymptotic(tiles, make_ris(4, 6), zeta)
         assert abs(g - 0.5 * np.exp(1.2j)) < 1e-14
 
     def test_tiled_gain_converges_to_limit(self):
         zeta = (0.25, -0.37)
-        tiles = TilePlan.from_mu([0.5, 0.5], 2, 2,
-                                 [PhaseGradient(*zeta),
-                                  PhaseGradient(-0.6, 0.45)],
-                                 [1.2, 0.3])
+        tiles = TilePlan(tiles_x=2, tiles_y=2, assignment=[[0, 0], [1, 1]],
+                         gradients=[PhaseGradient(*zeta),
+                                    PhaseGradient(-0.6, 0.45)],
+                         psi_tiles=[[1.2, 1.2], [0.3, 0.3]])
         gaps = []
         for side in (4, 16, 64, 256):
             ris = make_ris(side, side)
@@ -319,29 +303,30 @@ class TestTilePlan:
         assert gaps[-1] < 1e-3, gaps
 
     def test_tile_grid_must_divide_ris(self):
-        tiles = TilePlan.from_mu([0.5, 0.5], 2, 2,
-                                 [PhaseGradient(0, 0), PhaseGradient(1, 1)],
-                                 [0.0, 1.0])
+        tiles = TilePlan(tiles_x=2, tiles_y=2, assignment=[[0, 0], [1, 1]],
+                         gradients=[PhaseGradient(0, 0), PhaseGradient(1, 1)],
+                         psi_tiles=[[0.0, 0.0], [1.0, 1.0]])
         with pytest.raises(ValueError, match="divide"):
             gain_closed_form(tiles, make_ris(5, 6), (0.0, 0.0))
-        plan = PartitionPlan(t=[1.0], gradients=[PhaseGradient(0, 0)],
-                             psi=[0.0], column_counts=[6])
+        plan = PartitionPlan(column_counts=[6],
+                             gradients=[PhaseGradient(0, 0)], psi=[0.0])
         with pytest.raises(ValueError, match="divide"):
             TilePlan.from_partition_plan(plan, make_ris(4, 6), 3, 2)
 
     def test_from_partition_plan_requires_realized(self):
-        plan = PartitionPlan(t=[0.5, 0.5],
+        # realized on this RIS: the column counts cover its Ny columns
+        plan = PartitionPlan(column_counts=[2, 2],
                              gradients=[PhaseGradient(0, 0),
                                         PhaseGradient(1, 1)],
                              psi=[0.0, 1.0])
-        with pytest.raises(ValueError, match="realized"):
+        with pytest.raises(ValueError, match="sum to Ny"):
             TilePlan.from_partition_plan(plan, make_ris(4, 6), 2, 3)
 
     def test_column_blocks_must_align_with_tiles(self):
-        plan = PartitionPlan(t=[0.5, 0.5],
+        plan = PartitionPlan(column_counts=[3, 3],
                              gradients=[PhaseGradient(0, 0),
                                         PhaseGradient(1, 1)],
-                             psi=[0.0, 1.0], column_counts=[3, 3])
+                             psi=[0.0, 1.0])
         with pytest.raises(ValueError, match="align"):
             TilePlan.from_partition_plan(plan, make_ris(4, 6), 2, 3)
 

@@ -2,6 +2,8 @@
 partition ratios, the exact dual solve, and its bisection and
 Levenberg-Marquardt cross-checks."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -272,9 +274,14 @@ class TestGridSearch:
 
     def test_smallest_normal_snr_solves(self):
         tiny = np.finfo(float).tiny
-        for m_r, m_d in (([tiny], []), ([1.0], [tiny])):
-            sol = solve(AsymptoticProblem(m_r=m_r, m_d=m_d, power=1.0))
-            assert np.isfinite(sol.rate)
+        # a second SNR below about 4e-308 overflows the cubic constant,
+        # which is clipped: no warning may escape
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for m_r, m_d in (([tiny], []), ([1.0], [tiny]),
+                             ([1.0, tiny], [tiny]), ([1.0, 3e-308], [1.0])):
+                sol = solve(AsymptoticProblem(m_r=m_r, m_d=m_d, power=1.0))
+                assert np.isfinite(sol.rate)
 
     def test_deterministic(self):
         prob = random_problem(np.random.default_rng(5))
