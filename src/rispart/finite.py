@@ -21,6 +21,10 @@ log-det into an r x r one:
 ``R = B_rx^H B_rx``.  The dense model (``build_theta`` with
 ``oracle.dense_channels``, ``oracle.effective_channel`` and
 ``oracle.logdet_rate``) is the reference in :mod:`rispart.oracle`.
+
+``refine_common_phases`` moves one phase ``x = exp(j psi_s)`` at a time, so
+the trial Grams of a step are one pencil ``G0 + x E + conj(x) E^H``: one
+matrix product forms them all, and one batched ``slogdet`` scores them.
 """
 
 from __future__ import annotations
@@ -214,28 +218,63 @@ def adapt_solution(solution: Solution, realization: ChannelRealization,
                             rewaterfilled=rewaterfilled)
 
 
+def _phase_pencil(model: PathModel, x: np.ndarray):
+    """Trial rates ``rates(psi, s)``: ``psi`` with entry s set to
+    ``angle(x)``, for each unit-modulus x.  With ``A0`` the rows of ``K T``
+    at ``psi`` without sub-surface s and ``B = [C_s T1; 0]`` those of s, a
+    trial Gram is ``G0 + x E + conj(x) E^H``, where
+    ``G0 = I + (A0^H R A0 + B^H R B)/sigma^2`` and ``E = A0^H R B/sigma^2``.
+    """
+    s_max, l2, l1 = model.cascaded.shape
+    t = model.tx_weights
+    # rows of K T and of R K T / sigma^2: each sub-surface's, then direct
+    kt = np.zeros((s_max + 1, l2 + model.direct.size, t.shape[1]), complex)
+    kt[:-1, :l2] = model.cascaded @ t[:l1]
+    kt[-1, l2:] = model.direct[:, None] * t[l1:]
+    rkt = model.rx_gram @ kt / model.noise_power
+    brb = kt.conj().transpose(0, 2, 1) @ rkt
+    flat = np.stack([kt, rkt], axis=1).reshape(s_max + 1, -1)
+    coeffs = np.stack([np.ones_like(x), x, x.conj()], axis=1)
+
+    def rates(psi: np.ndarray, s: int) -> np.ndarray:
+        others = np.append(np.exp(1j * psi), 1.0)
+        others[s] = 0.0
+        a0, ra0 = (others @ flat).reshape((2,) + kt.shape[1:])
+        g0 = np.eye(t.shape[1]) + a0.conj().T @ ra0 + brb[s]
+        e = a0.conj().T @ rkt[s]
+        pencil = np.stack([(g0 + g0.conj().T) / 2.0, e, e.conj().T])
+        grams = (coeffs @ pencil.reshape(3, -1)).reshape(x.size, *g0.shape)
+        return np.linalg.slogdet(grams)[1] / np.log(2.0)
+
+    return rates
+
+
 def refine_common_phases(evaluation: FiniteEvaluation, sweeps: int = 2,
                          grid_points: int = 64) -> FiniteEvaluation:
     """Cyclic coordinate ascent on the common phases.
 
     For each sub-surface in turn the phase is set to the best of
-    ``grid_points`` equally spaced values, all evaluated in one batch; the
-    first maximum is taken, and only if it beats the current rate, so the
-    rate never decreases.  ``sweeps`` full passes.
+    ``grid_points`` equally spaced values: the first maximum, and only if
+    it is strictly above the current rate, scored on the Gram pencil of
+    :func:`_phase_pencil`.  ``sweeps`` full passes.  The rate is
+    ``model.rates`` at the chosen phases; unless that is strictly above
+    ``evaluation.rate`` the input is returned, so it never decreases.
     """
     if sweeps < 0 or grid_points < 1:
         raise ValueError("sweeps must be >= 0 and grid_points >= 1")
     psi = evaluation.plan.psi.copy()
     best_rate = evaluation.rate
     grid = np.linspace(0.0, 2.0 * np.pi, grid_points, endpoint=False)
+    trial_rates = _phase_pencil(evaluation.model, np.exp(1j * grid))
     for _ in range(sweeps):
         for s in range(psi.size):
-            trials = np.tile(psi, (grid_points, 1))
-            trials[:, s] = grid
-            rates = evaluation.model.rates(trials)
+            rates = trial_rates(psi, s)
             best = int(np.argmax(rates))
             if rates[best] > best_rate:
                 best_rate = float(rates[best])
-                psi = trials[best]
+                psi[s] = grid[best]
+    rate = float(evaluation.model.rates(psi)[0])
+    if not rate > evaluation.rate:
+        return evaluation
     plan = dataclasses.replace(evaluation.plan, psi=psi)
-    return dataclasses.replace(evaluation, plan=plan, rate=best_rate)
+    return dataclasses.replace(evaluation, plan=plan, rate=rate)

@@ -13,6 +13,7 @@ import csv
 import dataclasses
 import json
 import os
+import platform
 import subprocess
 import time
 from dataclasses import dataclass
@@ -30,6 +31,7 @@ SWEEPS = ("N", "M", "P", "SNR")
 PSI_MODES = ("random", "refine")
 
 EXPERIMENT_KEYS = ("sweep", "values", "psi", "realizations", "out")
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 @dataclass
@@ -231,7 +233,8 @@ def _git_describe() -> str:
 
 def write_results(spec: ExperimentSpec, rows: list[ResultRow],
                   summary: dict) -> None:
-    """CSV table plus a JSON sidecar with the resolved configuration."""
+    """CSV table plus a JSON sidecar with the resolved configuration, the
+    commit, and the versions and BLAS threads the run depended on."""
     with open(spec.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
@@ -241,6 +244,8 @@ def write_results(spec: ExperimentSpec, rows: list[ResultRow],
                 f"{v:.3f}" if name == "wall_ms"
                 else repr(v) if isinstance(v, float) else v
                 for name, v in zip(CSV_COLUMNS, dataclasses.astuple(r))])
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get(
+        "blas", {})
     meta = {
         "config": dataclasses.asdict(spec.config),
         "sweep": spec.sweep,
@@ -248,6 +253,10 @@ def write_results(spec: ExperimentSpec, rows: list[ResultRow],
         "psi_mode": spec.psi_mode,
         "realizations": spec.runs_per_value,
         "git": _git_describe(),
+        "environment": {
+            "python": platform.python_version(), "numpy": np.__version__,
+            "blas": {key: blas.get(key) for key in ("name", "version")},
+            "threads": {name: os.environ.get(name) for name in THREAD_VARS}},
         "summary": {repr(k): v for k, v in summary.items()},
     }
     with open(spec.out + ".meta.json", "w") as fh:

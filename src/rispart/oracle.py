@@ -15,7 +15,7 @@ validated independently.
 from __future__ import annotations
 
 import dataclasses
-from itertools import permutations, product
+from itertools import permutations
 
 import numpy as np
 
@@ -289,23 +289,6 @@ def enumerate_pairings(tx_gains, rx_gains, power: float, scale: float = 1.0,
         table.append((pairs, solve(problem).rate))
     table.sort(key=lambda row: -row[1])
     return table
-
-
-def exhaustive_psi(evaluation: FiniteEvaluation, grid_points: int,
-                   ) -> tuple[np.ndarray, float]:
-    """Global grid optimum of the common phases for small plans."""
-    s = evaluation.plan.s
-    if s > 2:
-        raise ValueError("exhaustive phase search limited to S <= 2")
-    if grid_points < 1:
-        raise ValueError("grid_points must be positive")
-    if grid_points == 1:
-        return evaluation.plan.psi.copy(), evaluation.rate
-    grid = np.linspace(0.0, 2.0 * np.pi, grid_points, endpoint=False)
-    trials = np.array(list(product(grid, repeat=s)))
-    rates = evaluation.model.rates(trials)
-    best = int(np.argmax(rates))
-    return trials[best], float(rates[best])
 
 
 def ris_response(angles, geometry: RisGeometry) -> np.ndarray:

@@ -488,28 +488,78 @@ class TestSamplerLaw:
     # sqrt(-ln(alpha / 2) / 2)
     KS_COEFFICIENT = float(np.sqrt(-np.log(0.001 / 2) / 2))
 
+    # Per hop, the angle blocks of one whole path set, in the stream order
+    # of ``oracle.sample_paths``.
+    BLOCKS = {HOP_TX_RIS: ("tx", "ris_elev", "ris_azim"),
+              HOP_RIS_RX: ("ris_elev", "ris_azim", "rx"),
+              HOP_TX_RX: ("tx", "rx")}
+
     @staticmethod
-    def whole_set(config, rng, max_tries=1000):
-        """Kept path sets, margin and draw count of rejection sampling whole
-        path sets with ``oracle.sample_paths``: the first draw whose margin
-        reaches 2, else the first best one."""
+    def min_gaps(angles, scale):
+        """``oracle.min_cosine_gap`` of each row of ``angles``."""
+        phi = scale * np.sin(angles)
+        gaps = np.abs(phi[:, :, None] - phi[:, None, :]) % 2.0
+        gaps = np.minimum(gaps, 2.0 - gaps)
+        diagonal = np.arange(phi.shape[1])
+        gaps[:, diagonal, diagonal] = np.inf
+        return gaps.min(axis=(1, 2))
+
+    @staticmethod
+    def margin(config, path_sets):
+        """The sampler's margin of one whole draw, by ``min_cosine_gap``."""
         scale = 2.0 * config.spacing_wavelengths
+        return min(
+            min_cosine_gap(np.concatenate([path_sets[HOP_TX_RIS].departure,
+                                           path_sets[HOP_TX_RX].departure]),
+                           scale) * config.m_t,
+            min_cosine_gap(np.concatenate([path_sets[HOP_RIS_RX].arrival,
+                                           path_sets[HOP_TX_RX].arrival]),
+                           scale) * config.m_r)
+
+    @classmethod
+    def whole_set(cls, config, rng, max_tries=1000, block=64):
+        """Kept path sets, margin and draw count of rejection sampling whole
+        path sets: the first draw whose margin reaches 2, else the first
+        best one.
+
+        Candidates come ``block`` at a time: per hop, one ``rng.random``
+        call for every candidate's angle uniforms and one
+        ``rng.standard_normal`` call for their gains, so each candidate has
+        its own RIS angles and gains.  A terminal angle is ``(1 - u) 2 pi``,
+        as in ``PathSet.from_draws``, and a block is scored with
+        :meth:`min_gaps`.
+        """
+        scale = 2.0 * config.spacing_wavelengths
+        lengths = dict(zip(HOP_KINDS, (config.l1, config.l2, config.l3)))
         best, best_margin = None, -np.inf
-        for draws in range(1, max_tries + 1):
-            p = {kind: sample_paths(rng, l, kind) for kind, l in zip(
-                HOP_KINDS, (config.l1, config.l2, config.l3))}
-            margin = min(
-                min_cosine_gap(np.concatenate([p[HOP_TX_RIS].departure,
-                                               p[HOP_TX_RX].departure]),
-                               scale) * config.m_t,
-                min_cosine_gap(np.concatenate([p[HOP_RIS_RX].arrival,
-                                               p[HOP_TX_RX].arrival]),
-                               scale) * config.m_r)
-            if margin > best_margin:
-                best, best_margin = p, margin
-            if margin >= 2.0:
-                break
-        return best, best_margin, draws
+        for start in range(0, max_tries, block):
+            n = min(block, max_tries - start)
+            draws = {kind: (rng.random((n, len(cls.BLOCKS[kind]), l)),
+                            rng.standard_normal((n, 2 * l)))
+                     for kind, l in lengths.items()}
+
+            def terminal(kind, name):
+                u = draws[kind][0][:, cls.BLOCKS[kind].index(name)]
+                return (1.0 - u) * (2.0 * np.pi)
+
+            margins = np.minimum(
+                cls.min_gaps(np.hstack([terminal(HOP_TX_RIS, "tx"),
+                                        terminal(HOP_TX_RX, "tx")]), scale)
+                * config.m_t,
+                cls.min_gaps(np.hstack([terminal(HOP_RIS_RX, "rx"),
+                                        terminal(HOP_TX_RX, "rx")]), scale)
+                * config.m_r)
+            met = np.flatnonzero(margins >= 2.0)
+            i = int(met[0]) if met.size else int(np.argmax(margins))
+            if margins[i] > best_margin:
+                best_margin = margins[i]
+                best = {kind: PathSet.from_draws(
+                            kind, normals[i],
+                            **dict(zip(cls.BLOCKS[kind], uniforms[i])))
+                        for kind, (uniforms, normals) in draws.items()}
+            if met.size:
+                return best, best_margin, start + i + 1
+        return best, best_margin, max_tries
 
     @staticmethod
     def statistics(path_sets, margin, draws):
@@ -531,6 +581,7 @@ class TestSamplerLaw:
                                                 re.draws).items():
                 ours.setdefault(name, []).extend(values)
             kept = self.whole_set(config, realization_rng(102, i))
+            assert kept[1] == self.margin(config, kept[0])
             for name, values in self.statistics(*kept).items():
                 theirs.setdefault(name, []).extend(values)
         assert np.mean(ours["draws"]) > 20

@@ -11,12 +11,13 @@ from rispart.asymptotic import (Allocation, Solution, coefficients,
                                 optimal_pairing, rate)
 from rispart.channel import (SimulationConfig, dbm_to_watts, realization_rng,
                              realize_channels, steering)
-from rispart.finite import (adapt_solution, eigenmode_covariance,
-                            refine_common_phases)
+from rispart.finite import (_phase_pencil, adapt_solution,
+                            eigenmode_covariance, refine_common_phases)
 from rispart.oracle import dense_rate, dense_refine, logdet_rate
 from rispart.solver import solve
 
 P0 = dbm_to_watts(60.1030)
+GRID = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
 
 
 def pipeline(seed=0, m=16, n_x=10, n_y=12, l1=2, l2=2, l3=2, **cfg_kw):
@@ -60,6 +61,18 @@ def random_evaluation(rng):
     else:
         sol = solve(prob)
     return cfg, adapt_solution(sol, re, cfg.ris_geometry, rng)
+
+
+def cases(cfg, ev):
+    """The cases of ``random_evaluation`` that one instance covers."""
+    r = ev.plan.s + ev.direct_powers.size
+    return {case for case, hit in (
+        ("S=1", ev.plan.s == 1), ("dropped", ev.rewaterfilled),
+        ("no direct", ev.direct_powers.size == 0),
+        ("r < M_t", r < cfg.m_t), ("r >= M_t", r >= cfg.m_t)) if hit}
+
+
+ALL_CASES = {"S=1", "dropped", "no direct", "r < M_t", "r >= M_t"}
 
 
 class TestEigenmodeCovariance:
@@ -191,6 +204,24 @@ class TestRefineCommonPhases:
         refined = refine_common_phases(ev, sweeps=1, grid_points=16)
         assert refined.rate >= ev.rate
 
+    @pytest.mark.filterwarnings("ignore:path counts")
+    def test_contract_on_random_instances(self):
+        # the rate never decreases and is the evaluator's at the returned
+        # phases, and every phase is the input's or a grid point
+        rng = np.random.default_rng(26)
+        seen, moved = set(), 0
+        for _ in range(60):
+            cfg, ev = random_evaluation(rng)
+            refined = refine_common_phases(ev)
+            assert refined.rate >= ev.rate
+            assert refined.rate == refined.model.rates(refined.plan.psi)[0]
+            psi = refined.plan.psi
+            assert np.all((psi == ev.plan.psi) | np.isin(psi, GRID))
+            seen |= cases(cfg, ev)
+            moved += refined.rate > ev.rate
+        assert seen == ALL_CASES
+        assert 0 < moved < 60
+
     def test_zero_sweeps_is_identity(self):
         cfg, re, prob, sol = pipeline(seed=8)
         ev = adapt_solution(sol, re, cfg.ris_geometry,
@@ -221,13 +252,30 @@ class TestPathDomain:
             for fast, ref in ((ev.rate, dense_rate(ev)),
                               (ev.model.rates(psi)[0], dense_rate(ev, psi))):
                 worst = max(worst, abs(fast - ref) / max(abs(ref), 1e-300))
-            r = ev.plan.s + ev.direct_powers.size
-            seen |= {("S=1", ev.plan.s == 1), ("dropped", ev.rewaterfilled),
-                     ("no direct", ev.direct_powers.size == 0),
-                     ("r < M_t", r < cfg.m_t), ("r >= M_t", r >= cfg.m_t)}
+            seen |= cases(cfg, ev)
         assert worst <= 1e-10, worst
-        assert {case for case, hit in seen if hit} == {
-            "S=1", "dropped", "no direct", "r < M_t", "r >= M_t"}
+        assert seen == ALL_CASES
+
+    def test_phase_pencil_matches_rates(self):
+        # every coordinate step of random instances, and of one instance at
+        # M=256, 100x300, L=16/16/8, where about 14 sub-surfaces take turns
+        rng = np.random.default_rng(25)
+        evaluations = [random_evaluation(rng)[1] for _ in range(30)]
+        cfg = SimulationConfig(m_t=256, m_r=256, n_x=100, n_y=300, l1=16,
+                               l2=16, l3=8, seed=3)
+        re = realize_channels(cfg, realization_rng(cfg.seed, 0))
+        sol = solve(coefficients(re, optimal_pairing(16, 16), cfg))
+        evaluations.append(adapt_solution(sol, re, cfg.ris_geometry, rng))
+        assert evaluations[-1].plan.s >= 10
+        for ev in evaluations:
+            trial_rates = _phase_pencil(ev.model, np.exp(1j * GRID))
+            psi = rng.uniform(0, 2 * np.pi, ev.plan.s)
+            for s in range(ev.plan.s):
+                trials = np.tile(psi, (GRID.size, 1))
+                trials[:, s] = GRID
+                np.testing.assert_allclose(
+                    trial_rates(psi, s),
+                    ev.model.rates(trials), rtol=1e-12, atol=0)
 
     def test_refinement_matches_dense_ascent(self):
         # seed 23, the first after 21 whose 20 instances all keep two or

@@ -4,10 +4,12 @@ result output, region tables, the property-check suites, and the CLI."""
 import csv
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from rispart import checks, harness
@@ -221,6 +223,21 @@ class TestRunExperiment:
         assert meta["sweep"] == "P"
         assert meta["config"]["m_t"] == 8
         assert "git" in meta
+
+    def test_metadata_records_environment(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        out = tmp_path / "res.csv"
+        run_experiment(small_spec(out=str(out), values=[30.0],
+                                  realizations=1))
+        env = json.loads((tmp_path / "res.csv.meta.json").read_text()
+                         )["environment"]
+        assert env["python"] == platform.python_version()
+        assert env["numpy"] == np.__version__
+        assert env["blas"]["name"] and env["blas"]["version"]
+        assert env["threads"] == {
+            "OPENBLAS_NUM_THREADS": "3", "MKL_NUM_THREADS": None,
+            "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS")}
 
     def test_metadata_ignores_callers_repository(self, tmp_path,
                                                  monkeypatch):

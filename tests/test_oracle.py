@@ -6,14 +6,9 @@ from math import comb
 import numpy as np
 import pytest
 
-from rispart.asymptotic import (AsymptoticProblem, coefficients,
-                                optimal_pairing, rate)
-from rispart.channel import (SimulationConfig, dbm_to_watts, realization_rng,
-                             realize_channels)
-from rispart.finite import adapt_solution
+from rispart.asymptotic import AsymptoticProblem, rate
 from rispart.oracle import (brute_force_p3, enumerate_pairings,
-                            exhaustive_psi, simplex_lattice, snap_allocation,
-                            snap_to_lattice)
+                            simplex_lattice, snap_allocation, snap_to_lattice)
 from rispart.solver import solve
 
 
@@ -123,44 +118,3 @@ class TestEnumeratePairings:
         assert len(table) == 6
         rates = [r for _, r in table]
         assert rates == sorted(rates, reverse=True)
-
-
-class TestExhaustivePsi:
-    def make_evaluation(self, l1=2, l2=2, l3=2, d3=150.0, seed=0):
-        m = 16
-        cfg = SimulationConfig(m_t=m, m_r=m, n_x=10, n_y=12, l1=l1, l2=l2,
-                               l3=l3, d3=d3,
-                               power_watts=dbm_to_watts(60.1030) / (m * m))
-        re = realize_channels(cfg, realization_rng(seed, 0))
-        prob = coefficients(re, optimal_pairing(l1, l2), cfg)
-        sol = solve(prob)
-        return adapt_solution(sol, re, cfg.ris_geometry,
-                              rng=np.random.default_rng(seed + 100))
-
-    def test_single_point_grid_returns_input(self):
-        ev = self.make_evaluation()
-        psi, r = exhaustive_psi(ev, grid_points=1)
-        np.testing.assert_array_equal(psi, ev.plan.psi)
-        assert r == ev.rate
-
-    def test_size_guard(self):
-        ev = self.make_evaluation(l1=3, l2=3, seed=1)
-        if ev.plan.s > 2:
-            with pytest.raises(ValueError):
-                exhaustive_psi(ev, grid_points=4)
-
-    def test_invariant_when_direct_is_negligible(self):
-        ev = self.make_evaluation(l1=1, l2=1, l3=1, d3=1e9, seed=2)
-        psi, best = exhaustive_psi(ev, grid_points=16)
-        assert abs(best - ev.rate) < 1e-9 * max(ev.rate, 1.0)
-
-    def test_finds_at_least_grid_maximum(self):
-        ev = self.make_evaluation(seed=3)
-        if ev.plan.s <= 2:
-            _, best = exhaustive_psi(ev, grid_points=8)
-            grid = np.linspace(0, 2 * np.pi, 8, endpoint=False)
-            # spot-check: no sampled grid combination beats the reported max
-            rng = np.random.default_rng(4)
-            for _ in range(10):
-                psi = rng.choice(grid, size=ev.plan.s)
-                assert ev.model.rates(psi)[0] <= best + 1e-12
