@@ -24,7 +24,6 @@ Conventions
 from __future__ import annotations
 
 import configparser
-import functools
 import logging
 import math
 import warnings
@@ -98,14 +97,11 @@ class PathSet:
     magnitude.
     """
 
-    kind: str
     gains: np.ndarray
     departure: np.ndarray
     arrival: np.ndarray
 
     def __post_init__(self):
-        if self.kind not in HOP_KINDS:
-            raise ValueError(f"unknown hop kind {self.kind!r}")
         self.gains = np.asarray(self.gains, dtype=complex)
         self.departure = np.asarray(self.departure, dtype=float)
         self.arrival = np.asarray(self.arrival, dtype=float)
@@ -120,7 +116,7 @@ class PathSet:
         return self.gains.size
 
     @classmethod
-    def from_draws(cls, kind: str, normals: np.ndarray,
+    def from_draws(cls, normals: np.ndarray,
                    **uniforms: np.ndarray) -> PathSet:
         """One hop's path set from its draws.
 
@@ -133,13 +129,13 @@ class PathSet:
         """
         angles = {name: (1.0 - u) * _HIGH[name]
                   for name, u in uniforms.items()}
-        ris = (None if kind == HOP_TX_RX else
-               np.column_stack([angles["ris_elev"], angles["ris_azim"]]))
+        ris = (np.column_stack([angles["ris_elev"], angles["ris_azim"]])
+               if "ris_elev" in angles else None)
         departure, arrival = angles.get("tx", ris), angles.get("rx", ris)
         l = normals.size // 2
         gains = (normals[:l] + 1j * normals[l:]) / np.sqrt(2)
         order = np.argsort(-np.abs(gains), kind="stable")
-        return cls(kind=kind, gains=gains[order],
+        return cls(gains=gains[order],
                    departure=departure[order], arrival=arrival[order])
 
 
@@ -197,10 +193,10 @@ class ChannelRealization:
         return cls(
             path_sets={
                 HOP_TX_RIS: PathSet.from_draws(
-                    HOP_TX_RIS, g1, tx=tx1, ris_elev=elev1, ris_azim=azim1),
+                    g1, tx=tx1, ris_elev=elev1, ris_azim=azim1),
                 HOP_RIS_RX: PathSet.from_draws(
-                    HOP_RIS_RX, g2, ris_elev=elev2, ris_azim=azim2, rx=rx2),
-                HOP_TX_RX: PathSet.from_draws(HOP_TX_RX, g3, tx=tx3, rx=rx3)},
+                    g2, ris_elev=elev2, ris_azim=azim2, rx=rx2),
+                HOP_TX_RX: PathSet.from_draws(g3, tx=tx3, rx=rx3)},
             pl_r=pl_r, pl_d=pl_d, noise_power=config.noise_watts,
             m_t=config.m_t, m_r=config.m_r, n=config.n, draws=draws,
             margin=margin)
@@ -245,13 +241,14 @@ class SimulationConfig:
         if not self.seed >= 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed!r}")
         try:
-            derived = (self.wavelength, self.spacing, *path_loss(self))
+            derived = (self.wavelength, self.spacing, self.steering_scale,
+                       *path_loss(self))
         except ArithmeticError:  # a distance power under- or overflows
             derived = (math.nan,)
         if not all(math.isfinite(x) and x > 0 for x in derived):
-            raise ValueError("f, d, d1/d2/d3 and path_loss_exponent must give "
-                             "a finite positive wavelength, element spacing "
-                             "and path losses")
+            raise ValueError("f, d, d1/d2/d3 and path_loss_exponent give a "
+                             "wavelength, element spacing, steering scale and "
+                             "path losses that must be finite and positive")
         # Angular resolution assumption: L1+L3 << M_t, L2+L3 << M_r,
         # L1, L2 << N.  Warn, do not enforce.
         if (self.l1 + self.l3 > self.m_t // 2
@@ -268,6 +265,11 @@ class SimulationConfig:
     @property
     def spacing(self) -> float:
         return self.spacing_wavelengths * self.wavelength
+
+    @property
+    def steering_scale(self) -> float:
+        """Steering argument per unit direction cosine, ``2d/lambda``."""
+        return 2.0 * self.spacing / self.wavelength
 
     @property
     def n(self) -> int:
@@ -389,28 +391,20 @@ def realization_rng(master_seed: int, index: int) -> np.random.Generator:
 SAMPLE_CHUNK = 128
 
 
-@functools.lru_cache(maxsize=16)
-def _pair_indices(width: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column indices of the pairs ``i < j`` among ``width``
-    angles, read-only since every caller shares them."""
-    pairs = np.triu_indices(width, 1)
-    for index in pairs:
-        index.flags.writeable = False
-    return pairs
-
-
 def _min_cosine_gaps(angles: np.ndarray, scale: float) -> np.ndarray:
     """Smallest pairwise distance between steering arguments, per row.
 
     Arguments are ``scale*sin(angle)``; the steering vector is periodic
     with period 2, so distances wrap accordingly (``scale`` > 1 when the
-    element spacing exceeds half a wavelength).  A row with fewer than two
-    angles has no pair and reads ``inf``.
+    element spacing exceeds half a wavelength).  The closest two on that
+    circle are neighbours in the order of ``phi % 2``, so a row of L >= 2
+    angles scores only its L neighbour pairs, last and first included, in
+    O(L) memory, each by ``oracle.min_cosine_gap``'s pairwise formula.
     """
     phi = scale * np.sin(angles)
-    i, j = _pair_indices(angles.shape[1])
-    gaps = np.abs(phi[:, i] - phi[:, j]) % 2.0
-    return np.minimum(gaps, 2.0 - gaps).min(axis=1, initial=np.inf)
+    phi = np.take_along_axis(phi, np.argsort(phi % 2.0, axis=1), axis=1)
+    gaps = np.abs(phi - np.roll(phi, 1, axis=1)) % 2.0
+    return np.minimum(gaps, 2.0 - gaps).min(axis=1)
 
 
 def realize_channels(config: SimulationConfig, rng: np.random.Generator,
@@ -434,7 +428,8 @@ def realize_channels(config: SimulationConfig, rng: np.random.Generator,
     angles and gains, one generator call each.  The rows are scored
     ``SAMPLE_CHUNK`` at a time; ``oracle.serial_realize_channels`` scores
     them one by one to the same result.  Memory is O(``max_tries`` *
-    (L1 + L2 + 2*L3)) doubles, 160 KB at the default config.
+    (L1 + L2 + 2*L3)) doubles, 160 KB at the default config, since a
+    chunk's neighbour scores take O(``SAMPLE_CHUNK`` * (L1 + L2 + 2*L3)).
 
     Raises ValueError when ``max_tries < 1`` or the kept margin is not
     finite (a NaN element spacing, say).
@@ -442,7 +437,7 @@ def realize_channels(config: SimulationConfig, rng: np.random.Generator,
     if max_tries < 1:
         raise ValueError("max_tries must be >= 1")
     n_tx = config.l1 + config.l3
-    scale = 2.0 * config.spacing / config.wavelength
+    scale = config.steering_scale
     rows = rng.random((max_tries, n_tx + config.l2 + config.l3))
     best, best_margin = 0, -np.inf
     for start in range(0, max_tries, SAMPLE_CHUNK):

@@ -6,10 +6,10 @@ pairing, grid the common phases, bisect the budget residual of each
 activated prefix, solve the KKT system of each activated block by
 Levenberg-Marquardt, evaluate the finite model on the dense
 N-column channel matrices (RIS response, per-hop synthesis, effective
-channel, M_r x M_r log-det rate), draw whole path sets, and score the
-path sampler's candidates one at a time, so the analytical shortcuts in
-the solver and finite modules and the batched path sampler can be
-validated independently.
+channel, M_r x M_r log-det rate), and score the path sampler's
+candidates one at a time over all their angle pairs, so the analytical
+shortcuts in the solver and finite modules and the batched path sampler
+can be validated independently.
 """
 
 from __future__ import annotations
@@ -415,46 +415,19 @@ def dense_refine(evaluation: FiniteEvaluation, sweeps: int = 2,
     return psi, best_rate
 
 
-def min_cosine_gap(angles: np.ndarray, scale: float) -> float:
-    """Smallest pairwise distance between steering arguments.
+def min_cosine_gap(angles: np.ndarray, scale: float) -> np.ndarray:
+    """Smallest pairwise distance between steering arguments along the last
+    axis of ``angles``, over all pairs (``inf`` without a pair).
 
     Arguments are ``scale*sin(angle)``; the steering vector is periodic
     with period 2, so distances wrap accordingly.
     """
     phi = scale * np.sin(np.asarray(angles, dtype=float))
-    if phi.size < 2:
-        return np.inf
-    gaps = np.abs(phi[:, None] - phi[None, :]) % 2.0
+    gaps = np.abs(phi[..., :, None] - phi[..., None, :]) % 2.0
     gaps = np.minimum(gaps, 2.0 - gaps)
-    np.fill_diagonal(gaps, np.inf)
-    return float(gaps.min())
-
-
-# Per hop, the blocks of L uniforms one whole path set draws, in stream
-# order (see ``PathSet.from_draws``).
-_BLOCKS = {
-    HOP_TX_RIS: ("tx", "ris_elev", "ris_azim"),
-    HOP_RIS_RX: ("ris_elev", "ris_azim", "rx"),
-    HOP_TX_RX: ("tx", "rx"),
-}
-
-
-def sample_paths(rng: np.random.Generator, l: int, kind: str) -> PathSet:
-    """Draw one hop's whole path set: uniform continuous angles, CSCG unit
-    gains, sorted by non-increasing magnitude.
-
-    Elevations are uniform on (0, pi/2], azimuths on (0, 2*pi]; ULA
-    boresight angles use the full azimuth range so their direction cosines
-    cover [-1, 1].  One ``rng.random`` call draws the angle blocks of
-    ``_BLOCKS[kind]`` and one ``rng.standard_normal`` call the gains.
-    """
-    if l < 1:
-        raise ValueError("L must be >= 1")
-    if kind not in _BLOCKS:
-        raise ValueError(f"unknown hop kind {kind!r}")
-    uniforms = rng.random((len(_BLOCKS[kind]), l))
-    return PathSet.from_draws(kind, rng.standard_normal(2 * l),
-                              **dict(zip(_BLOCKS[kind], uniforms)))
+    diagonal = np.arange(phi.shape[-1])
+    gaps[..., diagonal, diagonal] = np.inf
+    return gaps.min(axis=(-2, -1), initial=np.inf)
 
 
 def serial_realize_channels(config: SimulationConfig,
@@ -467,7 +440,7 @@ def serial_realize_channels(config: SimulationConfig,
     the first best one, and let ``ChannelRealization.from_draws`` draw that
     row's RIS angles and gains."""
     n_tx = config.l1 + config.l3
-    scale = 2.0 * config.spacing / config.wavelength
+    scale = config.steering_scale
     rows = [rng.random(n_tx + config.l2 + config.l3)
             for _ in range(max_tries)]
     best, best_gap = None, -np.inf

@@ -37,6 +37,7 @@ from rispart.asymptotic import Allocation, AsymptoticProblem, Solution, rate
 A_MAX = 4.0 / 27.0
 # Smallest SNR m * P the solve accepts: 1/(m * P) overflows below it
 _TINY = float(np.finfo(float).tiny)
+_ACTIVE_TOL = 1e-12
 # Bounds the Newton loop only: bisection alone narrows a factor-1.5
 # bracket to 4 ulps in about 50 steps, and every step narrows it.
 _MAX_STEPS = 100
@@ -286,13 +287,13 @@ def _dual_roots(problem: AsymptoticProblem, k: np.ndarray) -> np.ndarray:
     return np.where(np.abs(f_lo) <= np.abs(f_hi), lo, hi)
 
 
-def kkt_residual(problem: AsymptoticProblem, solution: Solution,
-                 active_tol: float = 1e-12) -> KktResidual:
+def kkt_residual(problem: AsymptoticProblem,
+                 solution: Solution) -> KktResidual:
     """Stationarity, primal-feasibility, and slackness diagnostics, each
     free of the scale of the problem (see :class:`KktResidual`).
 
-    A power counts as activated above ``active_tol * P`` and a ratio above
-    ``active_tol``.
+    A power counts as activated above ``_ACTIVE_TOL * P`` and a ratio above
+    ``_ACTIVE_TOL``.
     """
     a = solution.allocation
     v, w, power = solution.v, solution.w, problem.power
@@ -308,7 +309,7 @@ def kkt_residual(problem: AsymptoticProblem, solution: Solution,
               ((grad_t - w) / w if w > 0 else grad_t, a.t)]
     stationarity, slackness = [], []
     for gap, x in blocks:
-        on = x > active_tol
+        on = x > _ACTIVE_TOL
         stationarity.append(np.where(on, gap, np.maximum(gap, 0.0)))
         slackness.append(np.where(on, 0.0, np.maximum(-gap, 0.0)) * x)
     primal = np.array([

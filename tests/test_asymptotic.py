@@ -16,11 +16,11 @@ def make_realization(n=24, m_t=4, m_r=4, l1=2, l2=2, l3=2, seed=0,
         g = (rng.standard_normal(l) + 1j * rng.standard_normal(l))
         return g[np.argsort(-np.abs(g), kind="stable")]
 
-    tx = PathSet(kind="tx_ris", gains=gains(l1), departure=rng.random(l1),
+    tx = PathSet(gains=gains(l1), departure=rng.random(l1),
                  arrival=rng.random((l1, 2)))
-    rx = PathSet(kind="ris_rx", gains=gains(l2),
+    rx = PathSet(gains=gains(l2),
                  departure=rng.random((l2, 2)), arrival=rng.random(l2))
-    dd = PathSet(kind="tx_rx", gains=gains(l3), departure=rng.random(l3),
+    dd = PathSet(gains=gains(l3), departure=rng.random(l3),
                  arrival=rng.random(l3))
     return ChannelRealization(
         path_sets={"tx_ris": tx, "ris_rx": rx, "tx_rx": dd},

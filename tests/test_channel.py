@@ -4,6 +4,7 @@ against its draw-by-draw reference, config validation, and the dense
 channel and effective channel assembly of the reference model."""
 
 import hashlib
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -16,8 +17,8 @@ from rispart.channel import (HOP_KINDS, SAMPLE_CHUNK, ChannelRealization,
                              dbm_to_watts, load_config, path_loss,
                              realization_rng, realize_channels, steering)
 from rispart.oracle import (dense_channels, effective_channel, min_cosine_gap,
-                            ris_response, sample_paths,
-                            serial_realize_channels, synth_channel)
+                            ris_response, serial_realize_channels,
+                            synth_channel)
 
 HOP_TX_RIS, HOP_RIS_RX, HOP_TX_RX = "tx_ris", "ris_rx", "tx_rx"
 
@@ -111,33 +112,6 @@ class TestArrayResponses:
                 assert ip <= bound + 1e-12
 
 
-class TestSamplePaths:
-    def test_deterministic(self):
-        a = sample_paths(np.random.default_rng(5), 5, HOP_TX_RIS)
-        b = sample_paths(np.random.default_rng(5), 5, HOP_TX_RIS)
-        np.testing.assert_array_equal(a.gains, b.gains)
-        np.testing.assert_array_equal(a.arrival, b.arrival)
-
-    def test_sorted_gains(self):
-        p = sample_paths(np.random.default_rng(1), 50, HOP_RIS_RX)
-        mags = np.abs(p.gains)
-        assert np.all(mags[:-1] >= mags[1:])
-
-    def test_unit_variance(self):
-        p = sample_paths(np.random.default_rng(2), 1000, HOP_TX_RX)
-        assert abs(np.mean(np.abs(p.gains) ** 2) - 1.0) < 0.05
-
-    def test_angle_ranges(self):
-        p = sample_paths(np.random.default_rng(3), 200, HOP_TX_RIS)
-        elev, azim = p.arrival[:, 0], p.arrival[:, 1]
-        assert np.all((elev > 0) & (elev <= np.pi / 2))
-        assert np.all((azim > 0) & (azim <= 2 * np.pi))
-
-    def test_rejects_zero_paths(self):
-        with pytest.raises(ValueError):
-            sample_paths(np.random.default_rng(0), 0, HOP_TX_RIS)
-
-
 def _ula(angles, m, config):
     """Responses of an M-element terminal at the config's element spacing,
     as ``oracle.dense_channels`` builds them."""
@@ -147,15 +121,16 @@ def _ula(angles, m, config):
 
 class TestSynthChannel:
     def test_single_path_all_ones(self):
-        paths = PathSet(kind=HOP_TX_RX, gains=[1.0 + 0j],
-                        departure=[0.0], arrival=[0.0])
+        paths = PathSet(gains=[1.0 + 0j], departure=[0.0], arrival=[0.0])
         a = steering(np.sin(paths.departure), 2)
         np.testing.assert_allclose(synth_channel(paths, a, a),
                                    np.ones((2, 2)), atol=1e-14)
 
     def test_rank_bound(self):
         cfg = small_config(m_t=16, m_r=16)
-        p = sample_paths(np.random.default_rng(4), 3, HOP_TX_RX)
+        rng = np.random.default_rng(4)
+        p = PathSet.from_draws(rng.standard_normal(6), tx=rng.random(3),
+                               rx=rng.random(3))
         h = synth_channel(p, _ula(p.departure, 16, cfg),
                           _ula(p.arrival, 16, cfg))
         assert h.shape == (16, 16)
@@ -163,7 +138,9 @@ class TestSynthChannel:
 
     def test_matches_direct_sum(self):
         cfg = small_config()
-        p = sample_paths(np.random.default_rng(6), 3, HOP_TX_RIS)
+        rng = np.random.default_rng(6)
+        p = PathSet.from_draws(rng.standard_normal(6), tx=rng.random(3),
+                               ris_elev=rng.random(3), ris_azim=rng.random(3))
         ris = cfg.ris_geometry
         h = synth_channel(p, _ula(p.departure, cfg.m_t, cfg),
                           ris_response(p.arrival, ris))
@@ -286,18 +263,13 @@ class TestRealization:
                     re = realize_channels(cfg, realization_rng(1, index),
                                           max_tries=max_tries)
                 p = re.path_sets
-
-                def gap(angles):
-                    phi = scale * np.sin(angles)
-                    d = np.abs(phi[:, None] - phi[None, :]) % 2.0
-                    d = np.minimum(d, 2.0 - d)
-                    return d[np.triu_indices(phi.size, 1)].min()
-
                 margin = min(
-                    gap(np.concatenate([p[HOP_TX_RIS].departure,
-                                        p[HOP_TX_RX].departure])) * m,
-                    gap(np.concatenate([p[HOP_RIS_RX].arrival,
-                                        p[HOP_TX_RX].arrival])) * m)
+                    min_cosine_gap(np.concatenate([p[HOP_TX_RIS].departure,
+                                                   p[HOP_TX_RX].departure]),
+                                   scale) * m,
+                    min_cosine_gap(np.concatenate([p[HOP_RIS_RX].arrival,
+                                                   p[HOP_TX_RX].arrival]),
+                                   scale) * m)
                 assert re.margin == margin
                 assert re.margin >= 0.0
                 assert 1 <= re.draws <= max_tries
@@ -307,6 +279,38 @@ class TestRealization:
         with pytest.raises(ValueError):
             realize_channels(small_config(), realization_rng(0, 0),
                              max_tries=0)
+
+    def test_angle_ranges_and_gain_power(self):
+        # the kept path sets' angles lie on their half-open ranges and
+        # the gains are unit-power CSCG, over 250 x 40 paths
+        cfg = SimulationConfig(m_t=64, m_r=64, l1=8, l2=8, l3=4)
+        terminal, ris, gains = [], [], []
+        for index in range(250):
+            p = realize_channels(cfg, realization_rng(5, index)).path_sets
+            terminal += [p[HOP_TX_RIS].departure, p[HOP_RIS_RX].arrival,
+                         p[HOP_TX_RX].departure, p[HOP_TX_RX].arrival]
+            ris += [p[HOP_TX_RIS].arrival, p[HOP_RIS_RX].departure]
+            gains += [p[kind].gains for kind in HOP_KINDS]
+        terminal, ris = np.concatenate(terminal), np.concatenate(ris)
+        assert np.all((terminal > 0) & (terminal <= 2 * np.pi))
+        assert np.all((ris[:, 0] > 0) & (ris[:, 0] <= np.pi / 2))
+        assert np.all((ris[:, 1] > 0) & (ris[:, 1] <= 2 * np.pi))
+        assert abs(np.mean(np.abs(np.concatenate(gains)) ** 2) - 1.0) < 0.05
+        with pytest.raises(ValueError, match="at least one path"):
+            PathSet.from_draws(np.empty(0), tx=np.empty(0), rx=np.empty(0))
+
+    def test_scoring_memory_linear_in_paths(self):
+        # 260 Tx and 260 Rx angles a row: scoring all pairs of a chunk of
+        # rows would take about 100 MiB
+        with pytest.warns(UserWarning, match="not small"):
+            cfg = SimulationConfig(l1=256, l2=256, l3=4)
+        tracemalloc.start()
+        try:
+            realize_channels(cfg, realization_rng(0, 0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
 
     def test_validation(self):
         re = realize_channels(small_config(), realization_rng(0, 0))
@@ -488,21 +492,11 @@ class TestSamplerLaw:
     # sqrt(-ln(alpha / 2) / 2)
     KS_COEFFICIENT = float(np.sqrt(-np.log(0.001 / 2) / 2))
 
-    # Per hop, the angle blocks of one whole path set, in the stream order
-    # of ``oracle.sample_paths``.
+    # Per hop, the angle blocks of one whole path set, in the order
+    # :meth:`whole_set` draws them.
     BLOCKS = {HOP_TX_RIS: ("tx", "ris_elev", "ris_azim"),
               HOP_RIS_RX: ("ris_elev", "ris_azim", "rx"),
               HOP_TX_RX: ("tx", "rx")}
-
-    @staticmethod
-    def min_gaps(angles, scale):
-        """``oracle.min_cosine_gap`` of each row of ``angles``."""
-        phi = scale * np.sin(angles)
-        gaps = np.abs(phi[:, :, None] - phi[:, None, :]) % 2.0
-        gaps = np.minimum(gaps, 2.0 - gaps)
-        diagonal = np.arange(phi.shape[1])
-        gaps[:, diagonal, diagonal] = np.inf
-        return gaps.min(axis=(1, 2))
 
     @staticmethod
     def margin(config, path_sets):
@@ -527,7 +521,7 @@ class TestSamplerLaw:
         ``rng.standard_normal`` call for their gains, so each candidate has
         its own RIS angles and gains.  A terminal angle is ``(1 - u) 2 pi``,
         as in ``PathSet.from_draws``, and a block is scored with
-        :meth:`min_gaps`.
+        ``oracle.min_cosine_gap``.
         """
         scale = 2.0 * config.spacing_wavelengths
         lengths = dict(zip(HOP_KINDS, (config.l1, config.l2, config.l3)))
@@ -543,18 +537,18 @@ class TestSamplerLaw:
                 return (1.0 - u) * (2.0 * np.pi)
 
             margins = np.minimum(
-                cls.min_gaps(np.hstack([terminal(HOP_TX_RIS, "tx"),
-                                        terminal(HOP_TX_RX, "tx")]), scale)
+                min_cosine_gap(np.hstack([terminal(HOP_TX_RIS, "tx"),
+                                          terminal(HOP_TX_RX, "tx")]), scale)
                 * config.m_t,
-                cls.min_gaps(np.hstack([terminal(HOP_RIS_RX, "rx"),
-                                        terminal(HOP_TX_RX, "rx")]), scale)
+                min_cosine_gap(np.hstack([terminal(HOP_RIS_RX, "rx"),
+                                          terminal(HOP_TX_RX, "rx")]), scale)
                 * config.m_r)
             met = np.flatnonzero(margins >= 2.0)
             i = int(met[0]) if met.size else int(np.argmax(margins))
             if margins[i] > best_margin:
                 best_margin = margins[i]
                 best = {kind: PathSet.from_draws(
-                            kind, normals[i],
+                            normals[i],
                             **dict(zip(cls.BLOCKS[kind], uniforms[i])))
                         for kind, (uniforms, normals) in draws.items()}
             if met.size:
@@ -596,10 +590,12 @@ class TestConfig:
         assert abs(dbm_to_watts(30.0) - 1.0) < 1e-12
         assert abs(10.0 * np.log10(dbm_to_watts(-90.0) * 1e3) + 90.0) < 1e-12
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-    @pytest.mark.parametrize("key", ["d", "f", "d1", "d2", "d3",
-                                     "path_loss_exponent", "B", "P",
-                                     "sigma2"])
+    @pytest.mark.parametrize("key, value", [
+        *((key, value) for key in ("d", "f", "d1", "d2", "d3",
+                                   "path_loss_exponent", "B", "P", "sigma2")
+          for value in ("nan", "inf", "-inf")),
+        # finite, but the steering scale 2d/lambda overflows
+        ("d", "1.7e308")])
     def test_non_finite_float_key_rejected(self, tmp_path, key, value):
         path = tmp_path / "bad.cfg"
         path.write_text(f"[sim]\n{key} = {value}\n")

@@ -400,7 +400,9 @@ class TestCli:
         *((("seed = 1", f"seed = 1\n{key} = {value}"), [], "path losses")
           for key, value in (("d1", "1e-300"), ("d2", "1e300"),
                              ("path_loss_exponent", "1e6"), ("f", "1e300"),
-                             ("f", "1e-300")))])
+                             ("f", "1e-300"))),
+        # used to fail every row at realize_channels: 2d/lambda overflows
+        (("seed = 1", "seed = 1\nd = 1.7e308"), [], "steering scale")])
     def test_simulate_unrunnable_sweep_exits_2(self, tmp_path, capsys, edit,
                                                argv, message):
         path = tmp_path / "exp.cfg"
