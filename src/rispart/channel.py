@@ -241,14 +241,20 @@ class SimulationConfig:
         if not self.seed >= 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed!r}")
         try:
-            derived = (self.wavelength, self.spacing, self.steering_scale,
+            # the largest steering phase pi*m*phi, which also bounds twice
+            # the scale, the largest difference of two steering arguments
+            phase = (math.pi * max(self.m_t, self.m_r, self.n_x, self.n_y)
+                     * 2.0 * self.steering_scale)
+            derived = (self.wavelength, self.spacing, phase,
                        *path_loss(self))
         except ArithmeticError:  # a distance power under- or overflows
             derived = (math.nan,)
         if not all(math.isfinite(x) and x > 0 for x in derived):
             raise ValueError("f, d, d1/d2/d3 and path_loss_exponent give a "
-                             "wavelength, element spacing, steering scale and "
-                             "path losses that must be finite and positive")
+                             "wavelength, element spacing, largest steering "
+                             "phase (the steering scale times "
+                             "2*pi*max(M_t, M_r, N_x, N_y)) and path losses "
+                             "that must be finite and positive")
         # Angular resolution assumption: L1+L3 << M_t, L2+L3 << M_r,
         # L1, L2 << N.  Warn, do not enforce.
         if (self.l1 + self.l3 > self.m_t // 2
@@ -400,10 +406,21 @@ def _min_cosine_gaps(angles: np.ndarray, scale: float) -> np.ndarray:
     circle are neighbours in the order of ``phi % 2``, so a row of L >= 2
     angles scores only its L neighbour pairs, last and first included, in
     O(L) memory, each by ``oracle.min_cosine_gap``'s pairwise formula.
+
+    At ``scale <= 1`` (spacing at most half a wavelength) every ``|phi| <=
+    1``, so the rows are sorted by value with no remainder, to the same
+    result bit for bit: the order of ``phi`` is a rotation of the order of
+    ``phi % 2``, which keeps the circular neighbour pairs, and no distance
+    exceeds 2, where ``% 2`` leaves ``min(g, 2 - g)`` unchanged (at 2 both
+    give 0).
     """
     phi = scale * np.sin(angles)
-    phi = np.take_along_axis(phi, np.argsort(phi % 2.0, axis=1), axis=1)
-    gaps = np.abs(phi - np.roll(phi, 1, axis=1)) % 2.0
+    if scale <= 1.0:
+        phi.sort(axis=1)
+        gaps = np.abs(phi - np.roll(phi, 1, axis=1))
+    else:  # also a NaN scale, whose margin realize_channels rejects
+        phi = np.take_along_axis(phi, np.argsort(phi % 2.0, axis=1), axis=1)
+        gaps = np.abs(phi - np.roll(phi, 1, axis=1)) % 2.0
     return np.minimum(gaps, 2.0 - gaps).min(axis=1)
 
 

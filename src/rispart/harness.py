@@ -148,6 +148,14 @@ def _apply_sweep(config: SimulationConfig, sweep: str,
     return dataclasses.replace(config, power_watts=config.noise_watts * gain)
 
 
+def _finite_rate(result):
+    """``result`` of a stage, which fails when its ``rate`` is not finite:
+    a NaN row would otherwise count as a success and void the mean."""
+    if not np.isfinite(result.rate):
+        raise ValueError(f"rate is not finite: {result.rate!r}")
+    return result
+
+
 def _run_one(task) -> ResultRow:
     config, sweep, value, index, psi_mode = task
     start = time.perf_counter()
@@ -163,12 +171,13 @@ def _run_one(task) -> ResultRow:
         pairing = optimal_pairing(cfg.l1, cfg.l2)
         problem = coefficients(realization, pairing, cfg)
         stage = "solve"
-        sol = solve(problem)
+        sol = _finite_rate(solve(problem))
         stage = "adapt_solution"
-        ev = adapt_solution(sol, realization, cfg.ris_geometry, rng)
+        ev = _finite_rate(adapt_solution(sol, realization, cfg.ris_geometry,
+                                         rng))
         if psi_mode == "refine":
             stage = "refine_common_phases"
-            ev = refine_common_phases(ev)
+            ev = _finite_rate(refine_common_phases(ev))
         row.rate_asymptotic, row.rate_finite = float(sol.rate), float(ev.rate)
         row.activated_cascaded = len(sol.s_active)
         row.activated_direct = len(sol.i_active)

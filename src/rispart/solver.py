@@ -299,7 +299,9 @@ def kkt_residual(problem: AsymptoticProblem,
     v, w, power = solution.v, solution.w, problem.power
     m_r, m_d = problem.m_r, problem.m_d
     grad_p_r = m_r * a.t ** 2 / (1.0 + m_r * a.p_r * a.t ** 2)
-    grad_t = 2.0 * m_r * a.p_r * a.t / (1.0 + m_r * a.p_r * a.t ** 2)
+    # m_r alone can be near the largest float when P is tiny; m_r * p_r
+    # is an SNR
+    grad_t = 2.0 * (m_r * a.p_r) * a.t / (1.0 + m_r * a.p_r * a.t ** 2)
     grad_p_d = m_d / (1.0 + m_d * a.p_d)
     # (gradient-minus-dual gap relative to the dual, primal value relative
     # to its scale); w is 0 only when no cascaded power is on, and then

@@ -14,8 +14,9 @@ from hypothesis import strategies as st
 
 from rispart.channel import (HOP_KINDS, SAMPLE_CHUNK, ChannelRealization,
                              PathSet, RisGeometry, SimulationConfig,
-                             dbm_to_watts, load_config, path_loss,
-                             realization_rng, realize_channels, steering)
+                             _min_cosine_gaps, dbm_to_watts, load_config,
+                             path_loss, realization_rng, realize_channels,
+                             steering)
 from rispart.oracle import (dense_channels, effective_channel, min_cosine_gap,
                             ris_response, serial_realize_channels,
                             synth_channel)
@@ -406,7 +407,7 @@ class TestBatchedSampler:
         outcomes = set()
         case = 0
         for m in (4, 8, 16, 32, 64):
-            for d in (0.5, 1.0):
+            for d in (0.3, 0.5, 0.7, 1.0):
                 for max_tries in (1, 3, 20, 1000):
                     paths = self.PATHS[case % len(self.PATHS)]
                     re = self.compare(_sampler_config(m, paths, d), 3, case,
@@ -417,6 +418,22 @@ class TestBatchedSampler:
         for m, paths, d, seed, index in self.BOUNDARY:
             re = self.compare(_sampler_config(m, paths, d), seed, index, 1000)
             assert self.outcome(re) == "chunk boundary"
+
+    @pytest.mark.parametrize("scale", [0.25, 1.0, 1.0000001, 1.4, 2.6])
+    def test_kernel_matches_pairwise_reference(self, scale):
+        # scale <= 1 sorts by value, a larger one by phi % 2
+        theta = 0.7
+        rows = ([np.pi / 2, 3 * np.pi / 2],  # phi = +-scale exactly
+                [np.pi / 2, 1.0, 3 * np.pi / 2, 4.0],
+                [theta, 2.0, theta, 5.0],  # a repeated angle
+                [theta, 3.0, np.pi - theta])  # equal sines
+        rng = np.random.default_rng(23)
+        for angles in ([np.array([row]) for row in rows]
+                       + [(1.0 - rng.random((n, l))) * (2.0 * np.pi)
+                          for n, l in ((SAMPLE_CHUNK, 2), (SAMPLE_CHUNK, 9),
+                                       (8, 260))]):
+            np.testing.assert_array_equal(_min_cosine_gaps(angles, scale),
+                                          min_cosine_gap(angles, scale))
 
     @given(m=st.integers(2, 64), d=st.sampled_from([0.5, 1.0]),
            max_tries=st.integers(1, 64),
@@ -595,7 +612,10 @@ class TestConfig:
                                    "path_loss_exponent", "B", "P", "sigma2")
           for value in ("nan", "inf", "-inf")),
         # finite, but the steering scale 2d/lambda overflows
-        ("d", "1.7e308")])
+        ("d", "1.7e308"),
+        # finite, but the steering phase pi*m*phi or twice the scale
+        # overflows
+        ("d", "1e307"), ("d", "5e307")])
     def test_non_finite_float_key_rejected(self, tmp_path, key, value):
         path = tmp_path / "bad.cfg"
         path.write_text(f"[sim]\n{key} = {value}\n")

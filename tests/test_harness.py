@@ -2,7 +2,10 @@
 result output, region tables, the property-check suites, and the CLI."""
 
 import csv
+import dataclasses
+import itertools
 import json
+import math
 import os
 import platform
 import subprocess
@@ -11,14 +14,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from rispart import checks, harness
-from rispart.channel import (SimulationConfig, dbm_to_watts,
+from rispart.channel import (SimulationConfig, dbm_to_watts, load_config,
                              realization_rng, realize_channels)
 from rispart.checks import SUITES, verify
 from rispart.cli import main
-from rispart.harness import (CSV_COLUMNS, ExperimentSpec, _apply_sweep,
-                             fig3_regions, load_experiment, run_experiment)
+from rispart.harness import (CSV_COLUMNS, PSI_MODES, ExperimentSpec,
+                             _apply_sweep, fig3_regions, load_experiment,
+                             run_experiment)
 
 EXPERIMENT_TEXT = """\
 [sim]
@@ -203,6 +209,18 @@ class TestRunExperiment:
         rows, _ = run_experiment(small_spec(values=[30.0], realizations=1))
         assert rows[0].error == "adapt_solution: RuntimeError: boom"
         assert rows[0].draws >= 1  # sampled before the failing stage
+
+    @pytest.mark.parametrize("psi_mode", PSI_MODES)
+    def test_non_finite_rate_fails_its_row(self, monkeypatch, psi_mode):
+        adapt = harness.adapt_solution
+        monkeypatch.setattr(harness, "adapt_solution", lambda *args: (
+            dataclasses.replace(adapt(*args), rate=math.nan)))
+        rows, summary = run_experiment(small_spec(
+            values=[30.0], realizations=1, psi_mode=psi_mode))
+        assert rows[0].error == "adapt_solution: ValueError: rate is not " \
+                                "finite: nan"
+        assert (rows[0].rate_asymptotic, rows[0].rate_finite) == (0.0, 0.0)
+        assert summary[30.0]["failures"] == 1
 
     def test_writes_csv_and_metadata(self, tmp_path):
         out = tmp_path / "results.csv"
@@ -402,7 +420,11 @@ class TestCli:
                              ("path_loss_exponent", "1e6"), ("f", "1e300"),
                              ("f", "1e-300"))),
         # used to fail every row at realize_channels: 2d/lambda overflows
-        (("seed = 1", "seed = 1\nd = 1.7e308"), [], "steering scale")])
+        (("seed = 1", "seed = 1\nd = 1.7e308"), [], "steering scale"),
+        # the steering phase overflows: NaN finite rates with no error, or
+        # every row failing at realize_channels
+        (("seed = 1", "seed = 1\nd = 1e307"), [], "steering scale"),
+        (("seed = 1", "seed = 1\nd = 5e307"), [], "steering scale")])
     def test_simulate_unrunnable_sweep_exits_2(self, tmp_path, capsys, edit,
                                                argv, message):
         path = tmp_path / "exp.cfg"
@@ -418,3 +440,41 @@ class TestCli:
                      str(tmp_path / "res.csv")]) == 0
         assert (tmp_path / "res.csv").exists()
         assert "P=20" in capsys.readouterr().out
+
+
+class TestFloatKeyFuzz:
+    """Each float config key either fails the config or runs every sweep
+    kind and psi mode to finite rates, or to an error naming its stage."""
+
+    KEYS = ("d", "f", "d1", "d2", "d3", "path_loss_exponent", "B", "P",
+            "sigma2")
+    VALUES = ("nan", "inf", "-inf", "0", "-1", "1e-300", "1e300", "1e307",
+              "1.7e308")
+    STAGES = ("config", "realize_channels", "coefficients", "solve",
+              "adapt_solution", "refine_common_phases")
+    # one value per sweep kind; N and M keep the small config's sizes
+    SWEEPS = (("N", 24.0), ("M", 8.0), ("P", 30.0), ("SNR", 100.0))
+
+    # more examples than the 81 cases, so hypothesis runs each of them
+    @given(case=st.sampled_from(list(itertools.product(KEYS, VALUES))))
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_value_fails_loudly_or_runs(self, tmp_path, case):
+        key, value = case
+        path = tmp_path / "fuzz.cfg"
+        path.write_text("[sim]\nM_t = 8\nM_r = 8\nN_x = 4\nN_y = 6\n"
+                        f"L1 = 2\nL2 = 2\nL3 = 1\n{key} = {value}\n")
+        try:
+            config = load_config(str(path))
+        except ValueError:
+            return
+        for sweep, sweep_value in self.SWEEPS:
+            for psi_mode in PSI_MODES:
+                row = harness._run_one((config, sweep, sweep_value, 0,
+                                        psi_mode))
+                if row.error:
+                    assert row.error.split(":")[0] in self.STAGES, row.error
+                else:
+                    rates = (row.rate_asymptotic, row.rate_finite)
+                    assert all(math.isfinite(r) and r > 0 for r in rates), (
+                        sweep, psi_mode, rates)
