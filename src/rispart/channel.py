@@ -221,7 +221,6 @@ class SimulationConfig:
     path_loss_exponent: float = 2.4
     power_watts: float = dbm_to_watts(30.0)
     noise_watts: float = dbm_to_watts(-90.0)
-    bandwidth: float = 251.1886e6
     realizations: int = 100
     seed: int = 0
 
@@ -229,11 +228,11 @@ class SimulationConfig:
         for name in ("m_t", "m_r", "n_x", "n_y", "l1", "l2", "l3",
                      "realizations"):
             value = getattr(self, name)
-            if not (np.isfinite(value) and value >= 1):
-                raise ValueError(f"{name} must be positive")
+            if not 1 <= value < 2 ** 63:  # numpy takes no larger int
+                raise ValueError(f"{name} must be positive and below 2**63, "
+                                 f"got {value!r}")
         for name in ("spacing_wavelengths", "carrier_frequency", "d1", "d2",
-                     "d3", "path_loss_exponent", "power_watts", "noise_watts",
-                     "bandwidth"):
+                     "d3", "path_loss_exponent", "power_watts", "noise_watts"):
             value = getattr(self, name)
             if not (np.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and positive, "
@@ -300,7 +299,6 @@ _CONFIG_KEYS = {
     "d2": ("d2", float),
     "d3": ("d3", float),
     "path_loss_exponent": ("path_loss_exponent", float),
-    "B": ("bandwidth", float),
     "realizations": ("realizations", int),
     "seed": ("seed", int),
 }
@@ -322,7 +320,7 @@ def load_config(path: str, ignore_sections: tuple[str, ...] = ()) -> SimulationC
 
     Keys mirror the simulation-parameter table: ``M_t``, ``M_r``, ``N_x``,
     ``N_y``, ``d`` (in wavelengths), ``f`` (Hz), ``P`` (dBm), ``sigma2``
-    (dBm), ``B`` (Hz), ``L1``/``L2``/``L3``, ``d1``/``d2``/``d3`` (m),
+    (dBm), ``L1``/``L2``/``L3``, ``d1``/``d2``/``d3`` (m),
     ``path_loss_exponent``, ``realizations``, ``seed``.  Section names are
     ignored (``ignore_sections`` are skipped entirely); keys must be unique
     across the remaining file.
@@ -360,6 +358,38 @@ def steering(phi, m: int) -> np.ndarray:
         raise ValueError("M must be >= 1")
     return (np.exp(1j * np.pi * np.arange(m)[:, None] * np.atleast_1d(phi))
             / np.sqrt(m))
+
+
+def dirichlet_ratio(extent, x):
+    """``sin(extent*x) / (extent*sin(x))`` with its limits at sin(x) = 0.
+
+    At ``x = m*pi`` the ratio tends to ``cos(extent*m*pi)/cos(m*pi)`` (equal
+    to 1 when ``|x| < 1e-9``); a zero extent gives 1.  Magnitude never
+    exceeds 1 for integer extents.  Elementwise over broadcast arrays.
+    """
+    extent = np.asarray(extent, dtype=float)
+    x = np.asarray(x, dtype=float)
+    s = np.sin(x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.sin(extent * x) / (extent * s)
+    near = np.abs(s) < 1e-9
+    if near.any():
+        m = np.round(x / np.pi)
+        ratio = np.where(near, np.cos(extent * m * np.pi) / np.cos(m * np.pi),
+                         ratio)
+    return np.where(extent == 0, 1.0, ratio)[()]
+
+
+def steering_gram(phi_a, phi_b, m: int) -> np.ndarray:
+    """``steering(phi_a, m)^H steering(phi_b, m)`` without the M-row
+    matrices: entry (i, k) is ``exp(j(M-1)x) dirichlet_ratio(M, x)`` with
+    ``x = pi(phi_b[k] - phi_a[i])/2`` taken modulo pi into [-pi/2, pi/2],
+    where sin(x) is small only if M*x is, so it is accurate at any M."""
+    if m < 1:
+        raise ValueError("M must be >= 1")
+    delta = np.atleast_1d(phi_b)[None, :] - np.atleast_1d(phi_a)[:, None]
+    x = 0.5 * np.pi * (delta - 2.0 * np.round(0.5 * delta))
+    return np.exp(1j * (m - 1) * x) * dirichlet_ratio(m, x)
 
 
 def ris_cosines(angles) -> tuple[np.ndarray, np.ndarray]:

@@ -38,6 +38,15 @@ def _parse_problem_file(path: str) -> AsymptoticProblem:
     return AsymptoticProblem(m_r=m_r, m_d=m_d, power=float(values["P"]))
 
 
+def _at_least(low: int):
+    """argparse type: an integer of at least ``low``, else a usage error."""
+    def integer(text: str) -> int:
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}")
+        return int(text)
+    return integer
+
+
 def _cmd_simulate(args) -> int:
     updates = {}
     if args.out:
@@ -133,7 +142,7 @@ def main(argv=None) -> int:
     p.add_argument("spec", help="experiment spec file")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_at_least(1), default=1)
     p.add_argument("--psi", choices=PSI_MODES, default=None)
     p.set_defaults(func=_cmd_simulate)
 
@@ -151,7 +160,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("verify", help="run a property-check suite")
     p.add_argument("suite", choices=[*SUITES, "all"])
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.set_defaults(func=_cmd_verify)
 
     args = parser.parse_args(argv)

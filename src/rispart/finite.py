@@ -2,25 +2,26 @@
 
 The asymptotic solution prescribes partition ratios, per-path powers, and
 path pairs.  Here the ratios are rounded onto the physical RIS columns,
-the paired-path gradients and common phases are assigned, the transmit
-covariance is formed by eigenmode transmission over the activated path
-steering vectors, and the exact log-det rate of the resulting effective
-channel is computed and compared against the asymptotic prediction.
+the paired-path gradients and common phases are assigned, the powers are
+sent by eigenmode transmission over the activated paths' steering
+vectors, and the exact log-det rate of the resulting effective channel is
+computed and compared against the asymptotic prediction.
 
-The rate is evaluated in the path domain, without the N-column channel
-matrices.  The effective channel is ``H = B_rx K(psi) B_tx^H``: ``B_tx``
-and ``B_rx`` hold the terminal steering vectors of the Tx-RIS and direct
-paths, and the ``(L2+L3) x (L1+L3)`` core ``K`` is block diagonal.  Its
-cascaded block is ``c_r diag(beta) (sum_s exp(j psi_s) G_s) diag(alpha)``
-with ``G_s[v, u]`` the Dirichlet-kernel gain of sub-surface s alone at
+The rate is evaluated in the path domain, without an N- or M-sized array.
+The effective channel is ``H = B_rx K(psi) B_tx^H``: ``B_tx`` and ``B_rx``
+hold the terminal steering vectors of the Tx-RIS and direct paths, and
+the ``(L2+L3) x (L1+L3)`` core ``K`` is block diagonal.  Its cascaded
+block is ``c_r diag(beta) (sum_s exp(j psi_s) G_s) diag(alpha)`` with
+``G_s[v, u]`` the Dirichlet-kernel gain of sub-surface s alone at
 ``zeta = u(dep_v) - u(arr_u)``, and its direct block is
-``c_d diag(gamma)``.  With ``Q = W W^H`` of rank r (the number of
-activated paths), Sylvester's determinant identity turns the M_r x M_r
-log-det into an r x r one:
+``c_d diag(gamma)``.  With ``Q = W W^H``, ``W = B_tx[:, basis]
+diag(sqrt(p))`` of rank r (the activated paths), Sylvester's identity
+turns the M_r x M_r log-det into an r x r one:
 ``log2 det(I + T^H K^H R K T / sigma^2)`` with ``T = B_tx^H W`` and
-``R = B_rx^H B_rx``.  The dense model (``build_theta`` with
-``oracle.dense_channels``, ``oracle.effective_channel`` and
-``oracle.logdet_rate``) is the reference in :mod:`rispart.oracle`.
+``R = B_rx^H B_rx``, Grams that ``channel.steering_gram`` gives in closed
+form.  The dense model (Q, ``build_theta`` with ``oracle.dense_channels``,
+``oracle.effective_channel`` and ``oracle.logdet_rate``) is the reference
+in :mod:`rispart.oracle`.
 
 ``refine_common_phases`` moves one phase ``x = exp(j psi_s)`` at a time, so
 the trial Grams of a step are one pencil ``G0 + x E + conj(x) E^H``: one
@@ -37,7 +38,7 @@ import numpy as np
 
 from rispart.channel import (HOP_RIS_RX, HOP_TX_RIS, HOP_TX_RX,
                              ChannelRealization, RisGeometry, ris_cosines,
-                             steering)
+                             steering_gram)
 from rispart.partition import (PartitionPlan, PhaseGradient, round_partition,
                                subsurface_gains)
 from rispart.asymptotic import Solution
@@ -82,16 +83,21 @@ class PathModel:
 
 @dataclass
 class FiniteEvaluation:
-    """Realized plan, transmit covariance, and the achieved exact rate."""
+    """Realized plan, eigenmodes, and the achieved exact rate.
+
+    ``basis_paths`` index the columns of ``B_tx = [A_tx1 | A_tx3]`` (direct
+    paths offset by L1) that carry the eigenmodes, one per sub-surface of
+    ``plan`` and then the direct ones, with ``powers``.
+    """
 
     plan: PartitionPlan
-    q: np.ndarray
+    basis_paths: list[int]
+    powers: np.ndarray
     rate: float
     rate_asymptotic: float
     realization: ChannelRealization = field(repr=False)
     ris: RisGeometry = field(repr=False)
     model: PathModel = field(repr=False)
-    direct_powers: np.ndarray = field(default_factory=lambda: np.empty(0))
     rewaterfilled: bool = False
 
     @property
@@ -101,29 +107,14 @@ class FiniteEvaluation:
         return abs(self.rate - ref) / ref if ref > 0 else 0.0
 
 
-def eigenmode_covariance(steering_basis: np.ndarray,
-                         powers) -> np.ndarray:
-    """Transmit covariance ``A diag(p) A^H`` over a steering basis."""
-    powers = np.atleast_1d(np.asarray(powers, dtype=float))
-    a = np.asarray(steering_basis, dtype=complex)
-    if a.ndim != 2 or a.shape[1] != powers.size:
-        raise ValueError("one power per basis column required")
-    if np.any(powers < 0):
-        raise ValueError("powers must be nonnegative")
-    return (a * powers) @ a.conj().T
-
-
 def path_model(realization: ChannelRealization, ris: RisGeometry,
                plan: PartitionPlan, zeta: tuple[np.ndarray, np.ndarray],
-               basis_paths: list[int],
-               powers: np.ndarray) -> tuple[PathModel, np.ndarray]:
-    """Path-domain model of a realized plan, and the covariance Q.
+               basis_paths: list[int], powers: np.ndarray) -> PathModel:
+    """Path-domain model of a realized plan.
 
     ``zeta`` holds the x and y direction-cosine differences (L2 x L1) of
-    every RIS-Rx departure v and Tx-RIS arrival u.  ``basis_paths`` index
-    the columns of ``B_tx = [A_tx1 | A_tx3]`` that carry the eigenmodes
-    (Tx-RIS paths first, then direct paths offset by L1), one per entry of
-    ``powers``.
+    every RIS-Rx departure v and Tx-RIS arrival u.  ``basis_paths`` and
+    ``powers`` are those of :class:`FiniteEvaluation`.
     """
     if ris.n != realization.n:
         raise ValueError("RIS geometry does not match the realization")
@@ -137,18 +128,15 @@ def path_model(realization: ChannelRealization, ris: RisGeometry,
     c_d = np.sqrt(realization.pl_d * m_t * m_r / direct.count)
     # the terminal ULAs share the RIS element spacing
     scale = 2.0 * ris.element_spacing / ris.wavelength
-    b_tx = steering(scale * np.sin(np.concatenate([tx.departure,
-                                                   direct.departure])), m_t)
-    b_rx = steering(scale * np.sin(np.concatenate([rx.arrival,
-                                                   direct.arrival])), m_r)
-    basis = b_tx[:, basis_paths]
-    model = PathModel(
+    phi_tx = scale * np.sin(np.concatenate([tx.departure, direct.departure]))
+    phi_rx = scale * np.sin(np.concatenate([rx.arrival, direct.arrival]))
+    return PathModel(
         cascaded=c_r * rx.gains[:, None] * gains * tx.gains[None, :],
         direct=c_d * direct.gains,
-        tx_weights=b_tx.conj().T @ (basis * np.sqrt(powers)),
-        rx_gram=b_rx.conj().T @ b_rx,
+        tx_weights=(steering_gram(phi_tx, phi_tx[basis_paths], m_t)
+                    * np.sqrt(powers)),
+        rx_gram=steering_gram(phi_rx, phi_rx, m_r),
         noise_power=realization.noise_power)
-    return model, eigenmode_covariance(basis, powers)
 
 
 def adapt_solution(solution: Solution, realization: ChannelRealization,
@@ -159,10 +147,10 @@ def adapt_solution(solution: Solution, realization: ChannelRealization,
 
     Rounds the partition ratios to integer column counts, assigns the
     paired-path gradients, draws common phases uniformly (unless given),
-    forms the eigenmode transmit covariance, and evaluates the exact
-    log-det rate in the path domain.  If rounding drops a sub-surface, the
-    transmit power is re-allocated by water-filling over the surviving
-    channels.
+    sends the powers on the eigenmodes of the activated paths, and
+    evaluates the exact log-det rate in the path domain.  If rounding drops
+    a sub-surface, the transmit power is re-allocated by water-filling over
+    the surviving channels.
     """
     problem = solution.problem
     alloc = solution.allocation
@@ -197,24 +185,20 @@ def adapt_solution(solution: Solution, realization: ChannelRealization,
                      "re-water-filling the power budget",
                      len(active) - len(survivors), len(active))
         # redistribute the full budget over the surviving channels
-        p, _ = water_filling(np.concatenate([
+        powers, _ = water_filling(np.concatenate([
             problem.m_r[survivors] * (plan.column_counts / ris.ny) ** 2,
             problem.m_d[i_active]]), problem.power)
-        p_r = p[:len(survivors)]
-        p_d = p[len(survivors):]
     else:
-        p_r = alloc.p_r[survivors]
-        p_d = alloc.p_d[i_active]
+        powers = np.concatenate([alloc.p_r[survivors], alloc.p_d[i_active]])
 
     basis_paths = ([problem.pairs[s][0] for s in survivors]
                    + [tx.count + int(problem.d_perm[i]) for i in i_active])
-    model, q = path_model(realization, ris, plan, zeta, basis_paths,
-                          np.concatenate([p_r, p_d]))
-    return FiniteEvaluation(plan=plan, q=q,
+    model = path_model(realization, ris, plan, zeta, basis_paths, powers)
+    return FiniteEvaluation(plan=plan, basis_paths=basis_paths,
+                            powers=powers,
                             rate=float(model.rates(plan.psi)[0]),
                             rate_asymptotic=solution.rate,
                             realization=realization, ris=ris, model=model,
-                            direct_powers=p_d,
                             rewaterfilled=rewaterfilled)
 
 

@@ -6,10 +6,10 @@ pairing, grid the common phases, bisect the budget residual of each
 activated prefix, solve the KKT system of each activated block by
 Levenberg-Marquardt, evaluate the finite model on the dense
 N-column channel matrices (RIS response, per-hop synthesis, effective
-channel, M_r x M_r log-det rate), and score the path sampler's
-candidates one at a time over all their angle pairs, so the analytical
-shortcuts in the solver and finite modules and the batched path sampler
-can be validated independently.
+channel, transmit covariance, M_r x M_r log-det rate), and score the path
+sampler's candidates one at a time over all their angle pairs, so the
+analytical shortcuts in the solver and finite modules and the batched path
+sampler can be validated independently.
 """
 
 from __future__ import annotations
@@ -371,23 +371,44 @@ def logdet_rate(h_eff: np.ndarray, q: np.ndarray, noise_power: float) -> float:
     return float(logdet / np.log(2.0))
 
 
-def _dense_rate(evaluation: FiniteEvaluation, channels,
+def eigenmode_covariance(steering_basis: np.ndarray,
+                         powers) -> np.ndarray:
+    """Transmit covariance ``A diag(p) A^H`` over a steering basis."""
+    powers = np.atleast_1d(np.asarray(powers, dtype=float))
+    a = np.asarray(steering_basis, dtype=complex)
+    if a.ndim != 2 or a.shape[1] != powers.size:
+        raise ValueError("one power per basis column required")
+    if np.any(powers < 0):
+        raise ValueError("powers must be nonnegative")
+    return (a * powers) @ a.conj().T
+
+
+def transmit_covariance(evaluation: FiniteEvaluation) -> np.ndarray:
+    """The M_t x M_t covariance Q of ``evaluation``'s basis paths."""
+    re, ris = evaluation.realization, evaluation.ris
+    departures = np.concatenate([re.path_sets[HOP_TX_RIS].departure,
+                                 re.path_sets[HOP_TX_RX].departure])
+    phi = (2.0 * ris.element_spacing / ris.wavelength
+           * np.sin(departures[evaluation.basis_paths]))
+    return eigenmode_covariance(steering(phi, re.m_t), evaluation.powers)
+
+
+def _dense_rate(evaluation: FiniteEvaluation, channels, q: np.ndarray,
                 psi: np.ndarray) -> float:
     plan = dataclasses.replace(evaluation.plan, psi=psi)
     h_eff = effective_channel(evaluation.realization, channels,
                               build_theta(plan, evaluation.ris))
-    return logdet_rate(h_eff, evaluation.q,
-                       evaluation.realization.noise_power)
+    return logdet_rate(h_eff, q, evaluation.realization.noise_power)
 
 
 def dense_rate(evaluation: FiniteEvaluation,
                psi: np.ndarray | None = None) -> float:
     """Reference log-det rate of ``evaluation`` (common phases ``psi``,
     default its own) on the dense channels: per-element reflection
-    coefficients, the M_r x M_t effective channel, and the M_r x M_r
-    determinant."""
+    coefficients, the M_r x M_t effective channel, the M_t x M_t
+    covariance Q, and the M_r x M_r determinant."""
     channels = dense_channels(evaluation.realization, evaluation.ris)
-    return _dense_rate(evaluation, channels,
+    return _dense_rate(evaluation, channels, transmit_covariance(evaluation),
                        evaluation.plan.psi if psi is None else psi)
 
 
@@ -400,15 +421,16 @@ def dense_refine(evaluation: FiniteEvaluation, sweeps: int = 2,
     Returns the phases and their rate.
     """
     channels = dense_channels(evaluation.realization, evaluation.ris)
+    q = transmit_covariance(evaluation)
     psi = evaluation.plan.psi.copy()
-    best_rate = _dense_rate(evaluation, channels, psi)
+    best_rate = _dense_rate(evaluation, channels, q, psi)
     grid = np.linspace(0.0, 2.0 * np.pi, grid_points, endpoint=False)
     for _ in range(sweeps):
         for s in range(psi.size):
             for cand in grid:
                 trial = psi.copy()
                 trial[s] = cand
-                r = _dense_rate(evaluation, channels, trial)
+                r = _dense_rate(evaluation, channels, q, trial)
                 if r > best_rate:
                     best_rate = r
                     psi = trial

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from rispart.channel import RisGeometry
+from rispart.channel import RisGeometry, dirichlet_ratio
 
 # gradient-to-zeta distance below which a sub-surface counts as aligned
 ALIGN_TOL = 1e-12
@@ -166,24 +166,6 @@ def gain_direct_sum(theta: np.ndarray, ris: RisGeometry,
     px = np.exp(-1j * ris.k * zx * np.arange(ris.nx))
     py = np.exp(-1j * ris.k * zy * np.arange(ris.ny))
     return complex(px @ grid @ py / ris.n)
-
-
-def dirichlet_ratio(extent, x):
-    """``sin(extent*x) / (extent*sin(x))`` with its limits at sin(x) = 0.
-
-    At ``x = m*pi`` the ratio tends to ``cos(extent*m*pi)/cos(m*pi)`` (equal
-    to 1 when ``|x| < 1e-9``); a zero extent gives 1.  Magnitude never
-    exceeds 1 for integer extents.  Elementwise over broadcast arrays.
-    """
-    extent, x = np.broadcast_arrays(np.asarray(extent, dtype=float),
-                                    np.asarray(x, dtype=float))
-    s = np.sin(x)
-    m = np.round(x / np.pi)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(np.abs(s) < 1e-9,
-                         np.cos(extent * m * np.pi) / np.cos(m * np.pi),
-                         np.sin(extent * x) / (extent * s))
-    return np.where(extent == 0, 1.0, ratio)[()]
 
 
 def subsurface_gains(plan: PartitionPlan | TilePlan, ris: RisGeometry,

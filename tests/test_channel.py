@@ -16,7 +16,7 @@ from rispart.channel import (HOP_KINDS, SAMPLE_CHUNK, ChannelRealization,
                              PathSet, RisGeometry, SimulationConfig,
                              _min_cosine_gaps, dbm_to_watts, load_config,
                              path_loss, realization_rng, realize_channels,
-                             steering)
+                             steering, steering_gram)
 from rispart.oracle import (dense_channels, effective_channel, min_cosine_gap,
                             ris_response, serial_realize_channels,
                             synth_channel)
@@ -59,6 +59,32 @@ class TestSteeringVector:
         v = steering(phi, m)
         assert abs(np.linalg.norm(v) - 1.0) < 1e-12
         np.testing.assert_allclose(v, steering(phi + 2.0, m), atol=1e-9)
+
+
+class TestSteeringGram:
+    @pytest.mark.parametrize("m", [1, 2, 32, 4096])
+    def test_matches_steering_product(self, m):
+        rng = np.random.default_rng(m)
+        for scale in (0.5, 1.0, 1.3):
+            # equal arguments, arguments 2 apart (x = pi) and +-scale
+            phi = np.concatenate([[0.3, 0.3, 1.0, -1.0, scale, -scale,
+                                   scale - 2.0],
+                                  scale * np.sin(rng.uniform(0, 7, 20))])
+            for a, b in ((phi, phi), (phi, phi[[4, 0, 9, 3]])):
+                np.testing.assert_allclose(
+                    steering_gram(a, b, m),
+                    steering(a, m).conj().T @ steering(b, m),
+                    rtol=0, atol=1e-12)
+
+    def test_hermitian_with_unit_diagonal(self):
+        phi = np.sin(np.random.default_rng(1).uniform(0, 7, 9)) * 1.7
+        r = steering_gram(phi, phi, 64)
+        np.testing.assert_array_equal(r, r.conj().T)
+        np.testing.assert_array_equal(np.diag(r), 1.0)
+
+    def test_rejects_empty(self):
+        with pytest.raises(ValueError):
+            steering_gram(0.3, 0.1, 0)
 
 
 class TestArrayResponses:
@@ -609,7 +635,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("key, value", [
         *((key, value) for key in ("d", "f", "d1", "d2", "d3",
-                                   "path_loss_exponent", "B", "P", "sigma2")
+                                   "path_loss_exponent", "P", "sigma2")
           for value in ("nan", "inf", "-inf")),
         # finite, but the steering scale 2d/lambda overflows
         ("d", "1.7e308"),
@@ -620,6 +646,14 @@ class TestConfig:
         path = tmp_path / "bad.cfg"
         path.write_text(f"[sim]\n{key} = {value}\n")
         with pytest.raises(ValueError, match="must be finite"):
+            load_config(str(path))
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e6"])
+    def test_bandwidth_key_unknown(self, tmp_path, value):
+        # rates are in bit/s/Hz, so no bandwidth is read
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"[sim]\nB = {value}\n")
+        with pytest.raises(ValueError, match="unknown config key 'b'"):
             load_config(str(path))
 
     @pytest.mark.parametrize("name", ["m_t", "n_y", "l3", "realizations"])

@@ -12,8 +12,9 @@ from rispart.asymptotic import (Allocation, Solution, coefficients,
 from rispart.channel import (SimulationConfig, dbm_to_watts, realization_rng,
                              realize_channels, steering)
 from rispart.finite import (_phase_pencil, adapt_solution,
-                            eigenmode_covariance, refine_common_phases)
-from rispart.oracle import dense_rate, dense_refine, logdet_rate
+                            refine_common_phases)
+from rispart.oracle import (dense_rate, dense_refine, eigenmode_covariance,
+                            logdet_rate, transmit_covariance)
 from rispart.solver import solve
 
 P0 = dbm_to_watts(60.1030)
@@ -65,10 +66,10 @@ def random_evaluation(rng):
 
 def cases(cfg, ev):
     """The cases of ``random_evaluation`` that one instance covers."""
-    r = ev.plan.s + ev.direct_powers.size
+    r = ev.powers.size
     return {case for case, hit in (
         ("S=1", ev.plan.s == 1), ("dropped", ev.rewaterfilled),
-        ("no direct", ev.direct_powers.size == 0),
+        ("no direct", r == ev.plan.s),
         ("r < M_t", r < cfg.m_t), ("r >= M_t", r >= cfg.m_t)) if hit}
 
 
@@ -160,7 +161,8 @@ class TestAdaptSolution:
         cfg, re, prob, sol = pipeline(seed=3)
         ev = adapt_solution(sol, re, cfg.ris_geometry,
                             rng=np.random.default_rng(12))
-        assert abs(np.trace(ev.q).real - prob.power) < 1e-6 * prob.power
+        trace = np.trace(transmit_covariance(ev)).real
+        assert abs(trace - prob.power) < 1e-6 * prob.power
 
     def test_drop_triggers_rewaterfill(self, caplog):
         cfg, re, prob, sol = pipeline(seed=4)
@@ -170,7 +172,8 @@ class TestAdaptSolution:
                                 rng=np.random.default_rng(13))
         assert ev.rewaterfilled
         assert ev.plan.s == 1
-        assert abs(np.trace(ev.q).real - prob.power) < 1e-6 * prob.power
+        trace = np.trace(transmit_covariance(ev)).real
+        assert abs(trace - prob.power) < 1e-6 * prob.power
         assert any("re-water-filling" in r.getMessage()
                    for r in caplog.records)
 

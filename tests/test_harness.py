@@ -10,6 +10,7 @@ import os
 import platform
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -149,15 +150,15 @@ class TestRunExperiment:
     RATE_PINS = (
         (SimulationConfig(seed=1), "random",
          (("58.62651370402199", "58.18686907838214"),
-          ("52.71934279147618", "52.15225144695503"),
-          ("55.71540691561694", "55.18470363717579"))),
+          ("52.71934279147618", "52.15225144695505"),
+          ("55.71540691561694", "55.184703637175794"))),
         (SimulationConfig(seed=1), "refine",
-         (("58.62651370402199", "58.42420513780455"),
-          ("52.71934279147618", "52.16267621112814"),
+         (("58.62651370402199", "58.42420513780456"),
+          ("52.71934279147618", "52.16267621112816"),
           ("55.71540691561694", "55.30432822191488"))),
         (SimulationConfig(m_t=64, m_r=64, l1=8, l2=8, l3=4, seed=2), "random",
-         (("66.57367855692414", "66.4605608723401"),
-          ("65.17815502997605", "65.1481480715157"),
+         (("66.57367855692414", "66.46056087234008"),
+          ("65.17815502997605", "65.14814807151569"),
           ("60.74792181627941", "60.57684581595069"))),
     )
 
@@ -221,6 +222,15 @@ class TestRunExperiment:
                                 "finite: nan"
         assert (rows[0].rate_asymptotic, rows[0].rate_finite) == (0.0, 0.0)
         assert summary[30.0]["failures"] == 1
+
+    def test_large_arrays_in_small_memory(self):
+        # M = 4096 at both ends of a 3000 x 9000 RIS: no array of the run
+        # has an M- or N-sized axis, so its memory is the default config's
+        config = SimulationConfig(m_t=4096, m_r=4096, n_x=3000, n_y=9000,
+                                  seed=3)
+        row, peak = _traced_run(config, "P", 30.0, "refine")
+        assert not row.error and row.rate_finite > 0
+        assert peak < 2 * 2 ** 20, peak
 
     def test_writes_csv_and_metadata(self, tmp_path):
         out = tmp_path / "results.csv"
@@ -402,6 +412,19 @@ class TestCli:
         path.write_text(EXPERIMENT_TEXT + "solver = grid\n")
         assert main(["simulate", str(path)]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "all", "--seed", "-1"],
+        ["simulate", "{spec}", "--jobs", "0"],
+        ["simulate", "{spec}", "--jobs", "-2"]])
+    def test_out_of_range_argument_is_usage_error(self, tmp_path, capsys,
+                                                  argv):
+        path = tmp_path / "exp.cfg"
+        path.write_text(EXPERIMENT_TEXT)
+        with pytest.raises(SystemExit) as exc:
+            main([arg.format(spec=path) for arg in argv])
+        assert exc.value.code == 2
+        assert "must be at least" in capsys.readouterr().err
+
     @pytest.mark.parametrize("edit, argv, message", [
         (("seed = 1", "seed = -1"), [], "seed must be nonnegative"),
         (("", ""), ["--seed", "-1"], "seed must be nonnegative"),
@@ -424,7 +447,15 @@ class TestCli:
         # the steering phase overflows: NaN finite rates with no error, or
         # every row failing at realize_channels
         (("seed = 1", "seed = 1\nd = 1e307"), [], "steering scale"),
-        (("seed = 1", "seed = 1\nd = 5e307"), [], "steering scale")])
+        (("seed = 1", "seed = 1\nd = 5e307"), [], "steering scale"),
+        # an integer beyond int64 used to raise TypeError, a traceback
+        *((edit, [], f"{name} must be positive and below 2**63")
+          for edit, name in ((("M_t = 8", "M_t = 1e30"), "m_t"),
+                             (("M_r = 8", f"M_r = {2 ** 63}"), "m_r"),
+                             (("N_x = 4", "N_x = 1e20"), "n_x"),
+                             (("seed = 1\nrealizations = 2",
+                               "seed = 1\nrealizations = 1e30"),
+                              "realizations")))])
     def test_simulate_unrunnable_sweep_exits_2(self, tmp_path, capsys, edit,
                                                argv, message):
         path = tmp_path / "exp.cfg"
@@ -442,39 +473,74 @@ class TestCli:
         assert "P=20" in capsys.readouterr().out
 
 
+# stages a row's error may name, and one value per sweep kind; N and M
+# keep the small config's sizes
+FUZZ_STAGES = ("config", "realize_channels", "coefficients", "solve",
+               "adapt_solution", "refine_common_phases")
+FUZZ_SWEEPS = (("N", 24.0), ("M", 8.0), ("P", 30.0), ("SNR", 100.0))
+
+
+def _traced_run(config, sweep, value, psi_mode):
+    """``_run_one``'s row and its tracemalloc peak in bytes."""
+    tracemalloc.start()
+    try:
+        row = harness._run_one((config, sweep, value, 0, psi_mode))
+        return row, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def fails_loudly_or_runs(tmp_path, key, value) -> int:
+    """Check that ``key = value`` on a small config fails the config, or
+    runs every sweep kind and psi mode to finite positive rates or to an
+    error naming its stage.  Returns the largest ``_run_one`` peak."""
+    keys = {"M_t": 8, "M_r": 8, "N_x": 4, "N_y": 6, "L1": 2, "L2": 2,
+            "L3": 1, key: value}
+    path = tmp_path / "fuzz.cfg"
+    path.write_text("[sim]\n" + "".join(f"{k} = {v}\n"
+                                        for k, v in keys.items()))
+    try:
+        config = load_config(str(path))
+    except ValueError:
+        return 0
+    peak = 0
+    for sweep, sweep_value in FUZZ_SWEEPS:
+        for psi_mode in PSI_MODES:
+            row, row_peak = _traced_run(config, sweep, sweep_value,
+                                        psi_mode)
+            peak = max(peak, row_peak)
+            if row.error:
+                assert row.error.split(":")[0] in FUZZ_STAGES, row.error
+            else:
+                rates = (row.rate_asymptotic, row.rate_finite)
+                assert all(math.isfinite(r) and r > 0 for r in rates), (
+                    sweep, psi_mode, rates)
+    return peak
+
+
 class TestFloatKeyFuzz:
     """Each float config key either fails the config or runs every sweep
     kind and psi mode to finite rates, or to an error naming its stage."""
 
-    KEYS = ("d", "f", "d1", "d2", "d3", "path_loss_exponent", "B", "P",
-            "sigma2")
+    KEYS = ("d", "f", "d1", "d2", "d3", "path_loss_exponent", "P", "sigma2")
     VALUES = ("nan", "inf", "-inf", "0", "-1", "1e-300", "1e300", "1e307",
               "1.7e308")
-    STAGES = ("config", "realize_channels", "coefficients", "solve",
-              "adapt_solution", "refine_common_phases")
-    # one value per sweep kind; N and M keep the small config's sizes
-    SWEEPS = (("N", 24.0), ("M", 8.0), ("P", 30.0), ("SNR", 100.0))
 
-    # more examples than the 81 cases, so hypothesis runs each of them
+    # more examples than the 72 cases, so hypothesis runs each of them
     @given(case=st.sampled_from(list(itertools.product(KEYS, VALUES))))
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_value_fails_loudly_or_runs(self, tmp_path, case):
-        key, value = case
-        path = tmp_path / "fuzz.cfg"
-        path.write_text("[sim]\nM_t = 8\nM_r = 8\nN_x = 4\nN_y = 6\n"
-                        f"L1 = 2\nL2 = 2\nL3 = 1\n{key} = {value}\n")
-        try:
-            config = load_config(str(path))
-        except ValueError:
-            return
-        for sweep, sweep_value in self.SWEEPS:
-            for psi_mode in PSI_MODES:
-                row = harness._run_one((config, sweep, sweep_value, 0,
-                                        psi_mode))
-                if row.error:
-                    assert row.error.split(":")[0] in self.STAGES, row.error
-                else:
-                    rates = (row.rate_asymptotic, row.rate_finite)
-                    assert all(math.isfinite(r) and r > 0 for r in rates), (
-                        sweep, psi_mode, rates)
+        fails_loudly_or_runs(tmp_path, *case)
+
+
+@pytest.mark.filterwarnings("ignore:path counts")
+class TestIntegerKeyFuzz:
+    """The same for the array sizes, which no stage sizes an array by:
+    the L keys are left out, since the sampler's block grows with L."""
+
+    @pytest.mark.parametrize("key, value", itertools.product(
+        ("M_t", "M_r", "N_x", "N_y"),
+        ("1", "2", str(2 ** 20), str(2 ** 40), str(2 ** 62), "1e30")))
+    def test_value_fails_loudly_or_runs(self, tmp_path, key, value):
+        assert fails_loudly_or_runs(tmp_path, key, value) < 2 * 2 ** 20

@@ -1,6 +1,7 @@
 """Source hygiene, in place of a linter: no unused top-level imports, no
-module importing another module's private names, and no public name in a
-pipeline module that nothing in the package uses."""
+module importing another module's private names, no public name in a
+pipeline module that nothing in the package uses, and no pipeline module
+but ``channel`` naming ``steering``."""
 
 import ast
 from pathlib import Path
@@ -83,3 +84,17 @@ def test_no_dead_public_names():
             and not any(node.name in names
                         for key, names in uses if key != (stem, i))]
     assert not dead, dead
+
+
+def test_no_steering_matrix_in_the_pipeline():
+    # A steering matrix has an M-sized axis.  Outside ``channel``, which
+    # defines it, the pipeline works with the closed-form Grams of
+    # ``channel.steering_gram``; only the oracle builds the matrices.
+    users = []
+    for stem in PIPELINE:
+        tree = ast.parse((ROOT / f"src/rispart/{stem}.py").read_text())
+        names = _referenced(tree) | {alias.name for alias in ast.walk(tree)
+                                     if isinstance(alias, ast.alias)}
+        if stem != "channel" and "steering" in names:
+            users.append(stem)
+    assert not users, users

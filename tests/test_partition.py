@@ -5,10 +5,10 @@ model."""
 import numpy as np
 import pytest
 
-from rispart.channel import RisGeometry, ris_cosines
+from rispart.channel import RisGeometry, dirichlet_ratio, ris_cosines
 from rispart.partition import (PartitionPlan, PhaseGradient, TilePlan,
-                               build_theta, dirichlet_ratio,
-                               gain_asymptotic, gain_closed_form,
+                               build_theta, gain_asymptotic,
+                               gain_closed_form,
                                gain_direct_sum, round_partition,
                                subsurface_gains)
 
