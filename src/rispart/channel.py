@@ -34,6 +34,7 @@ import numpy as np
 logger = logging.getLogger("rispart")
 
 SPEED_OF_LIGHT = 299_792_458.0
+_PI_LOW = 1.2246467991473532e-16  # pi - np.pi, to split pi in two doubles
 
 HOP_TX_RIS = "tx_ris"
 HOP_RIS_RX = "ris_rx"
@@ -143,11 +144,11 @@ class PathSet:
 class ChannelRealization:
     """One draw of the three hops' path sets plus losses and noise power.
 
-    ``m_t``, ``m_r`` and ``n`` are the Tx, Rx and RIS element counts.
-    ``draws`` is the number of candidate terminal-angle draws the sampler
-    scored, up to and including the kept one when it met the target, and
-    ``margin`` the kept draw's smallest path separation in units of the
-    terminal resolution, ``min(gap * M)`` (the sampler's target is 2).
+    ``m_t``, ``m_r`` and ``n`` are the Tx, Rx and RIS element counts.  The
+    sampler rejects each terminal side on its own: ``draws`` is the larger
+    of the two sides' counts of scored candidates, up to its kept one if
+    that met the target, and ``margin`` the smaller of the kept sides'
+    least path separations in units of 1/M, ``min(gap * M)`` (target 2).
     """
 
     path_sets: dict[str, PathSet]
@@ -171,20 +172,17 @@ class ChannelRealization:
             raise ValueError(f"path sets needed for exactly {HOP_KINDS}")
 
     @classmethod
-    def from_draws(cls, config: SimulationConfig, terminal: np.ndarray,
-                   rng: np.random.Generator, draws: int,
+    def from_draws(cls, config: SimulationConfig, tx: np.ndarray,
+                   rx: np.ndarray, rng: np.random.Generator, draws: int,
                    margin: float) -> ChannelRealization:
-        """The realization whose terminal-side angles come from the
-        L1 + L2 + 2*L3 uniforms ``terminal``: the Tx angles of the tx_ris
-        and tx_rx hops, then the Rx angles of the ris_rx and tx_rx hops.
-
-        One ``rng.random(2*(L1 + L2))`` call then draws the RIS elevations
-        and azimuths (tx_ris, then ris_rx) and one
-        ``rng.standard_normal(2*(L1 + L2 + L3))`` call the gains, hop after
-        hop (see :meth:`PathSet.from_draws`).
-        """
+        """The realization whose terminal angles come from the uniforms
+        ``tx`` (the L1 + L3 Tx angles of the tx_ris and tx_rx hops) and
+        ``rx`` (the L2 + L3 Rx angles of the ris_rx and tx_rx hops).  One
+        ``rng.random(2*(L1 + L2))`` call then draws the RIS elevations and
+        azimuths (tx_ris, then ris_rx) and one ``rng.standard_normal(2*(L1
+        + L2 + L3))`` call the gains, hop after hop (see
+        :meth:`PathSet.from_draws`)."""
         l1, l2, l3 = config.l1, config.l2, config.l3
-        tx1, tx3, rx2, rx3 = np.split(terminal, np.cumsum([l1, l3, l2]))
         elev1, azim1, elev2, azim2 = np.split(rng.random(2 * (l1 + l2)),
                                               np.cumsum([l1, l1, l2]))
         g1, g2, g3 = np.split(rng.standard_normal(2 * (l1 + l2 + l3)),
@@ -193,10 +191,10 @@ class ChannelRealization:
         return cls(
             path_sets={
                 HOP_TX_RIS: PathSet.from_draws(
-                    g1, tx=tx1, ris_elev=elev1, ris_azim=azim1),
+                    g1, tx=tx[:l1], ris_elev=elev1, ris_azim=azim1),
                 HOP_RIS_RX: PathSet.from_draws(
-                    g2, ris_elev=elev2, ris_azim=azim2, rx=rx2),
-                HOP_TX_RX: PathSet.from_draws(g3, tx=tx3, rx=rx3)},
+                    g2, ris_elev=elev2, ris_azim=azim2, rx=rx[:l2]),
+                HOP_TX_RX: PathSet.from_draws(g3, tx=tx[l1:], rx=rx[l2:])},
             pl_r=pl_r, pl_d=pl_d, noise_power=config.noise_watts,
             m_t=config.m_t, m_r=config.m_r, n=config.n, draws=draws,
             margin=margin)
@@ -301,6 +299,8 @@ _CONFIG_KEYS = {
     "path_loss_exponent": ("path_loss_exponent", float),
     "realizations": ("realizations", int),
     "seed": ("seed", int),
+    "P": ("power_watts", lambda raw: dbm_to_watts(float(raw))),
+    "sigma2": ("noise_watts", lambda raw: dbm_to_watts(float(raw))),
 }
 
 
@@ -315,6 +315,19 @@ def _integer(name: str, raw: str) -> int:
     return int(value)
 
 
+def read_config_file(path: str) -> configparser.ConfigParser:
+    """The sections of the file at ``path``, values taken literally;
+    ValueError when a key or section is given twice or a key comes first."""
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:
+        raise ValueError(f"malformed config file: {exc}") from None
+    if not read:
+        raise FileNotFoundError(path)
+    return parser
+
+
 def load_config(path: str, ignore_sections: tuple[str, ...] = ()) -> SimulationConfig:
     """Read a flat sectioned ``key = value`` config file.
 
@@ -325,27 +338,18 @@ def load_config(path: str, ignore_sections: tuple[str, ...] = ()) -> SimulationC
     ignored (``ignore_sections`` are skipped entirely); keys must be unique
     across the remaining file.
     """
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise FileNotFoundError(path)
+    parser = read_config_file(path)
+    names = {name.lower(): name for name in _CONFIG_KEYS}
     kwargs = {}
     for section in parser.sections():
         if section in ignore_sections:
             continue
         for key, raw in parser.items(section):
-            if key == "p":
-                kwargs["power_watts"] = dbm_to_watts(float(raw))
-            elif key == "sigma2":
-                kwargs["noise_watts"] = dbm_to_watts(float(raw))
-            else:
-                for name, (attr, cast) in _CONFIG_KEYS.items():
-                    if key == name.lower():
-                        kwargs[attr] = _integer(name, raw) if cast is int \
-                            else cast(raw)
-                        break
-                else:
-                    raise ValueError(f"unknown config key {key!r}")
+            if key not in names:
+                raise ValueError(f"unknown config key {key!r}")
+            attr, cast = _CONFIG_KEYS[names[key]]
+            kwargs[attr] = (_integer(names[key], raw) if cast is int
+                            else cast(raw))
     return SimulationConfig(**kwargs)
 
 
@@ -361,23 +365,25 @@ def steering(phi, m: int) -> np.ndarray:
 
 
 def dirichlet_ratio(extent, x):
-    """``sin(extent*x) / (extent*sin(x))`` with its limits at sin(x) = 0.
-
-    At ``x = m*pi`` the ratio tends to ``cos(extent*m*pi)/cos(m*pi)`` (equal
-    to 1 when ``|x| < 1e-9``); a zero extent gives 1.  Magnitude never
-    exceeds 1 for integer extents.  Elementwise over broadcast arrays.
-    """
+    """``sin(extent*x) / (extent*sin(x))`` for integer extents, elementwise;
+    1 at x = 0 or a zero extent.  Near ``x = m*pi``, m != 0, the quotient
+    would keep the rounding error of ``extent*x``, ``|x|*1.1e-16/|sin x|``
+    relative, so where ``|sin x| < 1e-5*|x|`` it is taken in ``delta = x -
+    m*pi`` (pi in two parts): ``(-1)**(m*(extent - 1))`` times the ratio
+    at delta.  Magnitude never exceeds 1."""
     extent = np.asarray(extent, dtype=float)
     x = np.asarray(x, dtype=float)
     s = np.sin(x)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.sin(extent * x) / (extent * s)
-    near = np.abs(s) < 1e-9
+    near = np.abs(s) < 1e-5 * np.abs(x)
+    sign = 1.0
     if near.any():
-        m = np.round(x / np.pi)
-        ratio = np.where(near, np.cos(extent * m * np.pi) / np.cos(m * np.pi),
-                         ratio)
-    return np.where(extent == 0, 1.0, ratio)[()]
+        m = np.where(near, np.round(x / np.pi), 0.0)
+        x = x - m * np.pi - m * _PI_LOW
+        s = np.sin(x)
+        sign = 1.0 - 2.0 * (m % 2.0) * (1.0 - extent % 2.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(x == 0, 1.0, np.sin(extent * x) / (extent * s))
+    return np.where(extent == 0, 1.0, sign * ratio)[()]
 
 
 def steering_gram(phi_a, phi_b, m: int) -> np.ndarray:
@@ -454,61 +460,62 @@ def _min_cosine_gaps(angles: np.ndarray, scale: float) -> np.ndarray:
     return np.minimum(gaps, 2.0 - gaps).min(axis=1)
 
 
-def realize_channels(config: SimulationConfig, rng: np.random.Generator,
-                     max_tries: int = 1000) -> ChannelRealization:
-    """Sample the path sets of all three hops.
-
-    Path counts L denote *resolvable* paths, so a draw is accepted only
-    when the direction cosines of all paths seen by each terminal array
-    are separated by that array's resolution (2/M in steering-argument
-    units, wrapped with period 2).  Only the terminal-side angles enter
-    that test, so only they are drawn for every candidate: the first of
-    ``max_tries`` candidates that meets the target is kept, or else the
-    first best-separated one, with a DEBUG record.  The RIS angles and the
-    gains are independent of the terminal angles and are drawn for the
-    kept candidate alone, so the kept path sets have the law of rejection
-    sampling whole path sets.
-
-    Stream contract: one ``rng.random((max_tries, L1 + L2 + 2*L3))`` call
-    draws the terminal uniforms of every candidate, a row each; then
-    :meth:`ChannelRealization.from_draws` draws the kept candidate's RIS
-    angles and gains, one generator call each.  The rows are scored
-    ``SAMPLE_CHUNK`` at a time; ``oracle.serial_realize_channels`` scores
-    them one by one to the same result.  Memory is O(``max_tries`` *
-    (L1 + L2 + 2*L3)) doubles, 160 KB at the default config, since a
-    chunk's neighbour scores take O(``SAMPLE_CHUNK`` * (L1 + L2 + 2*L3)).
-
-    Raises ValueError when ``max_tries < 1`` or the kept margin is not
-    finite (a NaN element spacing, say).
-    """
-    if max_tries < 1:
-        raise ValueError("max_tries must be >= 1")
-    n_tx = config.l1 + config.l3
-    scale = config.steering_scale
-    rows = rng.random((max_tries, n_tx + config.l2 + config.l3))
+def _kept_row(rows: np.ndarray, m: int, scale: float,
+              side: str) -> tuple[np.ndarray, float, int]:
+    """One side's kept candidate among ``rows`` of terminal uniforms, its
+    margin and the count of rows scored up to it: the first row whose
+    steering arguments are 2/``m`` separated, else the first best one,
+    counting every row, with a DEBUG record naming the ``side``."""
     best, best_margin = 0, -np.inf
-    for start in range(0, max_tries, SAMPLE_CHUNK):
+    for start in range(0, len(rows), SAMPLE_CHUNK):
         # Tx and Rx angles share the range (0, 2*pi]
         angles = (1.0 - rows[start:start + SAMPLE_CHUNK]) * _HIGH["tx"]
-        margins = np.minimum(
-            _min_cosine_gaps(angles[:, :n_tx], scale) * config.m_t,
-            _min_cosine_gaps(angles[:, n_tx:], scale) * config.m_r)
+        margins = _min_cosine_gaps(angles, scale) * m
         accepted = np.flatnonzero(margins >= 2.0)
         row = accepted[0] if accepted.size else np.argmax(margins)
         if margins[row] > best_margin:
             best, best_margin = start + row, margins[row]
         if best_margin >= 2.0:
-            break
-    if not np.isfinite(best_margin):
+            return rows[best], best_margin, best + 1
+    logger.debug("no %s path set in %d draws is 2/M separated; keeping "
+                 "margin %.3g", side, len(rows), best_margin)
+    return rows[best], best_margin, len(rows)
+
+
+def realize_channels(config: SimulationConfig, rng: np.random.Generator,
+                     max_tries: int = 1000) -> ChannelRealization:
+    """Sample the path sets of all three hops.
+
+    Path counts L denote *resolvable* paths: the direction cosines of the
+    paths each terminal array sees must be separated by its resolution,
+    2/M in steering-argument units, wrapped with period 2.  The Tx-side
+    angles (tx_ris and tx_rx departures) are independent of the Rx-side
+    ones (ris_rx and tx_rx arrivals), and each side's test reads only its
+    own, so each side is rejected on its own, and the kept pair has the
+    law of rejecting whole path sets.  The RIS angles and the gains enter
+    no test and are drawn for the kept pair alone.
+
+    Stream contract: one ``rng.random((max_tries, L1 + L3))`` call draws
+    the Tx candidates, a row each, then one ``rng.random((max_tries, L2 +
+    L3))`` call the Rx ones; :meth:`ChannelRealization.from_draws` then
+    draws the RIS angles and the gains.  ``oracle.serial_realize_channels``
+    scores the rows one by one to the same result.
+
+    Raises ValueError when ``max_tries < 1`` or a kept margin is not
+    finite (a NaN element spacing, say).
+    """
+    if max_tries < 1:
+        raise ValueError("max_tries must be >= 1")
+    scale = config.steering_scale
+    tx, tx_margin, tx_draws = _kept_row(rng.random(
+        (max_tries, config.l1 + config.l3)), config.m_t, scale, "Tx")
+    rx, rx_margin, rx_draws = _kept_row(rng.random(
+        (max_tries, config.l2 + config.l3)), config.m_r, scale, "Rx")
+    margin = min(tx_margin, rx_margin)
+    if not np.isfinite(margin):
         raise ValueError(f"path separation margin is not finite "
                          f"(spacing {config.spacing!r} m, wavelength "
                          f"{config.wavelength!r} m)")
-    if best_margin >= 2.0:
-        draws = best + 1
-    else:
-        draws = max_tries
-        logger.debug("no path set in %d draws is 2/M separated; keeping "
-                     "margin %.3g", max_tries, best_margin)
-    return ChannelRealization.from_draws(config, rows[best], rng,
-                                         draws=int(draws),
-                                         margin=float(best_margin))
+    return ChannelRealization.from_draws(
+        config, tx, rx, rng, draws=int(max(tx_draws, rx_draws)),
+        margin=float(margin))

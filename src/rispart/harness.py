@@ -8,7 +8,6 @@ sidecar.
 
 from __future__ import annotations
 
-import configparser
 import csv
 import dataclasses
 import json
@@ -23,7 +22,8 @@ import numpy as np
 
 from rispart.asymptotic import coefficients, optimal_pairing
 from rispart.channel import (SimulationConfig, dbm_to_watts, load_config,
-                             realization_rng, realize_channels)
+                             read_config_file, realization_rng,
+                             realize_channels)
 from rispart.finite import adapt_solution, refine_common_phases
 from rispart.solver import all_plus_exists, solve, solve_p32
 
@@ -79,7 +79,9 @@ class ResultRow:
     """One realization's outcome within a sweep, one field per CSV column.
 
     ``draws`` and ``margin`` are the path sampler's diagnostics (see
-    :class:`rispart.channel.ChannelRealization`); they read 0 when the
+    :class:`rispart.channel.ChannelRealization`): the larger of the two
+    terminal sides' candidate counts and the smaller of their separations
+    in units of 1/M, which meets the contract at 2.  They read 0 when the
     realization failed before its channels were sampled.  A failed row
     keeps 0 rates and counts and names the failing stage in ``error``.
     """
@@ -104,27 +106,19 @@ def load_experiment(path: str) -> ExperimentSpec:
     """Read an experiment file: simulation keys plus an [experiment]
     section with ``sweep``, ``values``, and optional ``psi``,
     ``realizations``, ``out``; any other key there is an error."""
-    parser = configparser.ConfigParser()
-    if not parser.read(path):
-        raise FileNotFoundError(path)
+    parser = read_config_file(path)
     if "experiment" not in parser:
         raise ValueError("missing [experiment] section")
     exp = parser["experiment"]
     unknown = sorted(set(exp) - set(EXPERIMENT_KEYS))
     if unknown:
         raise ValueError(f"unknown [experiment] keys {unknown}")
-    config = load_config(path, ignore_sections=("experiment",))
-    kwargs = {}
-    if "realizations" in exp:
-        kwargs["realizations"] = exp.getint("realizations")
-    if "out" in exp:
-        kwargs["out"] = exp["out"]
     return ExperimentSpec(
-        config=config,
+        config=load_config(path, ignore_sections=("experiment",)),
         sweep=exp["sweep"],
         values=[float(x) for x in exp["values"].split(",")],
-        psi_mode=exp.get("psi", "random"),
-        **kwargs)
+        psi_mode=exp.get("psi", "random"), out=exp.get("out"),
+        realizations=exp.getint("realizations"))
 
 
 def _apply_sweep(config: SimulationConfig, sweep: str,

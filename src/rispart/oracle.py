@@ -455,24 +455,23 @@ def min_cosine_gap(angles: np.ndarray, scale: float) -> np.ndarray:
 def serial_realize_channels(config: SimulationConfig,
                             rng: np.random.Generator,
                             max_tries: int = 1000) -> ChannelRealization:
-    """Reference for ``channel.realize_channels``: draw the candidates'
-    terminal uniforms one row at a time (the same doubles as one
-    ``(max_tries, L1 + L2 + 2*L3)`` call), score each row alone with
-    :func:`min_cosine_gap`, keep the first row whose margin reaches 2, else
-    the first best one, and let ``ChannelRealization.from_draws`` draw that
-    row's RIS angles and gains."""
-    n_tx = config.l1 + config.l3
-    scale = config.steering_scale
-    rows = [rng.random(n_tx + config.l2 + config.l3)
-            for _ in range(max_tries)]
-    best, best_gap = None, -np.inf
-    for draws, row in enumerate(rows, start=1):
-        angles = (1.0 - row) * (2.0 * np.pi)
-        margin = min(min_cosine_gap(angles[:n_tx], scale) * config.m_t,
-                     min_cosine_gap(angles[n_tx:], scale) * config.m_r)
-        if margin > best_gap:
-            best_gap, best = margin, row
-        if margin >= 2.0:
-            break
-    return ChannelRealization.from_draws(config, best, rng, draws=draws,
-                                         margin=float(best_gap))
+    """Reference for ``channel.realize_channels``: per side, Tx then Rx,
+    draw the candidates' terminal uniforms one row at a time (the same
+    doubles as one ``(max_tries, L)`` call), score each row alone with
+    :func:`min_cosine_gap`, and keep the first row whose margin reaches 2,
+    else the first best one; then let ``ChannelRealization.from_draws``
+    draw the RIS angles and gains of the two kept rows."""
+    kept = []
+    for m, paths in ((config.m_t, config.l1 + config.l3),
+                     (config.m_r, config.l2 + config.l3)):
+        rows = [rng.random(paths) for _ in range(max_tries)]
+        margins = [min_cosine_gap((1.0 - row) * (2.0 * np.pi),
+                                  config.steering_scale) * m for row in rows]
+        met = [i for i, margin in enumerate(margins) if margin >= 2.0]
+        best = met[0] if met else int(np.argmax(margins))
+        kept.append((rows[best], margins[best],
+                     best + 1 if met else max_tries))
+    (tx, tx_margin, tx_draws), (rx, rx_margin, rx_draws) = kept
+    return ChannelRealization.from_draws(
+        config, tx, rx, rng, draws=max(tx_draws, rx_draws),
+        margin=float(min(tx_margin, rx_margin)))

@@ -386,6 +386,21 @@ def _sampler_config(m, paths, d):
                                 spacing_wavelengths=d)
 
 
+def side_draws(config, rng, max_tries):
+    """Per side, Tx then Rx, the count of candidates up to the first whose
+    margin reaches 2 (``max_tries`` when none does), from the two blocks
+    of terminal uniforms ``realize_channels`` draws, scored by
+    ``oracle.min_cosine_gap``."""
+    counts = []
+    for m, paths in ((config.m_t, config.l1 + config.l3),
+                     (config.m_r, config.l2 + config.l3)):
+        angles = (1.0 - rng.random((max_tries, paths))) * (2.0 * np.pi)
+        met = np.flatnonzero(
+            min_cosine_gap(angles, config.steering_scale) * m >= 2.0)
+        counts.append(int(met[0]) + 1 if met.size else max_tries)
+    return counts
+
+
 class TestBatchedSampler:
     """``realize_channels`` against ``oracle.serial_realize_channels``,
     which draws the candidates' terminal angles row by row and scores each
@@ -393,15 +408,14 @@ class TestBatchedSampler:
 
     PATHS = ((1, 1, 1), (2, 3, 1), (5, 7, 4), (8, 8, 4), (1, 8, 2),
              (3, 2, 2), (8, 1, 1))
-    # (M, (L1, L2, L3), d, seed, index) whose first accepted row is the
-    # last of a scoring chunk or the first of the next: 128 and 129 (the
-    # first chunk edge), 256 and 257 (the second)
-    BOUNDARY = ((64, (5, 7, 4), 0.5, 5, 134),
-                (64, (5, 7, 4), 0.5, 5, 505),
-                (32, (4, 4, 3), 1.0, 5, 631),
-                (32, (4, 4, 3), 1.0, 5, 361),
-                (64, (5, 7, 4), 0.5, 5, 291),
-                (64, (5, 7, 4), 0.5, 5, 2155))
+    # ((L1, L2, L3), side, index) at M = 32, d = 0.5 and seed 5 whose
+    # side's first accepted row is the last of a scoring chunk or the
+    # first of the next, 128 and 129 (the first chunk edge) or 256 and 257
+    # (the second), and comes after the other side's
+    BOUNDARY = (((7, 5, 4), "Tx", 223), ((7, 5, 4), "Tx", 59),
+                ((7, 5, 4), "Tx", 548), ((7, 5, 4), "Tx", 458),
+                ((5, 7, 4), "Rx", 308), ((5, 7, 4), "Rx", 249),
+                ((5, 7, 4), "Rx", 2938), ((5, 7, 4), "Rx", 895))
 
     @staticmethod
     def compare(config, seed, index, max_tries):
@@ -441,9 +455,13 @@ class TestBatchedSampler:
                     outcomes.add(self.outcome(re))
                     case += 1
         assert outcomes >= {"never", "first", "inside a chunk"}
-        for m, paths, d, seed, index in self.BOUNDARY:
-            re = self.compare(_sampler_config(m, paths, d), seed, index, 1000)
+        for paths, side, index in self.BOUNDARY:
+            config = _sampler_config(32, paths, 0.5)
+            re = self.compare(config, 5, index, 1000)
             assert self.outcome(re) == "chunk boundary"
+            counts = dict(zip(("Tx", "Rx"), side_draws(
+                config, realization_rng(5, index), 1000)))
+            assert re.draws == counts[side] > min(counts.values())
 
     @pytest.mark.parametrize("scale", [0.25, 1.0, 1.0000001, 1.4, 2.6])
     def test_kernel_matches_pairwise_reference(self, scale):
@@ -488,20 +506,21 @@ class TestBatchedSampler:
 
     # (config, seed, index) -> draws, repr(margin), sha256 of the kept
     # path sets and the generator's next random(); a change to the draw
-    # layout must not move them.  Recorded when the sampler started drawing
-    # the terminal angles of all candidates in one call and the RIS angles
-    # and gains of the kept candidate only, which changed every stream.
+    # layout must not move them.  Recorded when the sampler started
+    # rejecting the Tx side and the Rx side on their own, which moved the
+    # kept terminal angles of every stream but not the generator's state
+    # after the call (the next draws are the ones recorded before).
     PINS = (
-        (SimulationConfig(), 0, 0, 1000, "1.6482945578096295",
-         "a3835b0bc880275fcff72eee37a68c21699761b17ccdf8b84a58132609eea9bb",
+        (SimulationConfig(), 0, 0, 7, "2.074552617177531",
+         "56faf9f5a134ee41b234eaafbc196a9cbab209299d9596e71a731810617069d3",
          0.9436267855883983),
-        (SimulationConfig(m_t=64, m_r=64, l1=8, l2=8, l3=4), 1, 2, 1000,
-         "1.8413020848368973",
-         "b192b295d335910485eebfaf79c16034b85e13a7df519aab74cacfe869410ae6",
+        (SimulationConfig(m_t=64, m_r=64, l1=8, l2=8, l3=4), 1, 2, 30,
+         "2.124981355116695",
+         "0ea7050e95e9943ff70dbc79f0499737b7fccec9b54427b0fe3c0d2bc31c91e5",
          0.7232870764715302),
         (SimulationConfig(m_t=16, m_r=16, n_x=4, n_y=6, l1=2, l2=3, l3=1),
-         7, 5, 3, "2.8694730510684963",
-         "41e8c40a348a986f228c3f4551cb6a535db68cbc9ee5e50e063f2f9f3e236d14",
+         7, 5, 6, "3.3536470296707255",
+         "770cd04ca4e937e96116284e319a051fb9a5ded109f8b00f769ea94bae3aace7",
          0.5083697136410039),
     )
 
@@ -514,6 +533,21 @@ class TestBatchedSampler:
         assert (re.draws, repr(re.margin), _digest(re)) == (draws, margin,
                                                             digest)
         assert rng.random() == next_draw
+
+    @pytest.mark.parametrize("config", [
+        SimulationConfig(), SimulationConfig(l1=8, l2=8, l3=4)],
+        ids=["default", "L8/8/4"])
+    def test_stream_contract(self, config):
+        # the sampler takes max_tries*(L1 + L2 + 2*L3) uniforms for the
+        # terminal angles, whatever it keeps, then the RIS angles and the
+        # gains: only the kept terminal angles depend on how it rejects
+        l1, l2, l3 = config.l1, config.l2, config.l3
+        rng, fresh = realization_rng(4, 9), realization_rng(4, 9)
+        realize_channels(config, rng)
+        fresh.random(1000 * (l1 + l2 + 2 * l3))
+        fresh.random(2 * (l1 + l2))
+        fresh.standard_normal(2 * (l1 + l2 + l3))
+        assert rng.random() == fresh.random()
 
 
 def _ks_statistic(a, b) -> float:
@@ -528,7 +562,8 @@ def _ks_statistic(a, b) -> float:
 
 class TestSamplerLaw:
     """The kept draw has the law of rejection sampling whole path sets,
-    although only the terminal angles are drawn per candidate."""
+    although only the terminal angles are drawn per candidate and each
+    terminal side is rejected on its own."""
 
     RUNS = 400
     # asymptotic two-sample KS critical coefficient at alpha = 0.001,
@@ -557,7 +592,10 @@ class TestSamplerLaw:
     def whole_set(cls, config, rng, max_tries=1000, block=64):
         """Kept path sets, margin and draw count of rejection sampling whole
         path sets: the first draw whose margin reaches 2, else the first
-        best one.
+        best one.  Also the per-side count over the same candidates, the
+        larger of the indices of the first Tx-separated and the first
+        Rx-separated one (``max_tries`` for a side with none), which has
+        the law of the sampler's ``draws``.
 
         Candidates come ``block`` at a time: per hop, one ``rng.random``
         call for every candidate's angle uniforms and one
@@ -569,6 +607,7 @@ class TestSamplerLaw:
         scale = 2.0 * config.spacing_wavelengths
         lengths = dict(zip(HOP_KINDS, (config.l1, config.l2, config.l3)))
         best, best_margin = None, -np.inf
+        firsts = [max_tries, max_tries]
         for start in range(0, max_tries, block):
             n = min(block, max_tries - start)
             draws = {kind: (rng.random((n, len(cls.BLOCKS[kind]), l)),
@@ -579,13 +618,18 @@ class TestSamplerLaw:
                 u = draws[kind][0][:, cls.BLOCKS[kind].index(name)]
                 return (1.0 - u) * (2.0 * np.pi)
 
-            margins = np.minimum(
+            sides = (
                 min_cosine_gap(np.hstack([terminal(HOP_TX_RIS, "tx"),
                                           terminal(HOP_TX_RX, "tx")]), scale)
                 * config.m_t,
                 min_cosine_gap(np.hstack([terminal(HOP_RIS_RX, "rx"),
                                           terminal(HOP_TX_RX, "rx")]), scale)
                 * config.m_r)
+            for side, side_margins in enumerate(sides):
+                side_met = np.flatnonzero(side_margins >= 2.0)
+                if side_met.size:
+                    firsts[side] = min(firsts[side], start + side_met[0] + 1)
+            margins = np.minimum(*sides)
             met = np.flatnonzero(margins >= 2.0)
             i = int(met[0]) if met.size else int(np.argmax(margins))
             if margins[i] > best_margin:
@@ -595,8 +639,8 @@ class TestSamplerLaw:
                             **dict(zip(cls.BLOCKS[kind], uniforms[i])))
                         for kind, (uniforms, normals) in draws.items()}
             if met.size:
-                return best, best_margin, start + i + 1
-        return best, best_margin, max_tries
+                return best, best_margin, start + i + 1, max(firsts)
+        return best, best_margin, max_tries, max(firsts)
 
     @staticmethod
     def statistics(path_sets, margin, draws):
@@ -611,17 +655,21 @@ class TestSamplerLaw:
         # M = 64 with L = 5/7/4: whole-set rejection accepts about 1.2% of
         # draws, so most realizations reject many draws first
         config = SimulationConfig(m_t=64, m_r=64)
-        ours, theirs = {}, {}
+        ours, theirs, whole_draws = {}, {}, []
         for i in range(self.RUNS):
             re = realize_channels(config, realization_rng(101, i))
             for name, values in self.statistics(re.path_sets, re.margin,
                                                 re.draws).items():
                 ours.setdefault(name, []).extend(values)
-            kept = self.whole_set(config, realization_rng(102, i))
-            assert kept[1] == self.margin(config, kept[0])
-            for name, values in self.statistics(*kept).items():
+            path_sets, margin, whole, per_side = self.whole_set(
+                config, realization_rng(102, i))
+            assert margin == self.margin(config, path_sets)
+            assert per_side <= whole
+            whole_draws.append(whole)
+            for name, values in self.statistics(path_sets, margin,
+                                                per_side).items():
                 theirs.setdefault(name, []).extend(values)
-        assert np.mean(ours["draws"]) > 20
+        assert np.mean(whole_draws) > 20
         for name in ours:
             n, k = len(ours[name]), len(theirs[name])
             bound = self.KS_COEFFICIENT * np.sqrt((n + k) / (n * k))

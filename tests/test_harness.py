@@ -110,6 +110,12 @@ class TestExperimentSpec:
         assert spec.runs_per_value == 2
         assert spec.config.m_t == 8 and spec.config.seed == 1
 
+    def test_values_taken_literally(self, tmp_path):
+        # with interpolation a lone '%' raised a configparser error
+        path = tmp_path / "exp.cfg"
+        path.write_text(EXPERIMENT_TEXT + "out = runs/100%.csv\n")
+        assert load_experiment(str(path)).out == "runs/100%.csv"
+
     def test_load_rejects_unknown_experiment_key(self, tmp_path):
         path = tmp_path / "exp.cfg"
         path.write_text(EXPERIMENT_TEXT + "solver = lm\n")
@@ -149,17 +155,17 @@ class TestRunExperiment:
     # downstream of the sampler's stream shows.
     RATE_PINS = (
         (SimulationConfig(seed=1), "random",
-         (("58.62651370402199", "58.18686907838214"),
-          ("52.71934279147618", "52.15225144695505"),
-          ("55.71540691561694", "55.184703637175794"))),
+         (("58.62651370402199", "58.18200238998844"),
+          ("52.71934279147618", "52.41199214942901"),
+          ("55.71540691561694", "55.270860043583"))),
         (SimulationConfig(seed=1), "refine",
-         (("58.62651370402199", "58.42420513780456"),
-          ("52.71934279147618", "52.16267621112816"),
-          ("55.71540691561694", "55.30432822191488"))),
+         (("58.62651370402199", "58.41938225310757"),
+          ("52.71934279147618", "52.4220399109274"),
+          ("55.71540691561694", "55.380096118186806"))),
         (SimulationConfig(m_t=64, m_r=64, l1=8, l2=8, l3=4, seed=2), "random",
-         (("66.57367855692414", "66.46056087234008"),
-          ("65.17815502997605", "65.14814807151569"),
-          ("60.74792181627941", "60.57684581595069"))),
+         (("66.57367855692414", "66.43416041687573"),
+          ("65.17815502997605", "65.228448726837"),
+          ("60.74792181627941", "60.53805518395607"))),
     )
 
     @pytest.mark.parametrize("pin", RATE_PINS, ids=["default-random",
@@ -455,7 +461,13 @@ class TestCli:
                              (("N_x = 4", "N_x = 1e20"), "n_x"),
                              (("seed = 1\nrealizations = 2",
                                "seed = 1\nrealizations = 1e30"),
-                              "realizations")))])
+                              "realizations"))),
+        # configparser errors used to escape as a traceback, exit 1
+        (("M_t = 8", "M_t = 8\nM_t = 9"), [],
+         "option 'm_t' in section 'sim' already exists"),
+        (("[experiment]", "[sim]\n[experiment]"), [],
+         "section 'sim' already exists"),
+        (("[sim]\n", ""), [], "File contains no section headers")])
     def test_simulate_unrunnable_sweep_exits_2(self, tmp_path, capsys, edit,
                                                argv, message):
         path = tmp_path / "exp.cfg"

@@ -145,6 +145,24 @@ class TestGains:
         assert abs(dirichlet_ratio(4, np.pi) + 1.0) < 1e-12
         assert abs(dirichlet_ratio(3, np.pi) - 1.0) < 1e-12
 
+    @pytest.mark.parametrize("extent", [2, 7, 4096, 2 ** 20])
+    def test_dirichlet_near_multiples_of_pi(self, extent):
+        # within 1e-9 of 0 the direct quotient, within 1e-9 of another
+        # multiple of pi the quotient in x - m*pi: both to 1e-15 of a
+        # 50-digit sum at the double x
+        mpmath = pytest.importorskip("mpmath")
+        offsets = np.concatenate([np.logspace(-12, -9, 7),
+                                  -np.logspace(-12, -9, 7)])
+        with mpmath.workdps(50):
+            for m in (0, 1, -1, 2, 3):
+                x = m * np.pi + offsets
+                got = dirichlet_ratio(extent, x)
+                for xi, gi in zip(x, got):
+                    exact = (mpmath.sin(extent * mpmath.mpf(xi))
+                             / (extent * mpmath.sin(mpmath.mpf(xi))))
+                    assert abs(gi - exact) < 1e-15, (m, xi)
+                    assert gi == dirichlet_ratio(extent, xi)
+
     def test_dirichlet_bounded(self):
         rng = np.random.default_rng(2)
         for _ in range(200):
