@@ -1,6 +1,6 @@
 """RIS-partitioning based scalable beamforming design for large-scale MIMO.
 
-The package root exports the names of the README quick start: sample a
+The package root exports the six names of the README quick start: sample a
 channel realization (:mod:`rispart.channel`), reduce it to scalar-channel
 coefficients under the sorted path pairing (:mod:`rispart.asymptotic`),
 solve the asymptotic power/partition problem exactly
@@ -9,7 +9,7 @@ solve the asymptotic power/partition problem exactly
 """
 
 from rispart.channel import SimulationConfig, realization_rng, realize_channels
-from rispart.asymptotic import coefficients, optimal_pairing
+from rispart.asymptotic import coefficients
 from rispart.solver import solve
 from rispart.finite import adapt_solution
 
@@ -18,7 +18,6 @@ __all__ = [
     "realization_rng",
     "realize_channels",
     "coefficients",
-    "optimal_pairing",
     "solve",
     "adapt_solution",
 ]

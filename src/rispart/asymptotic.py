@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from rispart.channel import ChannelRealization, SimulationConfig
+from rispart.channel import ChannelRealization, path_loss
 
 
 @dataclass
@@ -99,33 +99,31 @@ def _sorted_desc(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return values[perm], perm
 
 
-def coefficients(realization: ChannelRealization,
-                 pairs: list[tuple[int, int]],
-                 config: SimulationConfig) -> AsymptoticProblem:
-    """Effective scalar-channel coefficients for a pairing.
+def coefficients(realization: ChannelRealization) -> AsymptoticProblem:
+    """Effective scalar-channel coefficients under the sorted pairing.
 
-    ``pairs`` lists the (Tx-RIS path u, RIS-Rx path v) index pairs, each
-    path used at most once, as :func:`optimal_pairing` returns them.
-
+    The cascaded paths are paired by :func:`optimal_pairing`, and the
+    sizes, losses, noise and power budget come from ``realization.config``.
     Cascaded: ``PL_r * M_t * M_r * N^2 * |alpha_u * beta_v|^2 /
     (L1 * L2 * sigma^2)`` per paired (u, v).  Direct: ``PL_d * M_t * M_r *
     |gamma_i|^2 / (L3 * sigma^2)``.  Both vectors are returned sorted
     non-increasing with the permutations recorded.
     """
-    tx = realization.path_sets["tx_ris"]
-    rx = realization.path_sets["ris_rx"]
-    direct = realization.path_sets["tx_rx"]
-    sigma2 = realization.noise_power
-    n, m_t, m_r_dim = realization.n, realization.m_t, realization.m_r
+    config = realization.config
+    tx, rx, direct = (realization.path_sets[kind]
+                      for kind in ("tx_ris", "ris_rx", "tx_rx"))
+    pairs = optimal_pairing(tx.count, rx.count)
+    pl_r, pl_d = path_loss(config)
+    sigma2, m_t, m_r_dim = config.noise_watts, config.m_t, config.m_r
 
-    scale_r = (realization.pl_r * m_t * m_r_dim * n ** 2
+    scale_r = (pl_r * m_t * m_r_dim * config.n ** 2
                / (tx.count * rx.count * sigma2))
     m_r = np.array([scale_r * abs(tx.gains[u] * rx.gains[v]) ** 2
                     for u, v in pairs])
     m_r, perm_r = _sorted_desc(m_r)
     pairs = [pairs[i] for i in perm_r]
 
-    scale_d = realization.pl_d * m_t * m_r_dim / (direct.count * sigma2)
+    scale_d = pl_d * m_t * m_r_dim / (direct.count * sigma2)
     m_d, d_perm = _sorted_desc(scale_d * np.abs(direct.gains) ** 2)
 
     return AsymptoticProblem(m_r=m_r, m_d=m_d, power=config.power_watts,
@@ -135,15 +133,15 @@ def coefficients(realization: ChannelRealization,
 def validate_allocation(problem: AsymptoticProblem, alloc: Allocation,
                         rtol: float = 1e-9) -> None:
     """Constraint check: nonnegativity, exact budget, ratios summing to 1."""
-    if np.any(alloc.p_r < -rtol * problem.power):
+    if not np.all(alloc.p_r >= -rtol * problem.power):
         raise ValueError("cascaded powers must be nonnegative")
-    if np.any(alloc.p_d < -rtol * problem.power):
+    if not np.all(alloc.p_d >= -rtol * problem.power):
         raise ValueError("direct powers must be nonnegative")
-    if np.any(alloc.t < -rtol):
+    if not np.all(alloc.t >= -rtol):
         raise ValueError("partition ratios must be nonnegative")
-    if abs(alloc.total_power - problem.power) > rtol * problem.power:
+    if not abs(alloc.total_power - problem.power) <= rtol * problem.power:
         raise ValueError("power budget must be met with equality")
-    if abs(alloc.t.sum() - 1.0) > rtol:
+    if not abs(alloc.t.sum() - 1.0) <= rtol:
         raise ValueError("partition ratios must sum to 1")
     if alloc.p_r.size != problem.s_max or alloc.p_d.size != problem.l3:
         raise ValueError("allocation length mismatch")

@@ -142,9 +142,10 @@ class PathSet:
 
 @dataclass
 class ChannelRealization:
-    """One draw of the three hops' path sets plus losses and noise power.
+    """One draw of the three hops' path sets under ``config``.
 
-    ``m_t``, ``m_r`` and ``n`` are the Tx, Rx and RIS element counts.  The
+    ``config`` is the :class:`SimulationConfig` the paths were sampled
+    under, the one owner of the array sizes, losses, noise and power.  The
     sampler rejects each terminal side on its own: ``draws`` is the larger
     of the two sides' counts of scored candidates, up to its kept one if
     that met the target, and ``margin`` the smaller of the kept sides'
@@ -152,22 +153,11 @@ class ChannelRealization:
     """
 
     path_sets: dict[str, PathSet]
-    pl_r: float
-    pl_d: float
-    noise_power: float
-    m_t: int
-    m_r: int
-    n: int
+    config: SimulationConfig
     draws: int
     margin: float
 
     def __post_init__(self):
-        if self.pl_r <= 0 or self.pl_d <= 0:
-            raise ValueError("path losses must be positive")
-        if self.noise_power <= 0:
-            raise ValueError("noise power must be positive")
-        if min(self.m_t, self.m_r, self.n) < 1:
-            raise ValueError("array sizes must be positive")
         if set(self.path_sets) != set(HOP_KINDS):
             raise ValueError(f"path sets needed for exactly {HOP_KINDS}")
 
@@ -187,7 +177,6 @@ class ChannelRealization:
                                               np.cumsum([l1, l1, l2]))
         g1, g2, g3 = np.split(rng.standard_normal(2 * (l1 + l2 + l3)),
                               [2 * l1, 2 * (l1 + l2)])
-        pl_r, pl_d = path_loss(config)
         return cls(
             path_sets={
                 HOP_TX_RIS: PathSet.from_draws(
@@ -195,12 +184,10 @@ class ChannelRealization:
                 HOP_RIS_RX: PathSet.from_draws(
                     g2, ris_elev=elev2, ris_azim=azim2, rx=rx[:l2]),
                 HOP_TX_RX: PathSet.from_draws(g3, tx=tx[l1:], rx=rx[l2:])},
-            pl_r=pl_r, pl_d=pl_d, noise_power=config.noise_watts,
-            m_t=config.m_t, m_r=config.m_r, n=config.n, draws=draws,
-            margin=margin)
+            config=config, draws=draws, margin=margin)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimulationConfig:
     """System, channel, and simulation parameters (linear units internally)."""
 

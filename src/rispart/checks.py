@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from rispart.asymptotic import (AsymptoticProblem, coefficients,
-                                optimal_pairing, rate)
+from rispart.asymptotic import AsymptoticProblem, coefficients, rate
 from rispart.channel import (SimulationConfig, realization_rng,
                              realize_channels)
 from rispart.finite import adapt_solution, refine_common_phases
@@ -214,11 +213,8 @@ def refinement_monotone(rng: np.random.Generator,
     for i in range(count):
         run_rng = realization_rng(config.seed, i)
         realization = realize_channels(config, run_rng)
-        problem = coefficients(realization, optimal_pairing(config.l1,
-                                                            config.l2),
-                               config)
-        sol = solve(problem)
-        ev = adapt_solution(sol, realization, config.ris_geometry, run_rng)
+        sol = solve(coefficients(realization))
+        ev = adapt_solution(sol, realization, run_rng)
         refined = refine_common_phases(ev, sweeps=1, grid_points=16)
         if refined.rate < ev.rate - 1e-12 or ev.rate < 0:
             ok, detail = False, f"rate decreased at seed {i}"

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from rispart.channel import (HOP_RIS_RX, HOP_TX_RIS, HOP_TX_RX,
-                             ChannelRealization, RisGeometry, ris_cosines,
+                             ChannelRealization, path_loss, ris_cosines,
                              steering_gram)
 from rispart.partition import (PartitionPlan, PhaseGradient, round_partition,
                                subsurface_gains)
@@ -96,7 +96,6 @@ class FiniteEvaluation:
     rate: float
     rate_asymptotic: float
     realization: ChannelRealization = field(repr=False)
-    ris: RisGeometry = field(repr=False)
     model: PathModel = field(repr=False)
     rewaterfilled: bool = False
 
@@ -107,27 +106,25 @@ class FiniteEvaluation:
         return abs(self.rate - ref) / ref if ref > 0 else 0.0
 
 
-def path_model(realization: ChannelRealization, ris: RisGeometry,
-               plan: PartitionPlan, zeta: tuple[np.ndarray, np.ndarray],
-               basis_paths: list[int], powers: np.ndarray) -> PathModel:
-    """Path-domain model of a realized plan.
+def path_model(realization: ChannelRealization, plan: PartitionPlan,
+               zeta: tuple[np.ndarray, np.ndarray], basis_paths: list[int],
+               powers: np.ndarray) -> PathModel:
+    """Path-domain model of a realized plan on the RIS of
+    ``realization.config``.
 
     ``zeta`` holds the x and y direction-cosine differences (L2 x L1) of
     every RIS-Rx departure v and Tx-RIS arrival u.  ``basis_paths`` and
     ``powers`` are those of :class:`FiniteEvaluation`.
     """
-    if ris.n != realization.n:
-        raise ValueError("RIS geometry does not match the realization")
-    tx = realization.path_sets[HOP_TX_RIS]
-    rx = realization.path_sets[HOP_RIS_RX]
-    direct = realization.path_sets[HOP_TX_RX]
-    gains = subsurface_gains(plan, ris, *zeta)
-    m_t, m_r = realization.m_t, realization.m_r
-    c_r = (np.sqrt(realization.pl_r) * realization.n
-           * np.sqrt(m_t * m_r / (tx.count * rx.count)))
-    c_d = np.sqrt(realization.pl_d * m_t * m_r / direct.count)
-    # the terminal ULAs share the RIS element spacing
-    scale = 2.0 * ris.element_spacing / ris.wavelength
+    config = realization.config
+    tx, rx, direct = (realization.path_sets[kind]
+                      for kind in (HOP_TX_RIS, HOP_RIS_RX, HOP_TX_RX))
+    gains = subsurface_gains(plan, config.ris_geometry, *zeta)
+    m_t, m_r = config.m_t, config.m_r
+    pl_r, pl_d = path_loss(config)
+    c_r = np.sqrt(pl_r) * config.n * np.sqrt(m_t * m_r / (tx.count * rx.count))
+    c_d = np.sqrt(pl_d * m_t * m_r / direct.count)
+    scale = config.steering_scale
     phi_tx = scale * np.sin(np.concatenate([tx.departure, direct.departure]))
     phi_rx = scale * np.sin(np.concatenate([rx.arrival, direct.arrival]))
     return PathModel(
@@ -136,14 +133,14 @@ def path_model(realization: ChannelRealization, ris: RisGeometry,
         tx_weights=(steering_gram(phi_tx, phi_tx[basis_paths], m_t)
                     * np.sqrt(powers)),
         rx_gram=steering_gram(phi_rx, phi_rx, m_r),
-        noise_power=realization.noise_power)
+        noise_power=config.noise_watts)
 
 
 def adapt_solution(solution: Solution, realization: ChannelRealization,
-                   ris: RisGeometry,
                    rng: np.random.Generator | None = None,
                    psi: np.ndarray | None = None) -> FiniteEvaluation:
-    """Map an asymptotic solution onto a finite RIS and evaluate it.
+    """Map an asymptotic solution onto the finite RIS of
+    ``realization.config`` and evaluate it.
 
     Rounds the partition ratios to integer column counts, assigns the
     paired-path gradients, draws common phases uniformly (unless given),
@@ -169,7 +166,8 @@ def adapt_solution(solution: Solution, realization: ChannelRealization,
     psi = np.asarray(psi, dtype=float)
     if psi.size != len(active):
         raise ValueError("one common phase per active sub-surface required")
-    counts = round_partition(alloc.t[active], ris.ny)
+    n_y = realization.config.n_y
+    counts = round_partition(alloc.t[active], n_y)
     keep = np.flatnonzero(counts)
     survivors = [active[i] for i in keep]
     rewaterfilled = len(survivors) < len(active)
@@ -186,19 +184,19 @@ def adapt_solution(solution: Solution, realization: ChannelRealization,
                      len(active) - len(survivors), len(active))
         # redistribute the full budget over the surviving channels
         powers, _ = water_filling(np.concatenate([
-            problem.m_r[survivors] * (plan.column_counts / ris.ny) ** 2,
+            problem.m_r[survivors] * (plan.column_counts / n_y) ** 2,
             problem.m_d[i_active]]), problem.power)
     else:
         powers = np.concatenate([alloc.p_r[survivors], alloc.p_d[i_active]])
 
     basis_paths = ([problem.pairs[s][0] for s in survivors]
                    + [tx.count + int(problem.d_perm[i]) for i in i_active])
-    model = path_model(realization, ris, plan, zeta, basis_paths, powers)
+    model = path_model(realization, plan, zeta, basis_paths, powers)
     return FiniteEvaluation(plan=plan, basis_paths=basis_paths,
                             powers=powers,
                             rate=float(model.rates(plan.psi)[0]),
                             rate_asymptotic=solution.rate,
-                            realization=realization, ris=ris, model=model,
+                            realization=realization, model=model,
                             rewaterfilled=rewaterfilled)
 
 

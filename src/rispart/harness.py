@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from rispart.asymptotic import coefficients, optimal_pairing
+from rispart.asymptotic import coefficients
 from rispart.channel import (SimulationConfig, dbm_to_watts, load_config,
                              read_config_file, realization_rng,
                              realize_channels)
@@ -162,13 +162,11 @@ def _run_one(task) -> ResultRow:
         realization = realize_channels(cfg, rng)
         row.draws, row.margin = realization.draws, realization.margin
         stage = "coefficients"
-        pairing = optimal_pairing(cfg.l1, cfg.l2)
-        problem = coefficients(realization, pairing, cfg)
+        problem = coefficients(realization)
         stage = "solve"
         sol = _finite_rate(solve(problem))
         stage = "adapt_solution"
-        ev = _finite_rate(adapt_solution(sol, realization, cfg.ris_geometry,
-                                         rng))
+        ev = _finite_rate(adapt_solution(sol, realization, rng))
         if psi_mode == "refine":
             stage = "refine_common_phases"
             ev = _finite_rate(refine_common_phases(ev))

@@ -23,7 +23,8 @@ from rispart.asymptotic import (Allocation, AsymptoticProblem, Solution,
                                 rate)
 from rispart.channel import (HOP_RIS_RX, HOP_TX_RIS, HOP_TX_RX,
                              ChannelRealization, PathSet, RisGeometry,
-                             SimulationConfig, ris_cosines, steering)
+                             SimulationConfig, path_loss, ris_cosines,
+                             steering)
 from rispart.finite import FiniteEvaluation
 from rispart.partition import build_theta, largest_remainder
 from rispart.solver import (KktResidual, budget_residual, kkt_residual,
@@ -316,17 +317,13 @@ def synth_channel(paths: PathSet, a_tx: np.ndarray,
     return scale * (a_rx * paths.gains) @ a_tx.conj().T
 
 
-def dense_channels(realization: ChannelRealization, ris: RisGeometry,
+def dense_channels(realization: ChannelRealization,
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Dense ``(H1, H2, H3)``: N x M_t, M_r x N and M_r x M_t.
-
-    The terminal ULAs share the RIS element spacing and wavelength, as
-    :class:`SimulationConfig` builds them.
-    """
-    if ris.n != realization.n:
-        raise ValueError("RIS geometry does not match the realization")
-    scale = 2.0 * ris.element_spacing / ris.wavelength
-    m_t, m_r = realization.m_t, realization.m_r
+    """Dense ``(H1, H2, H3)``: N x M_t, M_r x N and M_r x M_t, on the
+    arrays of ``realization.config``."""
+    config = realization.config
+    ris, scale = config.ris_geometry, config.steering_scale
+    m_t, m_r = config.m_t, config.m_r
     tx, rx, direct = (realization.path_sets[kind]
                       for kind in (HOP_TX_RIS, HOP_RIS_RX, HOP_TX_RX))
     return (synth_channel(tx, steering(scale * np.sin(tx.departure), m_t),
@@ -343,7 +340,7 @@ def effective_channel(realization: ChannelRealization, channels,
     """Effective Tx-Rx channel ``sqrt(PL_r)*H2*diag(theta)*H1 + sqrt(PL_d)*H3``.
 
     ``channels`` is the dense ``(H1, H2, H3)`` triple of
-    :func:`dense_channels`; the path losses come from ``realization``.
+    :func:`dense_channels`; the path losses come from ``realization.config``.
     """
     h1, h2, h3 = channels
     theta = np.asarray(theta, dtype=complex)
@@ -351,9 +348,8 @@ def effective_channel(realization: ChannelRealization, channels,
         raise ValueError("theta length must equal the RIS element count")
     if np.any(np.abs(np.abs(theta) - 1.0) > 1e-9):
         raise ValueError("theta entries must have unit modulus")
-    cascaded = h2 @ (theta[:, None] * h1)
-    return (np.sqrt(realization.pl_r) * cascaded
-            + np.sqrt(realization.pl_d) * h3)
+    pl_r, pl_d = path_loss(realization.config)
+    return np.sqrt(pl_r) * (h2 @ (theta[:, None] * h1)) + np.sqrt(pl_d) * h3
 
 
 def logdet_rate(h_eff: np.ndarray, q: np.ndarray, noise_power: float) -> float:
@@ -385,20 +381,21 @@ def eigenmode_covariance(steering_basis: np.ndarray,
 
 def transmit_covariance(evaluation: FiniteEvaluation) -> np.ndarray:
     """The M_t x M_t covariance Q of ``evaluation``'s basis paths."""
-    re, ris = evaluation.realization, evaluation.ris
+    re = evaluation.realization
     departures = np.concatenate([re.path_sets[HOP_TX_RIS].departure,
                                  re.path_sets[HOP_TX_RX].departure])
-    phi = (2.0 * ris.element_spacing / ris.wavelength
-           * np.sin(departures[evaluation.basis_paths]))
-    return eigenmode_covariance(steering(phi, re.m_t), evaluation.powers)
+    phi = re.config.steering_scale * np.sin(departures[evaluation.basis_paths])
+    return eigenmode_covariance(steering(phi, re.config.m_t),
+                                evaluation.powers)
 
 
 def _dense_rate(evaluation: FiniteEvaluation, channels, q: np.ndarray,
                 psi: np.ndarray) -> float:
     plan = dataclasses.replace(evaluation.plan, psi=psi)
+    config = evaluation.realization.config
     h_eff = effective_channel(evaluation.realization, channels,
-                              build_theta(plan, evaluation.ris))
-    return logdet_rate(h_eff, q, evaluation.realization.noise_power)
+                              build_theta(plan, config.ris_geometry))
+    return logdet_rate(h_eff, q, config.noise_watts)
 
 
 def dense_rate(evaluation: FiniteEvaluation,
@@ -407,7 +404,7 @@ def dense_rate(evaluation: FiniteEvaluation,
     default its own) on the dense channels: per-element reflection
     coefficients, the M_r x M_t effective channel, the M_t x M_t
     covariance Q, and the M_r x M_r determinant."""
-    channels = dense_channels(evaluation.realization, evaluation.ris)
+    channels = dense_channels(evaluation.realization)
     return _dense_rate(evaluation, channels, transmit_covariance(evaluation),
                        evaluation.plan.psi if psi is None else psi)
 
@@ -420,7 +417,7 @@ def dense_refine(evaluation: FiniteEvaluation, sweeps: int = 2,
     replaces the current phase only if it beats the best rate so far.
     Returns the phases and their rate.
     """
-    channels = dense_channels(evaluation.realization, evaluation.ris)
+    channels = dense_channels(evaluation.realization)
     q = transmit_covariance(evaluation)
     psi = evaluation.plan.psi.copy()
     best_rate = _dense_rate(evaluation, channels, q, psi)

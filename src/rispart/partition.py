@@ -52,9 +52,9 @@ def round_partition(t, ny: int) -> np.ndarray:
     Counts always sum to ``ny``.
     """
     t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
+    if not np.all(t >= 0):  # a NaN ratio too
         raise ValueError("partition ratios must be nonnegative")
-    if abs(t.sum() - 1.0) > 1e-9:
+    if not abs(t.sum() - 1.0) <= 1e-9:
         raise ValueError("partition ratios must sum to 1")
     active = t > 0
     while True:
@@ -108,7 +108,7 @@ class PartitionPlan:
                              "equal length")
         if np.any(self.column_counts < 0):
             raise ValueError("column counts must be nonnegative")
-        if np.any(self.psi < 0) or np.any(self.psi >= 2 * np.pi):
+        if not np.all((self.psi >= 0) & (self.psi < 2 * np.pi)):
             raise ValueError("common phases must lie in [0, 2*pi)")
 
     @property

@@ -81,8 +81,10 @@ def water_filling(m, budget: float) -> tuple[np.ndarray, float]:
     m = np.atleast_1d(np.asarray(m, dtype=float))
     if m.size == 0:
         raise ValueError("water_filling needs at least one channel")
-    if budget < 0:
-        raise ValueError("budget must be nonnegative")
+    if not np.all((m > 0) & (m < np.inf)):
+        raise ValueError("channel gains must be finite and positive")
+    if not 0 <= budget < np.inf:
+        raise ValueError("budget must be finite and nonnegative")
     order = np.argsort(-m, kind="stable")
     if budget == 0:
         return np.zeros(m.size), float(m[order[0]])

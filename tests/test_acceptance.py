@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from rispart import checks
-from rispart.asymptotic import coefficients, optimal_pairing
+from rispart.asymptotic import coefficients
 from rispart.channel import (RisGeometry, SimulationConfig, dbm_to_watts,
                              realization_rng, realize_channels)
 from rispart.finite import adapt_solution
@@ -97,10 +97,8 @@ def test_criterion_07_finite_convergence(criterion):
         for i in range(50):
             rng = realization_rng(config.seed, i)
             realization = realize_channels(config, rng)
-            problem = coefficients(
-                realization, optimal_pairing(config.l1, config.l2), config)
-            sol = solve(problem)
-            ev = adapt_solution(sol, realization, config.ris_geometry, rng)
+            sol = solve(coefficients(realization))
+            ev = adapt_solution(sol, realization, rng)
             gaps.append(ev.gap)
         medians.append(float(np.median(gaps)))
     elapsed = time.perf_counter() - start
@@ -121,12 +119,11 @@ def test_criterion_08_activation_trends(criterion):
         config = SimulationConfig(m_t=16, m_r=16, n_x=30, n_y=ny,
                                   power_watts=dbm_to_watts(power_dbm),
                                   seed=5)
-        pairing = optimal_pairing(config.l1, config.l2)
         cascaded, direct = [], []
         for i in range(runs):
             rng = realization_rng(config.seed, i)
             realization = realize_channels(config, rng)
-            sol = solve(coefficients(realization, pairing, config))
+            sol = solve(coefficients(realization))
             cascaded.append(len(sol.s_active))
             direct.append(len(sol.i_active))
         return float(np.mean(cascaded)), float(np.mean(direct))

@@ -5,27 +5,37 @@ import pytest
 
 from rispart.asymptotic import (Allocation, AsymptoticProblem, coefficients,
                                 optimal_pairing, rate, validate_allocation)
-from rispart.channel import ChannelRealization, PathSet, SimulationConfig
+from rispart.channel import (ChannelRealization, PathSet, SimulationConfig,
+                             path_loss)
 
 
-def make_realization(n=24, m_t=4, m_r=4, l1=2, l2=2, l3=2, seed=0,
-                     pl_r=1e-8, pl_d=1e-6, sigma2=1e-12):
+def make_realization(n_y=6, seed=0, **config):
+    """A realization on a 4 x ``n_y`` RIS with M = 8 and L = 2/2/2."""
+    config = SimulationConfig(m_t=8, m_r=8, n_x=4, n_y=n_y, l1=2, l2=2,
+                              l3=2, **config)
     rng = np.random.default_rng(seed)
 
     def gains(l):
         g = (rng.standard_normal(l) + 1j * rng.standard_normal(l))
         return g[np.argsort(-np.abs(g), kind="stable")]
 
-    tx = PathSet(gains=gains(l1), departure=rng.random(l1),
-                 arrival=rng.random((l1, 2)))
-    rx = PathSet(gains=gains(l2),
-                 departure=rng.random((l2, 2)), arrival=rng.random(l2))
-    dd = PathSet(gains=gains(l3), departure=rng.random(l3),
-                 arrival=rng.random(l3))
+    tx = PathSet(gains=gains(2), departure=rng.random(2),
+                 arrival=rng.random((2, 2)))
+    rx = PathSet(gains=gains(2),
+                 departure=rng.random((2, 2)), arrival=rng.random(2))
+    dd = PathSet(gains=gains(2), departure=rng.random(2),
+                 arrival=rng.random(2))
     return ChannelRealization(
-        path_sets={"tx_ris": tx, "ris_rx": rx, "tx_rx": dd},
-        pl_r=pl_r, pl_d=pl_d, noise_power=sigma2, m_t=m_t, m_r=m_r, n=n,
+        path_sets={"tx_ris": tx, "ris_rx": rx, "tx_rx": dd}, config=config,
         draws=1, margin=float("inf"))
+
+
+def scales(re):
+    """The cascaded and direct scales of ``make_realization``'s sizes."""
+    pl_r, pl_d = path_loss(re.config)
+    sigma2 = re.config.noise_watts
+    return (pl_r * 8 * 8 * 24 ** 2 / (2 * 2 * sigma2),
+            pl_d * 8 * 8 / (2 * sigma2))
 
 
 class TestProblem:
@@ -56,42 +66,38 @@ class TestProblem:
 class TestCoefficients:
     def test_formula(self):
         re = make_realization()
-        cfg = SimulationConfig(power_watts=2.0)
-        prob = coefficients(re, optimal_pairing(2, 2), cfg)
+        prob = coefficients(re)
         tx, rx = re.path_sets["tx_ris"], re.path_sets["ris_rx"]
-        scale = re.pl_r * 4 * 4 * 24 ** 2 / (2 * 2 * re.noise_power)
+        scale, scale_d = scales(re)
         expected = sorted((scale * abs(tx.gains[k] * rx.gains[k]) ** 2
                            for k in range(2)), reverse=True)
         np.testing.assert_allclose(prob.m_r, expected, rtol=1e-12)
         d = re.path_sets["tx_rx"]
-        scale_d = re.pl_d * 4 * 4 / (2 * re.noise_power)
         np.testing.assert_allclose(
             prob.m_d, sorted(scale_d * np.abs(d.gains) ** 2, reverse=True),
             rtol=1e-12)
-        assert prob.power == 2.0
+
+    def test_power_from_config(self):
+        re = make_realization(power_watts=2.0)
+        assert coefficients(re).power == re.config.power_watts == 2.0
 
     def test_quadratic_in_surface_size(self):
-        cfg = SimulationConfig()
-        small = coefficients(make_realization(n=24), optimal_pairing(2, 2),
-                             cfg)
-        big = coefficients(make_realization(n=48), optimal_pairing(2, 2),
-                           cfg)
+        small = coefficients(make_realization(n_y=6))
+        big = coefficients(make_realization(n_y=12))
         np.testing.assert_allclose(big.m_r, 4.0 * small.m_r, rtol=1e-12)
         np.testing.assert_allclose(big.m_d, small.m_d, rtol=1e-12)
 
     def test_sorted_with_pairs_tracked(self):
         re = make_realization(seed=3)
-        cfg = SimulationConfig()
-        prob = coefficients(re, optimal_pairing(2, 2), cfg)
+        prob = coefficients(re)
         assert np.all(np.diff(prob.m_r) <= 0)
         assert np.all(np.diff(prob.m_d) <= 0)
         tx, rx = re.path_sets["tx_ris"], re.path_sets["ris_rx"]
-        scale = re.pl_r * 4 * 4 * 24 ** 2 / (2 * 2 * re.noise_power)
+        scale, scale_d = scales(re)
         for coeff, (u, v) in zip(prob.m_r, prob.pairs):
             assert abs(coeff - scale * abs(tx.gains[u] * rx.gains[v]) ** 2) \
                 < 1e-9 * coeff
         d = re.path_sets["tx_rx"]
-        scale_d = re.pl_d * 4 * 4 / (2 * re.noise_power)
         np.testing.assert_allclose(
             prob.m_d, scale_d * np.abs(d.gains[prob.d_perm]) ** 2,
             rtol=1e-12)
@@ -130,6 +136,13 @@ class TestRate:
             validate_allocation(
                 AsymptoticProblem(m_r=[4.0], m_d=[2.0], power=1.0),
                 Allocation(p_r=[1.5], p_d=[-0.5], t=[1.0]))
+        # NaN fails every bound, so rate() cannot return NaN
+        nan = Allocation(p_r=[np.nan], p_d=[np.nan], t=[np.nan])
+        problem = AsymptoticProblem(m_r=[4.0], m_d=[2.0], power=1.0)
+        with pytest.raises(ValueError, match="nonnegative"):
+            validate_allocation(problem, nan)
+        with pytest.raises(ValueError, match="nonnegative"):
+            rate(problem, nan)
 
 
 class TestOptimalPairing:

@@ -8,8 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rispart.asymptotic import (Allocation, Solution, coefficients,
-                                optimal_pairing, rate)
+from rispart.asymptotic import Allocation, Solution, coefficients, rate
 from rispart.channel import (SimulationConfig, dbm_to_watts, realization_rng,
                              realize_channels, steering)
 from rispart.finite import (_phase_pencil, adapt_solution,
@@ -26,7 +25,7 @@ def pipeline(seed=0, m=16, n_x=10, n_y=12, l1=2, l2=2, l3=2, **cfg_kw):
     cfg = SimulationConfig(m_t=m, m_r=m, n_x=n_x, n_y=n_y, l1=l1, l2=l2,
                            l3=l3, power_watts=P0 / (m * m), **cfg_kw)
     re = realize_channels(cfg, realization_rng(seed, 0))
-    prob = coefficients(re, optimal_pairing(l1, l2), cfg)
+    prob = coefficients(re)
     sol = solve(prob)
     return cfg, re, prob, sol
 
@@ -57,12 +56,12 @@ def random_evaluation(rng):
         d3=1e9 if draw % 3 == 0 else 150.0,
         power_watts=P0 / (m_t * m_r) * 10.0 ** rng.uniform(-2, 1))
     re = realize_channels(cfg, realization_rng(draw, 0), max_tries=20)
-    prob = coefficients(re, optimal_pairing(l1, l2), cfg)
+    prob = coefficients(re)
     if draw % 4 == 0 and prob.s_max > 1:
         sol = forced_drop(prob, cfg.n_y)
     else:
         sol = solve(prob)
-    return cfg, adapt_solution(sol, re, cfg.ris_geometry, rng)
+    return cfg, adapt_solution(sol, re, rng)
 
 
 def cases(cfg, ev):
@@ -136,8 +135,7 @@ class TestLogdetRate:
 class TestAdaptSolution:
     def test_realized_plan_consistent(self):
         cfg, re, prob, sol = pipeline(seed=1)
-        ev = adapt_solution(sol, re, cfg.ris_geometry,
-                            rng=np.random.default_rng(11))
+        ev = adapt_solution(sol, re, rng=np.random.default_rng(11))
         assert ev.plan.column_counts.sum() == cfg.n_y
         assert ev.plan.s <= len(sol.s_active) or not sol.s_active
         assert ev.rate > 0 and ev.rate_asymptotic > 0
@@ -147,21 +145,19 @@ class TestAdaptSolution:
         cfg, re, prob, sol = pipeline(seed=2)
         k = sum(1 for t in sol.allocation.t if t > 0)
         psi = np.linspace(0.5, 1.5, k)
-        a = adapt_solution(sol, re, cfg.ris_geometry, psi=psi)
-        b = adapt_solution(sol, re, cfg.ris_geometry, psi=psi)
+        a = adapt_solution(sol, re, psi=psi)
+        b = adapt_solution(sol, re, psi=psi)
         assert a.rate == b.rate
 
     def test_rejects_wrong_psi_length(self):
         cfg, re, prob, sol = pipeline(seed=2)
         k = sum(1 for t in sol.allocation.t if t > 0)
         with pytest.raises(ValueError):
-            adapt_solution(sol, re, cfg.ris_geometry,
-                           psi=np.linspace(0.5, 1.5, k + 1))
+            adapt_solution(sol, re, psi=np.linspace(0.5, 1.5, k + 1))
 
     def test_covariance_trace_meets_budget(self):
         cfg, re, prob, sol = pipeline(seed=3)
-        ev = adapt_solution(sol, re, cfg.ris_geometry,
-                            rng=np.random.default_rng(12))
+        ev = adapt_solution(sol, re, rng=np.random.default_rng(12))
         trace = np.trace(transmit_covariance(ev)).real
         assert abs(trace - prob.power) < 1e-6 * prob.power
 
@@ -169,7 +165,6 @@ class TestAdaptSolution:
         cfg, re, prob, sol = pipeline(seed=4)
         with caplog.at_level("DEBUG", logger="rispart"):
             ev = adapt_solution(forced_drop(prob, cfg.n_y), re,
-                                cfg.ris_geometry,
                                 rng=np.random.default_rng(13))
         assert ev.rewaterfilled
         assert ev.plan.s == 1
@@ -178,16 +173,9 @@ class TestAdaptSolution:
         assert any("re-water-filling" in r.getMessage()
                    for r in caplog.records)
 
-    def test_rejects_mismatched_surface(self):
-        cfg, re, prob, sol = pipeline(seed=4)
-        other = SimulationConfig(n_x=cfg.n_x, n_y=cfg.n_y + 1).ris_geometry
-        with pytest.raises(ValueError, match="RIS geometry"):
-            adapt_solution(sol, re, other)
-
     def test_gap_moderate_at_small_size(self):
         cfg, re, prob, sol = pipeline(seed=5, n_x=30, n_y=30)
-        ev = adapt_solution(sol, re, cfg.ris_geometry,
-                            rng=np.random.default_rng(14))
+        ev = adapt_solution(sol, re, rng=np.random.default_rng(14))
         assert ev.gap < 0.3
 
     def test_psi_irrelevant_without_direct_power(self):
@@ -195,16 +183,15 @@ class TestAdaptSolution:
         # power; the common phases then only rotate the one active stream
         cfg, re, prob, sol = pipeline(seed=6, l1=1, l2=1, l3=1, d3=1e9)
         assert np.all(sol.allocation.p_d == 0)
-        a = adapt_solution(sol, re, cfg.ris_geometry, psi=np.array([0.3]))
-        b = adapt_solution(sol, re, cfg.ris_geometry, psi=np.array([4.0]))
+        a = adapt_solution(sol, re, psi=np.array([0.3]))
+        b = adapt_solution(sol, re, psi=np.array([4.0]))
         assert abs(a.rate - b.rate) < 1e-9 * max(a.rate, 1.0)
 
 
 class TestRefineCommonPhases:
     def test_never_decreases(self):
         cfg, re, prob, sol = pipeline(seed=7)
-        ev = adapt_solution(sol, re, cfg.ris_geometry,
-                            rng=np.random.default_rng(15))
+        ev = adapt_solution(sol, re, rng=np.random.default_rng(15))
         refined = refine_common_phases(ev, sweeps=1, grid_points=16)
         assert refined.rate >= ev.rate
 
@@ -229,7 +216,7 @@ class TestRefineCommonPhases:
         # the whole effective channel, so it cannot change the rate, every
         # trial ties and the input comes back
         cfg, re, prob, sol = pipeline(seed=3, l1=1)
-        ev = adapt_solution(sol, re, cfg.ris_geometry, psi=[0.0])
+        ev = adapt_solution(sol, re, psi=[0.0])
         model = dataclasses.replace(ev.model,
                                     direct=np.zeros_like(ev.model.direct))
         ev = dataclasses.replace(ev, model=model,
@@ -238,16 +225,14 @@ class TestRefineCommonPhases:
 
     def test_zero_sweeps_is_identity(self):
         cfg, re, prob, sol = pipeline(seed=8)
-        ev = adapt_solution(sol, re, cfg.ris_geometry,
-                            rng=np.random.default_rng(16))
+        ev = adapt_solution(sol, re, rng=np.random.default_rng(16))
         refined = refine_common_phases(ev, sweeps=0)
         assert refined.rate == ev.rate
         np.testing.assert_array_equal(refined.plan.psi, ev.plan.psi)
 
     def test_input_validation(self):
         cfg, re, prob, sol = pipeline(seed=9)
-        ev = adapt_solution(sol, re, cfg.ris_geometry,
-                            rng=np.random.default_rng(17))
+        ev = adapt_solution(sol, re, rng=np.random.default_rng(17))
         with pytest.raises(ValueError, match="grid_points >= 1"):
             refine_common_phases(ev, grid_points=0)
         with pytest.raises(ValueError, match="sweeps must be >= 0"):
@@ -278,8 +263,8 @@ class TestPathDomain:
         cfg = SimulationConfig(m_t=256, m_r=256, n_x=100, n_y=300, l1=16,
                                l2=16, l3=8, seed=3)
         re = realize_channels(cfg, realization_rng(cfg.seed, 0))
-        sol = solve(coefficients(re, optimal_pairing(16, 16), cfg))
-        evaluations.append(adapt_solution(sol, re, cfg.ris_geometry, rng))
+        sol = solve(coefficients(re))
+        evaluations.append(adapt_solution(sol, re, rng))
         assert evaluations[-1].plan.s >= 10
         for ev in evaluations:
             trial_rates = _phase_pencil(ev.model, np.exp(1j * GRID))
@@ -306,8 +291,8 @@ class TestPathDomain:
                 l3=int(rng.integers(1, 4)),
                 power_watts=P0 / 256 * 10.0 ** rng.uniform(1, 3))
             re = realize_channels(cfg, realization_rng(i, 0), max_tries=20)
-            sol = solve(coefficients(re, optimal_pairing(l, l), cfg))
-            ev = adapt_solution(sol, re, cfg.ris_geometry, rng)
+            sol = solve(coefficients(re))
+            ev = adapt_solution(sol, re, rng)
             surfaces.append(ev.plan.s)
             refined = refine_common_phases(ev)
             psi, best = dense_refine(ev)
@@ -320,11 +305,10 @@ class TestPathDomain:
     def test_million_element_surface_in_small_memory(self):
         cfg = SimulationConfig(n_x=1000, n_y=1000, seed=3)
         re = realize_channels(cfg, realization_rng(cfg.seed, 0))
-        sol = solve(coefficients(re, optimal_pairing(cfg.l1, cfg.l2), cfg))
+        sol = solve(coefficients(re))
         tracemalloc.start()
         try:
-            ev = adapt_solution(sol, re, cfg.ris_geometry,
-                                np.random.default_rng(0))
+            ev = adapt_solution(sol, re, np.random.default_rng(0))
             refined = refine_common_phases(ev)
             _, peak = tracemalloc.get_traced_memory()
         finally:

@@ -78,6 +78,10 @@ class TestRounding:
             t = rng.dirichlet(np.ones(s))
             ny = int(rng.integers(s, 200))
             assert round_partition(t, ny).sum() == ny
+        # or the ratios are rejected: a NaN would round to no columns
+        for t in ([np.nan, np.nan], [np.nan, 1.0]):
+            with pytest.raises(ValueError):
+                round_partition(t, 10)
 
 
 class TestPartitionPlan:
@@ -85,9 +89,9 @@ class TestPartitionPlan:
         g = [PhaseGradient(0, 0), PhaseGradient(1, 1)]
         with pytest.raises(ValueError, match="nonnegative"):
             PartitionPlan(column_counts=[7, -1], gradients=g, psi=[0.0, 0.0])
-        with pytest.raises(ValueError, match="2\\*pi"):
-            PartitionPlan(column_counts=[3, 3], gradients=g,
-                          psi=[0.0, 2 * np.pi])
+        for psi in ([0.0, 2 * np.pi], [np.nan, 1.0]):
+            with pytest.raises(ValueError, match="2\\*pi"):
+                PartitionPlan(column_counts=[3, 3], gradients=g, psi=psi)
         plan = PartitionPlan(column_counts=[2, 3], gradients=g,
                              psi=[0.0, 1.0])
         with pytest.raises(ValueError, match="sum to Ny"):

@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 
 from rispart import solver
 from rispart.asymptotic import (Allocation, AsymptoticProblem, Solution,
-                                coefficients, optimal_pairing, rate,
-                                validate_allocation)
+                                coefficients, rate, validate_allocation)
 from rispart.channel import (SimulationConfig, realization_rng,
                              realize_channels)
 from rispart.checks import random_problem
@@ -57,8 +56,12 @@ class TestWaterFilling:
     def test_input_validation(self):
         with pytest.raises(ValueError):
             water_filling([], 1.0)
-        with pytest.raises(ValueError):
-            water_filling([1.0], -0.5)
+        for m, budget in (([1.0], -0.5), ([1.0, 2.0], np.nan),
+                          ([1.0], np.inf), ([0.0, 2.0], 1.0),
+                          ([-1.0, 2.0], 1.0), ([np.nan, 2.0], 1.0),
+                          ([np.inf, 2.0], 1.0)):
+            with pytest.raises(ValueError, match="finite"):
+                water_filling(m, budget)
         # coefficients in any order: the powers come back permuted alike
         m = np.array([10.0, 0.1, 4.0, 4.0, 1.0])
         p, v = water_filling(m, 0.5)
@@ -203,11 +206,10 @@ class TestDualRoots:
 
     @staticmethod
     def realized_problems(config, count):
-        pairing = optimal_pairing(config.l1, config.l2)
         for index in range(count):
             realization = realize_channels(
                 config, realization_rng(config.seed, index))
-            yield coefficients(realization, pairing, config)
+            yield coefficients(realization)
 
     @pytest.mark.parametrize("config", [
         SimulationConfig(seed=3),
