@@ -20,17 +20,14 @@ from rispart.channel import ChannelRealization, path_loss
 class AsymptoticProblem:
     """Scalar-channel coefficients and the power budget.
 
-    ``m_r`` are per-paired-cascaded-path coefficients, ``m_d`` per direct
-    path, both sorted non-increasing.  ``pairs`` records which (u, v) path
-    pair produced each ``m_r`` entry and ``d_perm`` the sort permutation of
-    the direct paths, so a solution can be mapped back to physical paths.
+    ``m_r[s]`` is the coefficient of sub-surface s, which serves Tx-RIS
+    path s and RIS-Rx path s; ``m_d[i]`` that of direct path i.  Both are
+    sorted non-increasing, as the path gains are.
     """
 
     m_r: np.ndarray
     m_d: np.ndarray
     power: float
-    pairs: list[tuple[int, int]] = field(default_factory=list)
-    d_perm: np.ndarray | None = None
 
     def __post_init__(self):
         self.m_r = np.atleast_1d(np.asarray(self.m_r, dtype=float))
@@ -44,8 +41,6 @@ class AsymptoticProblem:
             raise ValueError("channel coefficients must be positive")
         if np.any(np.diff(self.m_r) > 0) or np.any(np.diff(self.m_d) > 0):
             raise ValueError("coefficients must be sorted non-increasing")
-        if self.pairs and len(self.pairs) != self.m_r.size:
-            raise ValueError("one recorded pair per cascaded coefficient")
 
     @property
     def s_max(self) -> int:
@@ -94,40 +89,31 @@ class Solution:
         return len(self.s_active)
 
 
-def _sorted_desc(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    perm = np.argsort(-values, kind="stable")
-    return values[perm], perm
-
-
 def coefficients(realization: ChannelRealization) -> AsymptoticProblem:
     """Effective scalar-channel coefficients under the sorted pairing.
 
-    The cascaded paths are paired by :func:`optimal_pairing`, and the
-    sizes, losses, noise and power budget come from ``realization.config``.
-    Cascaded: ``PL_r * M_t * M_r * N^2 * |alpha_u * beta_v|^2 /
-    (L1 * L2 * sigma^2)`` per paired (u, v).  Direct: ``PL_d * M_t * M_r *
-    |gamma_i|^2 / (L3 * sigma^2)``.  Both vectors are returned sorted
-    non-increasing with the permutations recorded.
+    Path sets hold their gains sorted by magnitude, so Tx-RIS path s pairs
+    with RIS-Rx path s (the rate-maximizing pairing) for ``s < min(L1,
+    L2)``.  The sizes, losses, noise and power budget come from
+    ``realization.config``.  Cascaded: ``PL_r * M_t * M_r * N^2 *
+    |alpha_s * beta_s|^2 / (L1 * L2 * sigma^2)``.  Direct: ``PL_d * M_t *
+    M_r * |gamma_i|^2 / (L3 * sigma^2)``, in path order.
     """
     config = realization.config
     tx, rx, direct = (realization.path_sets[kind]
                       for kind in ("tx_ris", "ris_rx", "tx_rx"))
-    pairs = optimal_pairing(tx.count, rx.count)
     pl_r, pl_d = path_loss(config)
     sigma2, m_t, m_r_dim = config.noise_watts, config.m_t, config.m_r
 
     scale_r = (pl_r * m_t * m_r_dim * config.n ** 2
                / (tx.count * rx.count * sigma2))
-    m_r = np.array([scale_r * abs(tx.gains[u] * rx.gains[v]) ** 2
-                    for u, v in pairs])
-    m_r, perm_r = _sorted_desc(m_r)
-    pairs = [pairs[i] for i in perm_r]
+    m_r = np.array([scale_r * abs(tx.gains[s] * rx.gains[s]) ** 2
+                    for s in range(min(tx.count, rx.count))])
 
     scale_d = pl_d * m_t * m_r_dim / (direct.count * sigma2)
-    m_d, d_perm = _sorted_desc(scale_d * np.abs(direct.gains) ** 2)
+    m_d = scale_d * np.abs(direct.gains) ** 2
 
-    return AsymptoticProblem(m_r=m_r, m_d=m_d, power=config.power_watts,
-                             pairs=pairs, d_perm=d_perm)
+    return AsymptoticProblem(m_r=m_r, m_d=m_d, power=config.power_watts)
 
 
 def validate_allocation(problem: AsymptoticProblem, alloc: Allocation,
@@ -160,16 +146,3 @@ def rate(problem: AsymptoticProblem, alloc: Allocation,
     if problem.l3:
         r += np.sum(np.log2(1 + problem.m_d * np.maximum(alloc.p_d, 0)))
     return float(r)
-
-
-def optimal_pairing(l1: int, l2: int) -> list[tuple[int, int]]:
-    """Sorted pairing: k-th strongest Tx-RIS path with k-th strongest
-    RIS-Rx path.
-
-    With gains pre-sorted by magnitude these are the (u, v) pairs
-    ``(k, k)`` for ``k < min(L1, L2)``, which maximize the achievable rate
-    over all injective pairings.
-    """
-    if l1 < 1 or l2 < 1:
-        raise ValueError("path counts must be positive")
-    return [(k, k) for k in range(min(l1, l2))]

@@ -67,8 +67,10 @@ class RisGeometry:
     def __post_init__(self):
         if self.nx < 1 or self.ny < 1:
             raise ValueError("nx and ny must be >= 1")
-        if self.element_spacing <= 0 or self.wavelength <= 0:
-            raise ValueError("element_spacing and wavelength must be positive")
+        if not (0 < self.element_spacing < np.inf
+                and 0 < self.wavelength < np.inf):
+            raise ValueError("element_spacing and wavelength must be finite "
+                             "and positive")
 
     @property
     def n(self) -> int:
@@ -94,8 +96,8 @@ class PathSet:
 
     ``departure``/``arrival`` hold one angle record per path: a scalar
     boresight angle for ULA endpoints, or an ``(elevation, azimuth)`` pair
-    for the RIS endpoint.  Gains are kept sorted by non-increasing
-    magnitude.
+    for the RIS endpoint.  Gains are finite and kept sorted by
+    non-increasing magnitude.
     """
 
     gains: np.ndarray
@@ -109,8 +111,10 @@ class PathSet:
         if self.gains.size < 1:
             raise ValueError("a PathSet needs at least one path")
         mags = np.abs(self.gains)
-        if np.any(mags[:-1] < mags[1:] - 1e-15):
-            raise ValueError("gains must be sorted by non-increasing magnitude")
+        if not (np.isfinite(mags).all()
+                and np.all(mags[:-1] >= mags[1:] - 1e-15)):
+            raise ValueError("gains must be finite and sorted by "
+                             "non-increasing magnitude")
 
     @property
     def count(self) -> int:

@@ -1,11 +1,12 @@
 """Finite-size realization and evaluation of an asymptotic solution.
 
-The asymptotic solution prescribes partition ratios, per-path powers, and
-path pairs.  Here the ratios are rounded onto the physical RIS columns,
-the paired-path gradients and common phases are assigned, the powers are
-sent by eigenmode transmission over the activated paths' steering
-vectors, and the exact log-det rate of the resulting effective channel is
-computed and compared against the asymptotic prediction.
+The asymptotic solution prescribes partition ratios and per-path powers;
+sub-surface s serves Tx-RIS path s and RIS-Rx path s.  Here the ratios
+are rounded onto the physical RIS columns, the paired-path gradients and
+common phases are assigned, the powers are sent by eigenmode transmission
+over the activated paths' steering vectors, and the exact log-det rate of
+the resulting effective channel is computed and compared against the
+asymptotic prediction.
 
 The rate is evaluated in the path domain, without an N- or M-sized array.
 The effective channel is ``H = B_rx K(psi) B_tx^H``: ``B_tx`` and ``B_rx``
@@ -86,8 +87,9 @@ class FiniteEvaluation:
     """Realized plan, eigenmodes, and the achieved exact rate.
 
     ``basis_paths`` index the columns of ``B_tx = [A_tx1 | A_tx3]`` (direct
-    paths offset by L1) that carry the eigenmodes, one per sub-surface of
-    ``plan`` and then the direct ones, with ``powers``.
+    paths offset by L1) that carry the eigenmodes, with ``powers``: Tx-RIS
+    path s for each surviving sub-surface s of ``plan``, then the active
+    direct paths.
     """
 
     plan: PartitionPlan
@@ -173,8 +175,8 @@ def adapt_solution(solution: Solution, realization: ChannelRealization,
     rewaterfilled = len(survivors) < len(active)
     plan = PartitionPlan(
         column_counts=counts[keep],
-        gradients=[PhaseGradient(zeta[0][v, u], zeta[1][v, u])
-                   for u, v in (problem.pairs[s] for s in survivors)],
+        gradients=[PhaseGradient(zeta[0][s, s], zeta[1][s, s])
+                   for s in survivors],
         psi=psi[keep])
 
     i_active = [i for i in range(problem.l3) if alloc.p_d[i] > 0]
@@ -189,8 +191,7 @@ def adapt_solution(solution: Solution, realization: ChannelRealization,
     else:
         powers = np.concatenate([alloc.p_r[survivors], alloc.p_d[i_active]])
 
-    basis_paths = ([problem.pairs[s][0] for s in survivors]
-                   + [tx.count + int(problem.d_perm[i]) for i in i_active])
+    basis_paths = survivors + [tx.count + i for i in i_active]
     model = path_model(realization, plan, zeta, basis_paths, powers)
     return FiniteEvaluation(plan=plan, basis_paths=basis_paths,
                             powers=powers,

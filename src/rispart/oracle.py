@@ -285,8 +285,7 @@ def enumerate_pairings(tx_gains, rx_gains, power: float, scale: float = 1.0,
         m = np.array([scale * abs(tx_gains[u] * rx_gains[v]) ** 2
                       for u, v in pairs])
         order = np.argsort(-m, kind="stable")
-        problem = AsymptoticProblem(m_r=m[order], m_d=np.empty(0), power=power,
-                                    pairs=[pairs[i] for i in order])
+        problem = AsymptoticProblem(m_r=m[order], m_d=np.empty(0), power=power)
         table.append((pairs, solve(problem).rate))
     table.sort(key=lambda row: -row[1])
     return table
@@ -374,8 +373,8 @@ def eigenmode_covariance(steering_basis: np.ndarray,
     a = np.asarray(steering_basis, dtype=complex)
     if a.ndim != 2 or a.shape[1] != powers.size:
         raise ValueError("one power per basis column required")
-    if np.any(powers < 0):
-        raise ValueError("powers must be nonnegative")
+    if not np.all(np.isfinite(powers) & (powers >= 0)):
+        raise ValueError("powers must be finite and nonnegative")
     return (a * powers) @ a.conj().T
 
 

@@ -125,8 +125,8 @@ def solve_p32(m_tilde) -> tuple[np.ndarray, float]:
     Returns the best t along with its dual w.
     """
     m_tilde = np.atleast_1d(np.asarray(m_tilde, dtype=float))
-    if np.any(m_tilde <= 0):
-        raise ValueError("m_tilde must be positive")
+    if not np.all(np.isfinite(m_tilde) & (m_tilde > 0)):
+        raise ValueError("m_tilde must be finite and positive")
     if np.any(np.diff(m_tilde) > 0):
         raise ValueError("m_tilde must be sorted non-increasing")
     s = m_tilde.size
@@ -189,8 +189,8 @@ def dual_bracket(m_d, power: float, k) -> tuple[np.ndarray, np.ndarray]:
     k = np.asarray(k)
     if np.any(k < 1):
         raise ValueError("at least one cascaded path must be activated")
-    if power <= 0:
-        raise ValueError("power budget must be positive")
+    if not 0 < power < np.inf:
+        raise ValueError("power budget must be finite and positive")
     # water level 1/x with c extra channels of zero inverse gain: x solves
     # sum_i max(0, x - 1/m_i) + c x = P, and x is the smallest over j of
     # the level (P + sum of the j smallest 1/m_i) / (j + c)

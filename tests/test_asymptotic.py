@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from rispart.asymptotic import (Allocation, AsymptoticProblem, coefficients,
-                                optimal_pairing, rate, validate_allocation)
+                                rate, validate_allocation)
 from rispart.channel import (ChannelRealization, PathSet, SimulationConfig,
-                             path_loss)
+                             path_loss, realization_rng, realize_channels)
 
 
 def make_realization(n_y=6, seed=0, **config):
@@ -47,8 +47,7 @@ class TestProblem:
         with pytest.raises(ValueError):
             AsymptoticProblem(m_r=[1.0], m_d=[], power=0.0)
         with pytest.raises(ValueError):
-            AsymptoticProblem(m_r=[2.0, 1.0], m_d=[], power=1.0,
-                              pairs=[(0, 0)])
+            AsymptoticProblem(m_r=[2.0, 1.0], m_d=[2.0, 3.0], power=1.0)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite(self, value):
@@ -69,13 +68,12 @@ class TestCoefficients:
         prob = coefficients(re)
         tx, rx = re.path_sets["tx_ris"], re.path_sets["ris_rx"]
         scale, scale_d = scales(re)
-        expected = sorted((scale * abs(tx.gains[k] * rx.gains[k]) ** 2
-                           for k in range(2)), reverse=True)
+        expected = [scale * abs(tx.gains[k] * rx.gains[k]) ** 2
+                    for k in range(2)]
         np.testing.assert_allclose(prob.m_r, expected, rtol=1e-12)
         d = re.path_sets["tx_rx"]
-        np.testing.assert_allclose(
-            prob.m_d, sorted(scale_d * np.abs(d.gains) ** 2, reverse=True),
-            rtol=1e-12)
+        np.testing.assert_allclose(prob.m_d, scale_d * np.abs(d.gains) ** 2,
+                                   rtol=1e-12)
 
     def test_power_from_config(self):
         re = make_realization(power_watts=2.0)
@@ -87,20 +85,27 @@ class TestCoefficients:
         np.testing.assert_allclose(big.m_r, 4.0 * small.m_r, rtol=1e-12)
         np.testing.assert_allclose(big.m_d, small.m_d, rtol=1e-12)
 
-    def test_sorted_with_pairs_tracked(self):
-        re = make_realization(seed=3)
-        prob = coefficients(re)
-        assert np.all(np.diff(prob.m_r) <= 0)
-        assert np.all(np.diff(prob.m_d) <= 0)
-        tx, rx = re.path_sets["tx_ris"], re.path_sets["ris_rx"]
-        scale, scale_d = scales(re)
-        for coeff, (u, v) in zip(prob.m_r, prob.pairs):
-            assert abs(coeff - scale * abs(tx.gains[u] * rx.gains[v]) ** 2) \
-                < 1e-9 * coeff
-        d = re.path_sets["tx_rx"]
-        np.testing.assert_allclose(
-            prob.m_d, scale_d * np.abs(d.gains[prob.d_perm]) ** 2,
-            rtol=1e-12)
+    @pytest.mark.parametrize("l1, l2", [(5, 7), (7, 5), (8, 8)])
+    def test_sorted_pairing_by_index(self, l1, l2):
+        # Sub-surface s serves path s of both hops, and direct entry i is
+        # direct path i: on sampled realizations the products of the sorted
+        # gains come out sorted (AsymptoticProblem raises otherwise), and
+        # each coefficient is its path formula bit for bit.
+        config = SimulationConfig(l1=l1, l2=l2)
+        pl_r, pl_d = path_loss(config)
+        m_t, m_r, sigma2 = config.m_t, config.m_r, config.noise_watts
+        scale = pl_r * m_t * m_r * config.n ** 2 / (l1 * l2 * sigma2)
+        scale_d = pl_d * m_t * m_r / (config.l3 * sigma2)
+        for index in range(1000):
+            re = realize_channels(config, realization_rng(l1 * l2, index))
+            prob = coefficients(re)
+            tx, rx, d = (re.path_sets[kind]
+                         for kind in ("tx_ris", "ris_rx", "tx_rx"))
+            assert prob.m_r.tolist() == [
+                scale * abs(tx.gains[s] * rx.gains[s]) ** 2
+                for s in range(min(l1, l2))]
+            assert prob.m_d.tolist() == (scale_d
+                                         * np.abs(d.gains) ** 2).tolist()
 
 
 class TestRate:
@@ -143,16 +148,3 @@ class TestRate:
             validate_allocation(problem, nan)
         with pytest.raises(ValueError, match="nonnegative"):
             rate(problem, nan)
-
-
-class TestOptimalPairing:
-    def test_identity_prefix(self):
-        assert optimal_pairing(2, 3) == [(0, 0), (1, 1)]
-        assert optimal_pairing(3, 2) == [(0, 0), (1, 1)]
-
-    def test_square(self):
-        assert optimal_pairing(3, 3) == [(0, 0), (1, 1), (2, 2)]
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            optimal_pairing(0, 3)

@@ -111,6 +111,13 @@ class TestArrayResponses:
         np.testing.assert_allclose(ris_response([(0.0, 1.3)], g),
                                    np.full((4, 1), 0.5), atol=1e-15)
 
+    @pytest.mark.parametrize("spacing, wavelength", [
+        (0.0, 1.0), (0.5, -1.0), (np.nan, 1.0), (np.inf, 1.0), (0.5, np.nan),
+        (0.5, np.inf)])
+    def test_ris_geometry_validation(self, spacing, wavelength):
+        with pytest.raises(ValueError, match="finite and positive"):
+            RisGeometry(2, 2, spacing, wavelength)
+
     def test_ris_kron_structure(self):
         g = RisGeometry(nx=4, ny=6, element_spacing=0.5, wavelength=1.0)
         angles = np.array([(0.8, 2.1), (0.3, 5.0)])
@@ -148,6 +155,14 @@ def _ula(angles, m, config):
 
 
 class TestSynthChannel:
+    @pytest.mark.parametrize("gains", [
+        [1.0, 2.0], [np.nan, 1.0], [1.0, np.nan], [np.nan], [np.inf, 1.0],
+        [complex(np.inf, np.nan)]])
+    def test_path_set_validation(self, gains):
+        with pytest.raises(ValueError, match="finite and sorted"):
+            PathSet(gains=gains, departure=np.zeros(len(gains)),
+                    arrival=np.zeros(len(gains)))
+
     def test_single_path_all_ones(self):
         paths = PathSet(gains=[1.0 + 0j], departure=[0.0], arrival=[0.0])
         a = steering(np.sin(paths.departure), 2)

@@ -10,7 +10,7 @@ import pytest
 
 from rispart.asymptotic import Allocation, Solution, coefficients, rate
 from rispart.channel import (SimulationConfig, dbm_to_watts, realization_rng,
-                             realize_channels, steering)
+                             realize_channels, ris_cosines, steering)
 from rispart.finite import (_phase_pencil, adapt_solution,
                             refine_common_phases)
 from rispart.oracle import (dense_rate, dense_refine, eigenmode_covariance,
@@ -102,8 +102,9 @@ class TestEigenmodeCovariance:
         a = np.eye(3, 2, dtype=complex)
         with pytest.raises(ValueError):
             eigenmode_covariance(a, [1.0])
-        with pytest.raises(ValueError):
-            eigenmode_covariance(a, [1.0, -0.1])
+        for bad in ([1.0, -0.1], [np.nan, 1.0], [np.inf, 1.0]):
+            with pytest.raises(ValueError):
+                eigenmode_covariance(a, bad)
 
 
 class TestLogdetRate:
@@ -172,6 +173,26 @@ class TestAdaptSolution:
         assert abs(trace - prob.power) < 1e-6 * prob.power
         assert any("re-water-filling" in r.getMessage()
                    for r in caplog.records)
+
+    @pytest.mark.parametrize("l1, l2", [(4, 3), (3, 4)])
+    def test_subsurface_s_serves_path_s(self, l1, l2):
+        # sub-surfaces 0 and 2 and direct paths 0 and 2 carry power, so the
+        # basis skips path 1 of each kind and the direct offset is L1, not S
+        cfg, re, prob, _ = pipeline(seed=7, l1=l1, l2=l2, l3=3)
+        t = np.array([0.6, 0.0, 0.4])
+        alloc = Allocation(p_r=prob.power * np.array([0.4, 0.0, 0.3]),
+                           p_d=prob.power * np.array([0.2, 0.0, 0.1]), t=t)
+        sol = Solution(problem=prob, allocation=alloc, v=1.0, w=1.0,
+                       rate=rate(prob, alloc), s_active=[0, 2],
+                       i_active=[0, 2])
+        ev = adapt_solution(sol, re, psi=np.array([0.3, 1.2]))
+        tx, rx = re.path_sets["tx_ris"], re.path_sets["ris_rx"]
+        arr_x, arr_y = ris_cosines(tx.arrival)
+        dep_x, dep_y = ris_cosines(rx.departure)
+        zeta_x, zeta_y = dep_x[:, None] - arr_x, dep_y[:, None] - arr_y
+        assert [(g.g_x, g.g_y) for g in ev.plan.gradients] == [
+            (zeta_x[s, s], zeta_y[s, s]) for s in (0, 2)]
+        assert ev.basis_paths == [0, 2] + [l1 + i for i in (0, 2)]
 
     def test_gap_moderate_at_small_size(self):
         cfg, re, prob, sol = pipeline(seed=5, n_x=30, n_y=30)

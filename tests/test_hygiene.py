@@ -1,7 +1,7 @@
 """Source hygiene, in place of a linter: no unused top-level imports, no
 module importing another module's private names, no public name in a
-pipeline module that nothing in the package uses, and no pipeline module
-but ``channel`` naming ``steering``."""
+pipeline module that nothing in the package uses, no oracle that nothing
+checks, and no pipeline module but ``channel`` naming ``steering``."""
 
 import ast
 from pathlib import Path
@@ -84,6 +84,21 @@ def test_no_dead_public_names():
             and not any(node.name in names
                         for key, names in uses if key != (stem, i))]
     assert not dead, dead
+
+
+def test_every_oracle_has_a_consumer():
+    # Every public top-level function and class of ``oracle`` is a
+    # reference that something checks against: a test, or ``checks``,
+    # which runs the acceptance criteria.
+    oracle = ast.parse((ROOT / "src/rispart/oracle.py").read_text())
+    consumers = [*ROOT.glob("tests/*.py"), ROOT / "src/rispart/checks.py"]
+    used = set().union(*(_referenced(ast.parse(p.read_text()))
+                         for p in consumers))
+    unchecked = [node.name for node in oracle.body
+                 if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                 and not node.name.startswith("_")
+                 and node.name not in used]
+    assert not unchecked, unchecked
 
 
 def test_no_steering_matrix_in_the_pipeline():

@@ -154,8 +154,9 @@ class TestSolveP32:
     def test_input_validation(self):
         with pytest.raises(ValueError):
             solve_p32([1.0, 2.0])
-        with pytest.raises(ValueError):
-            solve_p32([1.0, -1.0])
+        for bad in ([1.0, -1.0], [np.nan, 1.0], [np.inf, 1.0], [2.0, np.nan]):
+            with pytest.raises(ValueError):
+                solve_p32(bad)
 
 
 class TestSearchBounds:
@@ -186,6 +187,11 @@ class TestSearchBounds:
     def test_needs_cascaded(self):
         with pytest.raises(ValueError):
             dual_bracket([1.0], 1.0, 0)
+
+    @pytest.mark.parametrize("power", [0.0, -1.0, np.nan, np.inf])
+    def test_needs_finite_positive_power(self, power):
+        with pytest.raises(ValueError, match="finite and positive"):
+            dual_bracket([1.0], power, 1)
 
     def test_residual_decreases_across_bracket(self):
         rng = np.random.default_rng(3)
