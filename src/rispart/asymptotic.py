@@ -9,7 +9,7 @@ a sum of logs over these channels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,8 +31,7 @@ class AsymptoticProblem:
 
     def __post_init__(self):
         self.m_r = np.atleast_1d(np.asarray(self.m_r, dtype=float))
-        self.m_d = np.atleast_1d(np.asarray(self.m_d, dtype=float)) \
-            if np.size(self.m_d) else np.empty(0)
+        self.m_d = np.atleast_1d(np.asarray(self.m_d, dtype=float))
         if not np.isfinite(self.power) or self.power <= 0:
             raise ValueError("power budget must be finite and positive")
         if not (np.isfinite(self.m_r).all() and np.isfinite(self.m_d).all()):
@@ -61,8 +60,7 @@ class Allocation:
 
     def __post_init__(self):
         self.p_r = np.atleast_1d(np.asarray(self.p_r, dtype=float))
-        self.p_d = (np.atleast_1d(np.asarray(self.p_d, dtype=float))
-                    if np.size(self.p_d) else np.empty(0))
+        self.p_d = np.atleast_1d(np.asarray(self.p_d, dtype=float))
         self.t = np.atleast_1d(np.asarray(self.t, dtype=float))
         if self.t.size != self.p_r.size:
             raise ValueError("t and p_r must have equal length")
@@ -74,19 +72,17 @@ class Allocation:
 
 @dataclass
 class Solution:
-    """Solver output: allocation, duals, activated sets, achieved rate."""
+    """Solver output: allocation, duals, achieved rate and the activated
+    paths, which are the strongest (the KKT ordering lemma): the first
+    ``s_min_star`` sub-surfaces and the first ``direct`` direct paths."""
 
     problem: AsymptoticProblem
     allocation: Allocation
     v: float
     w: float
     rate: float
-    s_active: list[int] = field(default_factory=list)
-    i_active: list[int] = field(default_factory=list)
-
-    @property
-    def s_min_star(self) -> int:
-        return len(self.s_active)
+    s_min_star: int
+    direct: int
 
 
 def coefficients(realization: ChannelRealization) -> AsymptoticProblem:
@@ -143,6 +139,5 @@ def rate(problem: AsymptoticProblem, alloc: Allocation,
         validate_allocation(problem, alloc)
     r = np.sum(np.log2(1 + problem.m_r * np.maximum(alloc.p_r, 0)
                        * np.maximum(alloc.t, 0) ** 2))
-    if problem.l3:
-        r += np.sum(np.log2(1 + problem.m_d * np.maximum(alloc.p_d, 0)))
+    r += np.sum(np.log2(1 + problem.m_d * np.maximum(alloc.p_d, 0)))
     return float(r)

@@ -18,9 +18,8 @@ from rispart.finite import adapt_solution, refine_common_phases
 from rispart.oracle import (LmDivergenceError, brute_force_p3,
                             enumerate_pairings, lm_residual, lm_solve,
                             snap_allocation)
-from rispart.partition import (PartitionPlan, PhaseGradient, RisGeometry,
-                               build_theta, gain_closed_form,
-                               gain_direct_sum)
+from rispart.partition import (PartitionPlan, RisGeometry, build_theta,
+                               gain_closed_form, gain_direct_sum)
 from rispart.solver import solve, water_filling
 
 Line = tuple[str, bool, str]
@@ -41,9 +40,8 @@ def random_plan(rng: np.random.Generator, ny: int) -> PartitionPlan:
     s = int(rng.integers(1, min(4, ny) + 1))
     cuts = np.sort(rng.choice(np.arange(1, ny), size=s - 1, replace=False))
     counts = np.diff(np.concatenate([[0], cuts, [ny]])).astype(int)
-    gradients = [PhaseGradient(rng.uniform(-2, 2), rng.uniform(-2, 2))
-                 for _ in range(s)]
-    return PartitionPlan(column_counts=counts, gradients=gradients,
+    return PartitionPlan(column_counts=counts,
+                         gradients=rng.uniform(-2, 2, (s, 2)),
                          psi=rng.uniform(0, 2 * np.pi, s))
 
 
@@ -57,7 +55,7 @@ def gain_identity(rng: np.random.Generator, count: int) -> list[Line]:
         plan = random_plan(rng, ny)
         theta = build_theta(plan, ris)
         for zeta in [(rng.uniform(-2, 2), rng.uniform(-2, 2)),
-                     (plan.gradients[0].g_x, plan.gradients[0].g_y)]:
+                     plan.gradients[0]]:
             gap = abs(gain_direct_sum(theta, ris, zeta)
                       - gain_closed_form(plan, ris, zeta))
             worst = max(worst, gap)
@@ -121,10 +119,8 @@ def kkt_invariants(rng: np.random.Generator, count: int) -> list[Line]:
         worst_ord = max(worst_ord, float(np.max(np.diff(a.t), initial=0.0)),
                         float(np.max(np.diff(a.p_r), initial=0.0)))
         if sol.w > 0:
-            for s in sol.s_active:
+            for s in range(sol.s_min_star):
                 m_tilde = problem.m_r[s] * a.p_r[s]
-                if m_tilde <= 0:
-                    continue
                 root = np.sqrt(max(1.0 / sol.w ** 2 - 1.0 / m_tilde, 0.0))
                 gap = min(abs(a.t[s] - (1.0 / sol.w + root)),
                           abs(a.t[s] - (1.0 / sol.w - root)))
@@ -146,14 +142,15 @@ def lm_agreement(rng: np.random.Generator, count: int) -> list[Line]:
     for _ in range(count):
         problem = random_problem(rng)
         g = solve(problem)
-        if not g.s_active:
+        k, j = g.s_min_star, g.direct
+        if not k:
             agree += 1  # nothing for the cascaded refiner to solve
             continue
         floor = g.rate * (1 - 5e-3)
         instance_ok = True
         for initial in (g.allocation, None):  # warm then cold start
             try:
-                sol, _ = lm_solve(problem, g.s_active, g.i_active, initial)
+                sol, _ = lm_solve(problem, k, j, initial)
             except LmDivergenceError:
                 instance_ok = False
                 break
@@ -161,11 +158,10 @@ def lm_agreement(rng: np.random.Generator, count: int) -> list[Line]:
                 instance_ok = False
                 break
             a = sol.allocation
-            x = np.concatenate([a.p_r[g.s_active], a.p_d[g.i_active],
-                                a.t[g.s_active], [sol.v, sol.w]])
+            x = np.concatenate([a.p_r[:k], a.p_d[:j], a.t[:k],
+                                [sol.v, sol.w]])
             res = np.linalg.norm(lm_residual(
-                x, problem.m_r[g.s_active], problem.m_d[g.i_active],
-                problem.power))
+                x, problem.m_r[:k], problem.m_d[:j], problem.power))
             worst_residual = max(worst_residual, res)
             if res >= 1e-10:
                 instance_ok = False

@@ -23,15 +23,18 @@ from rispart.solver import solve
 
 
 def _parse_problem_file(path: str) -> AsymptoticProblem:
-    """Flat key=value problem file: m_r, m_d (comma lists), P (watts)."""
+    """Flat key=value problem file: m_r, m_d (comma lists), P (watts);
+    ValueError on any other key or a repeated one."""
     values: dict[str, str] = {}
     with open(path) as fh:
         for line in fh:
             line = line.strip()
             if not line or line.startswith("#") or line.startswith("["):
                 continue
-            key, _, val = line.partition("=")
-            values[key.strip()] = val.strip()
+            key, _, val = (part.strip() for part in line.partition("="))
+            if key not in ("m_r", "m_d", "P") or key in values:
+                raise ValueError(f"unknown or repeated key {key!r}")
+            values[key] = val
     m_r = np.array([float(x) for x in values["m_r"].split(",")])
     m_d = (np.array([float(x) for x in values["m_d"].split(",")])
            if values.get("m_d") else np.empty(0))
@@ -92,8 +95,7 @@ def _cmd_solve(args) -> int:
     print(f"p_d  = {np.array2string(sol.allocation.p_d, precision=6)}")
     print(f"t    = {np.array2string(sol.allocation.t, precision=6)}")
     print(f"v = {sol.v:.6e}, w = {sol.w:.6e}, "
-          f"activated = {sol.s_min_star} cascaded / "
-          f"{len(sol.i_active)} direct")
+          f"activated = {sol.s_min_star} cascaded / {sol.direct} direct")
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(f"rate = {sol.rate!r}\n"

@@ -40,7 +40,7 @@ import numpy as np
 from rispart.channel import (HOP_RIS_RX, HOP_TX_RIS, HOP_TX_RX,
                              ChannelRealization, path_loss, ris_cosines,
                              steering_gram)
-from rispart.partition import (PartitionPlan, PhaseGradient, round_partition,
+from rispart.partition import (PartitionPlan, round_partition,
                                subsurface_gains)
 from rispart.asymptotic import Solution
 from rispart.solver import water_filling
@@ -88,8 +88,8 @@ class FiniteEvaluation:
 
     ``basis_paths`` index the columns of ``B_tx = [A_tx1 | A_tx3]`` (direct
     paths offset by L1) that carry the eigenmodes, with ``powers``: Tx-RIS
-    path s for each surviving sub-surface s of ``plan``, then the active
-    direct paths.
+    paths ``0 .. plan.s-1``, one per surviving sub-surface, then direct
+    paths ``0 .. j-1``, the activated prefix.
     """
 
     plan: PartitionPlan
@@ -144,16 +144,23 @@ def adapt_solution(solution: Solution, realization: ChannelRealization,
     """Map an asymptotic solution onto the finite RIS of
     ``realization.config`` and evaluate it.
 
-    Rounds the partition ratios to integer column counts, assigns the
-    paired-path gradients, draws common phases uniformly (unless given),
-    sends the powers on the eigenmodes of the activated paths, and
-    evaluates the exact log-det rate in the path domain.  If rounding drops
-    a sub-surface, the transmit power is re-allocated by water-filling over
-    the surviving channels.
+    The activated paths must be the strongest, else ``ValueError``: the
+    ratios non-increasing and the positive direct powers a prefix.  Rounds
+    the positive ratios to integer column counts (dropping the weakest, if
+    any), gives surviving sub-surface s the gradient from Tx-RIS path s to
+    RIS-Rx path s, draws common phases uniformly (unless given), sends the
+    powers on the eigenmodes of the activated paths, and evaluates the
+    exact log-det rate in the path domain.  If rounding drops a
+    sub-surface, the power is re-allocated by water-filling over the
+    surviving channels.
     """
     problem = solution.problem
     alloc = solution.allocation
-    active = [s for s in range(problem.s_max) if alloc.t[s] > 0]
+    active, direct = (int(np.count_nonzero(x > 0))
+                      for x in (alloc.t, alloc.p_d))
+    if np.any(np.diff(alloc.t) > 0) or not np.all(alloc.p_d[:direct] > 0):
+        raise ValueError("activated sub-surfaces and direct paths must be "
+                         "a prefix, with non-increasing ratios")
     if not active:
         raise ValueError("solution has no active sub-surface")
     rng = rng or np.random.default_rng(0)
@@ -164,34 +171,31 @@ def adapt_solution(solution: Solution, realization: ChannelRealization,
     dep_x, dep_y = ris_cosines(rx.departure)
     zeta = (dep_x[:, None] - arr_x, dep_y[:, None] - arr_y)
     if psi is None:
-        psi = rng.uniform(0.0, 2.0 * np.pi, size=len(active))
+        psi = rng.uniform(0.0, 2.0 * np.pi, size=active)
     psi = np.asarray(psi, dtype=float)
-    if psi.size != len(active):
+    if psi.size != active:
         raise ValueError("one common phase per active sub-surface required")
     n_y = realization.config.n_y
-    counts = round_partition(alloc.t[active], n_y)
-    keep = np.flatnonzero(counts)
-    survivors = [active[i] for i in keep]
-    rewaterfilled = len(survivors) < len(active)
+    counts = round_partition(alloc.t[:active], n_y)
+    kept = int(np.count_nonzero(counts))  # rounding drops the weakest
+    rewaterfilled = kept < active
     plan = PartitionPlan(
-        column_counts=counts[keep],
-        gradients=[PhaseGradient(zeta[0][s, s], zeta[1][s, s])
-                   for s in survivors],
-        psi=psi[keep])
+        column_counts=counts[:kept],
+        gradients=np.diagonal(zeta, axis1=1, axis2=2).T[:kept],
+        psi=psi[:kept])
 
-    i_active = [i for i in range(problem.l3) if alloc.p_d[i] > 0]
     if rewaterfilled:
         logger.debug("column rounding dropped %d of %d sub-surfaces; "
                      "re-water-filling the power budget",
-                     len(active) - len(survivors), len(active))
+                     active - kept, active)
         # redistribute the full budget over the surviving channels
         powers, _ = water_filling(np.concatenate([
-            problem.m_r[survivors] * (plan.column_counts / n_y) ** 2,
-            problem.m_d[i_active]]), problem.power)
+            problem.m_r[:kept] * (plan.column_counts / n_y) ** 2,
+            problem.m_d[:direct]]), problem.power)
     else:
-        powers = np.concatenate([alloc.p_r[survivors], alloc.p_d[i_active]])
+        powers = np.concatenate([alloc.p_r[:kept], alloc.p_d[:direct]])
 
-    basis_paths = survivors + [tx.count + i for i in i_active]
+    basis_paths = [*range(kept), *range(tx.count, tx.count + direct)]
     model = path_model(realization, plan, zeta, basis_paths, powers)
     return FiniteEvaluation(plan=plan, basis_paths=basis_paths,
                             powers=powers,

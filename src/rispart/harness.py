@@ -171,9 +171,8 @@ def _run_one(task) -> ResultRow:
             stage = "refine_common_phases"
             ev = _finite_rate(refine_common_phases(ev))
         row.rate_asymptotic, row.rate_finite = float(sol.rate), float(ev.rate)
-        row.activated_cascaded = len(sol.s_active)
-        row.activated_direct = len(sol.i_active)
-        row.s_min_star = sol.s_min_star
+        row.activated_cascaded = row.s_min_star = sol.s_min_star
+        row.activated_direct = sol.direct
     except Exception as exc:  # flag and keep sweeping
         row.error = f"{stage}: {type(exc).__name__}: {exc}"
     row.wall_ms = (time.perf_counter() - start) * 1e3

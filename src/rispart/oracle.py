@@ -116,30 +116,28 @@ def lm_residual(x, m_r, m_d, power):
     return r
 
 
-def lm_solve(problem: AsymptoticProblem, s_active, i_active,
+def lm_solve(problem: AsymptoticProblem, k: int, j: int,
              initial: Allocation | None = None,
              max_iter: int = 500) -> tuple[Solution, KktResidual]:
     """Levenberg-Marquardt root finding on the KKT nonlinear system.
 
-    Unknowns are the activated powers, ratios, and duals (v, w); residuals
-    are the stationarity/consistency/budget equations of the activated
-    block.  Damping grows tenfold on a rejected step and shrinks tenfold
+    The activated block is the prefix of the k strongest sub-surfaces and
+    the j strongest direct paths.  Unknowns are its powers, ratios, and
+    duals (v, w); residuals are its stationarity/consistency/budget
+    equations.  Damping grows tenfold on a rejected step and shrinks tenfold
     on acceptance; negative unknowns are projected back to a small
     positive floor.  Raises :class:`LmDivergenceError` after 50
     consecutive rejections or when the residual norm ends above 1e-8.
     """
-    k, j = len(s_active), len(i_active)
     if k < 1:
         raise ValueError("at least one cascaded path must be activated")
-    m_r = problem.m_r[list(s_active)]
-    m_d = problem.m_d[list(i_active)] if j else np.empty(0)
+    m_r, m_d = problem.m_r[:k], problem.m_d[:j]
     P = problem.power
 
     if initial is not None:
-        p_r0 = np.maximum(initial.p_r[list(s_active)], 1e-6 * P)
-        p_d0 = (np.maximum(initial.p_d[list(i_active)], 1e-6 * P)
-                if j else np.empty(0))
-        t0 = np.maximum(initial.t[list(s_active)], 1e-6)
+        p_r0 = np.maximum(initial.p_r[:k], 1e-6 * P)
+        p_d0 = np.maximum(initial.p_d[:j], 1e-6 * P)
+        t0 = np.maximum(initial.t[:k], 1e-6)
     else:
         share = P / (k + j)
         p_r0 = np.full(k, share)
@@ -187,17 +185,13 @@ def lm_solve(problem: AsymptoticProblem, s_active, i_active,
     if norm >= 1e-8:
         raise LmDivergenceError(f"not converged (residual {norm:.3e})")
 
-    p_r = np.zeros(problem.s_max)
-    p_r[list(s_active)] = x[:k]
+    p_r, t = np.zeros(problem.s_max), np.zeros(problem.s_max)
     p_d = np.zeros(problem.l3)
-    if j:
-        p_d[list(i_active)] = x[k:k + j]
-    t = np.zeros(problem.s_max)
-    t[list(s_active)] = x[k + j:2 * k + j]
+    p_r[:k], p_d[:j], t[:k] = x[:k], x[k:k + j], x[k + j:2 * k + j]
     alloc = Allocation(p_r=p_r, p_d=p_d, t=t)
     sol = Solution(problem=problem, allocation=alloc, v=float(x[-2]),
-                   w=float(x[-1]), rate=rate(problem, alloc),
-                   s_active=list(s_active), i_active=list(i_active))
+                   w=float(x[-1]), rate=rate(problem, alloc), s_min_star=k,
+                   direct=j)
     return sol, kkt_residual(problem, sol)
 
 
@@ -247,12 +241,12 @@ def lm_cold_start(problem: AsymptoticProblem) -> Solution:
         t[0] = 1.0
         alloc = Allocation(p_r=np.zeros(problem.s_max), p_d=p_d, t=t)
         best = Solution(problem=problem, allocation=alloc, v=v, w=0.0,
-                        rate=rate(problem, alloc), s_active=[],
-                        i_active=[i for i in range(problem.l3) if p_d[i] > 0])
+                        rate=rate(problem, alloc), s_min_star=0,
+                        direct=int(np.count_nonzero(p_d)))
     for k in range(1, problem.s_max + 1):
         for j in range(problem.l3 + 1):
             try:
-                cand, _ = lm_solve(problem, list(range(k)), list(range(j)))
+                cand, _ = lm_solve(problem, k, j)
             except LmDivergenceError:
                 continue
             if best is None or cand.rate > best.rate + 1e-12:

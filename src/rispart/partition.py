@@ -1,13 +1,14 @@
 """Structured sub-surface phase shifts and normalized passive beamforming
 gains.
 
-A sub-surface carries a phase gradient (anomalous reflection from one
-Tx-RIS arrival direction to one RIS-Rx departure direction) and a common
-phase shift.  Column partitions (:class:`PartitionPlan`) and tilings
-(:class:`TilePlan`) are both laid out as :class:`Blocks`, phases referenced
-to the RIS origin, so one theta builder serves both, as does each gain: the
-direct element-wise sum, the closed form from Dirichlet-kernel ratios, and
-the large-surface limit where only aligned sub-surfaces contribute.
+A sub-surface carries a common phase shift and a phase gradient: the
+slope (g_x, g_y) that reflects a Tx-RIS arrival into a RIS-Rx departure,
+the difference of their ``channel.ris_cosines``.  Column partitions
+(:class:`PartitionPlan`) and tilings (:class:`TilePlan`) are both laid out
+as :class:`Blocks`, phases referenced to the RIS origin, so one theta
+builder serves both, as does each gain: the direct element-wise sum, the
+closed form from Dirichlet-kernel ratios, and the large-surface limit
+where only aligned sub-surfaces contribute.
 """
 
 from __future__ import annotations
@@ -21,16 +22,6 @@ from rispart.channel import RisGeometry, dirichlet_ratio
 
 # gradient-to-zeta distance below which a sub-surface counts as aligned
 ALIGN_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class PhaseGradient:
-    """Per-element phase slope (g_x, g_y) in direction-cosine units; the
-    slope that reflects an arrival into a departure is the difference of
-    their ``channel.ris_cosines``."""
-
-    g_x: float
-    g_y: float
 
 
 def largest_remainder(t: np.ndarray, total: int) -> np.ndarray:
@@ -91,21 +82,23 @@ class PartitionPlan:
     """Full passive-beamforming configuration for a horizontal partition.
 
     Sub-surface s spans ``column_counts[s]`` whole columns, left to right
-    in order, with phase gradient ``gradients[s]`` and common phase
-    ``psi[s]``.
+    in order, with phase gradient ``gradients[s]``, a row of the (S, 2)
+    array, and common phase ``psi[s]``.  Realized, sub-surface s serves
+    Tx-RIS path s and RIS-Rx path s (see ``finite.adapt_solution``).
     """
 
     column_counts: np.ndarray
-    gradients: list[PhaseGradient]
+    gradients: np.ndarray
     psi: np.ndarray
 
     def __post_init__(self):
         self.column_counts = np.asarray(self.column_counts, dtype=int)
+        self.gradients = np.asarray(self.gradients, dtype=float)
         self.psi = np.asarray(self.psi, dtype=float)
         s = self.column_counts.size
-        if len(self.gradients) != s or self.psi.size != s:
-            raise ValueError("column_counts, gradients, and psi must have "
-                             "equal length")
+        if self.gradients.shape != (s, 2) or self.psi.size != s:
+            raise ValueError("column_counts, gradients (S x 2), and psi "
+                             "must have equal length")
         if np.any(self.column_counts < 0):
             raise ValueError("column counts must be nonnegative")
         if not np.all((self.psi >= 0) & (self.psi < 2 * np.pi)):
@@ -126,12 +119,6 @@ class PartitionPlan:
                       owner=np.arange(self.s), psi=self.psi)
 
 
-def _slopes(plan, owner: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gradient components (g_x, g_y) of each block's sub-surface."""
-    g = np.array([(g.g_x, g.g_y) for g in plan.gradients])[owner]
-    return g[:, 0], g[:, 1]
-
-
 def build_theta(plan: PartitionPlan | TilePlan,
                 ris: RisGeometry) -> np.ndarray:
     """Per-element reflection coefficients of a plan.
@@ -143,10 +130,10 @@ def build_theta(plan: PartitionPlan | TilePlan,
     """
     phase = np.empty((ris.nx, ris.ny))
     for x0, y0, ex, ey, owner, psi in zip(*plan.blocks(ris)):
-        g = plan.gradients[owner]
+        g_x, g_y = plan.gradients[owner]
         phase[x0:x0 + ex, y0:y0 + ey] = psi + ris.k * (
-            np.arange(x0, x0 + ex)[:, None] * g.g_x
-            + np.arange(y0, y0 + ey)[None, :] * g.g_y)
+            np.arange(x0, x0 + ex)[:, None] * g_x
+            + np.arange(y0, y0 + ey)[None, :] * g_y)
     return np.exp(1j * phase).ravel()
 
 
@@ -182,7 +169,7 @@ def subsurface_gains(plan: PartitionPlan | TilePlan, ris: RisGeometry,
                                  np.asarray(zeta_y, dtype=float))
     b = plan.blocks(ris)
     shape = (b.owner.size,) + (1,) * zx.ndim
-    g_x, g_y = _slopes(plan, b.owner)
+    g_x, g_y = plan.gradients[b.owner].T
     eta_x = g_x.reshape(shape) - zx
     eta_y = g_y.reshape(shape) - zy
     x0, y0, ex, ey = (v.reshape(shape) for v in (b.x0, b.y0, b.ex, b.ey))
@@ -209,7 +196,7 @@ def gain_asymptotic(plan: PartitionPlan | TilePlan, ris: RisGeometry,
     """Large-surface limit: only blocks of exactly aligned sub-surfaces
     contribute, each its common phase times its area share."""
     b = plan.blocks(ris)
-    g_x, g_y = _slopes(plan, b.owner)
+    g_x, g_y = plan.gradients[b.owner].T
     aligned = ((np.abs(g_x - zeta[0]) < ALIGN_TOL)
                & (np.abs(g_y - zeta[1]) < ALIGN_TOL))
     share = b.ex * b.ey / ris.n
@@ -225,20 +212,24 @@ class TilePlan:
     sub-surface.  ``psi_tiles[m_x, m_y]`` is referenced to the RIS origin
     element, as ``PartitionPlan.psi`` is (see :class:`Blocks`), so tiles of
     one sub-surface with equal phases form one linear phase profile.
+    ``gradients[s] = (g_x, g_y)`` is sub-surface s's, an ``(S, 2)`` array.
     """
 
     tiles_x: int
     tiles_y: int
     assignment: np.ndarray  # (tiles_x, tiles_y) sub-surface indices
-    gradients: list[PhaseGradient]
+    gradients: np.ndarray   # (S, 2)
     psi_tiles: np.ndarray   # (tiles_x, tiles_y)
 
     def __post_init__(self):
         self.assignment = np.asarray(self.assignment, dtype=int)
+        self.gradients = np.asarray(self.gradients, dtype=float)
         self.psi_tiles = np.asarray(self.psi_tiles, dtype=float)
         shape = (self.tiles_x, self.tiles_y)
         if self.assignment.shape != shape or self.psi_tiles.shape != shape:
             raise ValueError("assignment/psi_tiles shape mismatch")
+        if self.gradients.ndim != 2 or self.gradients.shape[1] != 2:
+            raise ValueError("gradients must be an (S, 2) array")
         s = len(self.gradients)
         if self.assignment.min() < 0 or self.assignment.max() >= s:
             raise ValueError("every tile must map to a valid sub-surface")
@@ -258,7 +249,7 @@ class TilePlan:
         owner_cols = np.repeat(np.arange(plan.s), counts // ey)
         assignment = np.tile(owner_cols, (tiles_x, 1))
         return cls(tiles_x=tiles_x, tiles_y=tiles_y, assignment=assignment,
-                   gradients=list(plan.gradients),
+                   gradients=plan.gradients.copy(),
                    psi_tiles=plan.psi[assignment])
 
     def blocks(self, ris: RisGeometry) -> Blocks:

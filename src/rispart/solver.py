@@ -374,8 +374,8 @@ def solve(problem: AsymptoticProblem) -> Solution:
                        t=t[best])
     sol = Solution(problem=problem, allocation=alloc, v=float(v[best] / power),
                    w=float(2.0 * v[best] * p_r[best].sum()),
-                   rate=rate(problem, alloc), s_active=list(range(k[best])),
-                   i_active=[int(i) for i in np.flatnonzero(p_d[best] > 0)])
+                   rate=rate(problem, alloc), s_min_star=int(k[best]),
+                   direct=int(np.count_nonzero(p_d[best])))
     p_r, t = p_r[best], t[best]
     if p_r.sum() > 0:
         gap = np.max(np.abs(t - p_r / p_r.sum()))

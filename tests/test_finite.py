@@ -15,7 +15,7 @@ from rispart.finite import (_phase_pencil, adapt_solution,
                             refine_common_phases)
 from rispart.oracle import (dense_rate, dense_refine, eigenmode_covariance,
                             logdet_rate, transmit_covariance)
-from rispart.solver import solve
+from rispart.solver import solve, water_filling
 
 P0 = dbm_to_watts(60.1030)
 GRID = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
@@ -37,7 +37,7 @@ def forced_drop(prob, n_y):
     t[0], t[1] = 1 - eps, eps
     alloc = Allocation(p_r=prob.power * t, p_d=np.zeros(prob.l3), t=t)
     return Solution(problem=prob, allocation=alloc, v=1.0, w=1.0,
-                    rate=rate(prob, alloc), s_active=[0, 1], i_active=[])
+                    rate=rate(prob, alloc), s_min_star=2, direct=0)
 
 
 def random_evaluation(rng):
@@ -138,7 +138,7 @@ class TestAdaptSolution:
         cfg, re, prob, sol = pipeline(seed=1)
         ev = adapt_solution(sol, re, rng=np.random.default_rng(11))
         assert ev.plan.column_counts.sum() == cfg.n_y
-        assert ev.plan.s <= len(sol.s_active) or not sol.s_active
+        assert ev.plan.s <= max(sol.s_min_star, 1)
         assert ev.rate > 0 and ev.rate_asymptotic > 0
         assert ev.gap == abs(ev.rate - ev.rate_asymptotic) / ev.rate_asymptotic
 
@@ -174,25 +174,60 @@ class TestAdaptSolution:
         assert any("re-water-filling" in r.getMessage()
                    for r in caplog.records)
 
+    def test_rewaterfill_powers_pinned(self):
+        # ratios 1/2, 11/24, 1/24 on 12 columns round to [6, 6, 0]: the two
+        # survivors and the two direct paths share the budget by
+        # water-filling over the gains m_r (6/12)^2 and m_d
+        cfg, re, prob, _ = pipeline(seed=4, l1=3, l2=3, l3=2)
+        eps = 0.5 / cfg.n_y
+        alloc = Allocation(p_r=prob.power * np.array([0.45, 0.35, 0.05]),
+                           p_d=prob.power * np.array([0.1, 0.05]),
+                           t=[0.5, 0.5 - eps, eps])
+        sol = Solution(problem=prob, allocation=alloc, v=1.0, w=1.0,
+                       rate=rate(prob, alloc), s_min_star=3, direct=2)
+        ev = adapt_solution(sol, re, psi=np.array([0.3, 1.2, 2.0]))
+        assert ev.rewaterfilled
+        np.testing.assert_array_equal(ev.plan.column_counts, [6, 6])
+        expected, _ = water_filling(
+            np.concatenate([prob.m_r[:2] / 4.0, prob.m_d]), prob.power)
+        np.testing.assert_array_equal(ev.powers, expected)
+        assert np.ptp(expected[:2]) > 0 and np.all(expected[2:] > 0)
+
     @pytest.mark.parametrize("l1, l2", [(4, 3), (3, 4)])
     def test_subsurface_s_serves_path_s(self, l1, l2):
-        # sub-surfaces 0 and 2 and direct paths 0 and 2 carry power, so the
-        # basis skips path 1 of each kind and the direct offset is L1, not S
+        # sub-surfaces 0 and 1 and direct paths 0 and 1 carry power; at
+        # L1 = 4 the direct offset is L1, not S = 3, so the basis is
+        # [0, 1, 4, 5], not [0, 1, 3, 4]
         cfg, re, prob, _ = pipeline(seed=7, l1=l1, l2=l2, l3=3)
-        t = np.array([0.6, 0.0, 0.4])
-        alloc = Allocation(p_r=prob.power * np.array([0.4, 0.0, 0.3]),
-                           p_d=prob.power * np.array([0.2, 0.0, 0.1]), t=t)
+        alloc = Allocation(p_r=prob.power * np.array([0.4, 0.3, 0.0]),
+                           p_d=prob.power * np.array([0.2, 0.1, 0.0]),
+                           t=[0.6, 0.4, 0.0])
         sol = Solution(problem=prob, allocation=alloc, v=1.0, w=1.0,
-                       rate=rate(prob, alloc), s_active=[0, 2],
-                       i_active=[0, 2])
+                       rate=rate(prob, alloc), s_min_star=2, direct=2)
         ev = adapt_solution(sol, re, psi=np.array([0.3, 1.2]))
         tx, rx = re.path_sets["tx_ris"], re.path_sets["ris_rx"]
         arr_x, arr_y = ris_cosines(tx.arrival)
         dep_x, dep_y = ris_cosines(rx.departure)
         zeta_x, zeta_y = dep_x[:, None] - arr_x, dep_y[:, None] - arr_y
-        assert [(g.g_x, g.g_y) for g in ev.plan.gradients] == [
-            (zeta_x[s, s], zeta_y[s, s]) for s in (0, 2)]
-        assert ev.basis_paths == [0, 2] + [l1 + i for i in (0, 2)]
+        np.testing.assert_array_equal(
+            ev.plan.gradients, [(zeta_x[s, s], zeta_y[s, s]) for s in (0, 1)])
+        assert ev.basis_paths == [0, 1, l1, l1 + 1]
+        np.testing.assert_array_equal(ev.powers,
+                                      prob.power * np.array([0.4, 0.3, 0.2,
+                                                             0.1]))
+
+    @pytest.mark.parametrize("t, p_d", [
+        ([0.6, 0.0, 0.4], [0.2, 0.1, 0.0]),   # sub-surface 1 skipped
+        ([0.4, 0.6, 0.0], [0.2, 0.1, 0.0]),   # ratios increasing
+        ([0.6, 0.4, 0.0], [0.2, 0.0, 0.1])])  # direct path 1 skipped
+    def test_non_prefix_support_rejected(self, t, p_d):
+        cfg, re, prob, _ = pipeline(seed=7, l1=4, l2=3, l3=3)
+        alloc = Allocation(p_r=0.7 * prob.power * np.array(t),
+                           p_d=prob.power * np.array(p_d), t=t)
+        sol = Solution(problem=prob, allocation=alloc, v=1.0, w=1.0,
+                       rate=rate(prob, alloc), s_min_star=2, direct=2)
+        with pytest.raises(ValueError, match="prefix"):
+            adapt_solution(sol, re, psi=np.array([0.3, 1.2]))
 
     def test_gap_moderate_at_small_size(self):
         cfg, re, prob, sol = pipeline(seed=5, n_x=30, n_y=30)
@@ -243,6 +278,27 @@ class TestRefineCommonPhases:
         ev = dataclasses.replace(ev, model=model,
                                  rate=float(model.rates(ev.plan.psi)[0]))
         assert refine_common_phases(ev) is ev
+
+    def test_tied_phase_does_not_move(self):
+        # sub-surface 0's gain block is zeroed, so its 64 trial rates tie
+        # exactly with the rate of record; only a strictly higher trial
+        # moves a phase, so its off-grid phase stays while sub-surface 1's
+        # moves
+        cfg, re, prob, _ = pipeline(seed=7)
+        alloc = Allocation(p_r=prob.power * np.array([0.5, 0.5]),
+                           p_d=np.zeros(prob.l3), t=[0.5, 0.5])
+        sol = Solution(problem=prob, allocation=alloc, v=1.0, w=1.0,
+                       rate=rate(prob, alloc), s_min_star=2, direct=0)
+        ev = adapt_solution(sol, re, psi=np.array([0.3, 0.3]))
+        cascaded = ev.model.cascaded.copy()
+        cascaded[0] = 0.0
+        model = dataclasses.replace(ev.model, cascaded=cascaded)
+        tied = _phase_pencil(model, np.exp(1j * GRID))(ev.plan.psi, 0)
+        assert np.ptp(tied) == 0.0
+        ev = dataclasses.replace(ev, model=model, rate=float(tied[0]))
+        refined = refine_common_phases(ev)
+        assert refined.rate > ev.rate
+        assert refined.plan.psi[0] == 0.3 and refined.plan.psi[1] != 0.3
 
     def test_zero_sweeps_is_identity(self):
         cfg, re, prob, sol = pipeline(seed=8)

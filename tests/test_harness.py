@@ -395,6 +395,20 @@ class TestCli:
         captured = capsys.readouterr()
         assert "solve failed" in captured.err and "rate =" not in captured.out
 
+    @pytest.mark.parametrize("text", [
+        "m_r = 16,4\nmd = 2\nP = 1\n",
+        "m_r = 16,4\nm_d = 2\nm_d = 0.5\nP = 1\n",
+        "m_r = 16,4\nm_d = 2\nP = 1\nP = 2\n"],
+        ids=["misspelt-m_d", "m_d-twice", "P-twice"])
+    def test_solve_unknown_or_repeated_key_exits_2(self, tmp_path, capsys,
+                                                   text):
+        problem = tmp_path / "problem.txt"
+        problem.write_text(text)
+        assert main(["solve", str(problem)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: ")
+        assert "rate =" not in captured.out
+
     def test_solve_missing_file(self, tmp_path, capsys):
         assert main(["solve", str(tmp_path / "nope.txt")]) == 2
 

@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from rispart.channel import RisGeometry, dirichlet_ratio, ris_cosines
-from rispart.partition import (PartitionPlan, PhaseGradient, TilePlan,
-                               build_theta, gain_asymptotic,
-                               gain_closed_form,
+from rispart.partition import (PartitionPlan, TilePlan, build_theta,
+                               gain_asymptotic, gain_closed_form,
                                gain_direct_sum, round_partition,
                                subsurface_gains)
 
@@ -20,31 +19,30 @@ def make_ris(nx=4, ny=6):
 def random_plan(rng, s, ny):
     """Plan with random gradients/ratios/phases rounded onto ny columns;
     sub-surfaces that rounding drops are left out."""
-    grads = [PhaseGradient(rng.uniform(-2, 2), rng.uniform(-2, 2))
-             for _ in range(s)]
+    grads = rng.uniform(-2, 2, (s, 2))
     counts = round_partition(rng.dirichlet(np.ones(s)), ny)
     psi = rng.uniform(0, 2 * np.pi, s)
     keep = np.flatnonzero(counts)
-    return PartitionPlan(column_counts=counts[keep],
-                         gradients=[grads[i] for i in keep], psi=psi[keep])
+    return PartitionPlan(column_counts=counts[keep], gradients=grads[keep],
+                         psi=psi[keep])
 
 
-def reflecting(arrival, departure) -> PhaseGradient:
-    """Gradient reflecting an (elevation, azimuth) arrival into a
-    departure, as ``finite.adapt_solution`` forms it."""
+def reflecting(arrival, departure) -> tuple[float, float]:
+    """Gradient (g_x, g_y) reflecting an (elevation, azimuth) arrival into
+    a departure, as ``finite.adapt_solution`` forms it."""
     (arr_x, dep_x), (arr_y, dep_y) = ris_cosines([arrival, departure])
-    return PhaseGradient(dep_x - arr_x, dep_y - arr_y)
+    return dep_x - arr_x, dep_y - arr_y
 
 
-class TestPhaseGradient:
+class TestReflectingGradient:
     def test_specular(self):
-        g = reflecting((0.7, 1.1), (0.7, 1.1))
-        assert g.g_x == 0.0 and g.g_y == 0.0
+        g_x, g_y = reflecting((0.7, 1.1), (0.7, 1.1))
+        assert g_x == 0.0 and g_y == 0.0
 
     def test_unit_cosines(self):
-        g = reflecting((np.pi / 2, 0.0), (np.pi / 2, np.pi / 2))
-        assert abs(g.g_x - (-1.0)) < 1e-12
-        assert abs(g.g_y - 1.0) < 1e-12
+        g_x, g_y = reflecting((np.pi / 2, 0.0), (np.pi / 2, np.pi / 2))
+        assert abs(g_x - (-1.0)) < 1e-12
+        assert abs(g_y - 1.0) < 1e-12
 
 
 
@@ -86,7 +84,7 @@ class TestRounding:
 
 class TestPartitionPlan:
     def test_validation(self):
-        g = [PhaseGradient(0, 0), PhaseGradient(1, 1)]
+        g = [(0, 0), (1, 1)]
         with pytest.raises(ValueError, match="nonnegative"):
             PartitionPlan(column_counts=[7, -1], gradients=g, psi=[0.0, 0.0])
         for psi in ([0.0, 2 * np.pi], [np.nan, 1.0]):
@@ -97,34 +95,40 @@ class TestPartitionPlan:
         with pytest.raises(ValueError, match="sum to Ny"):
             build_theta(plan, make_ris(4, 6))
 
+    @pytest.mark.parametrize("gradients", [
+        [0.0, 1.0], [(0, 0)], [(0, 0, 0), (1, 1, 1)], np.zeros((2, 2, 1))])
+    def test_gradients_must_be_s_by_2(self, gradients):
+        with pytest.raises(ValueError, match="S x 2"):
+            PartitionPlan(column_counts=[3, 3], gradients=gradients,
+                          psi=[0.0, 1.0])
+
 
 class TestBuildTheta:
     def test_single_element(self):
         ris = make_ris(1, 1)
         plan = PartitionPlan(column_counts=[1],
-                             gradients=[PhaseGradient(0.4, -0.2)], psi=[0.7])
+                             gradients=[(0.4, -0.2)], psi=[0.7])
         np.testing.assert_allclose(build_theta(plan, ris),
                                    [np.exp(0.7j)], atol=1e-15)
 
     def test_zero_gradient_constant_phase(self):
         ris = make_ris()
         plan = PartitionPlan(column_counts=[6],
-                             gradients=[PhaseGradient(0, 0)], psi=[0.0])
+                             gradients=[(0, 0)], psi=[0.0])
         np.testing.assert_allclose(build_theta(plan, ris),
                                    np.ones(24), atol=1e-15)
 
     def test_per_element_phases(self):
         ris = make_ris(4, 6)
         plan = PartitionPlan(column_counts=[2, 4],
-                             gradients=[PhaseGradient(0.3, -0.8),
-                                        PhaseGradient(-1.1, 0.25)],
+                             gradients=[(0.3, -0.8), (-1.1, 0.25)],
                              psi=[0.5, 4.0])
         theta = build_theta(plan, ris)
         for n in range(24):
             nx, ny = n // 6, n % 6
             s = 0 if ny < 2 else 1
-            g = plan.gradients[s]
-            phase = plan.psi[s] + ris.k * (nx * g.g_x + ny * g.g_y)
+            g_x, g_y = plan.gradients[s]
+            phase = plan.psi[s] + ris.k * (nx * g_x + ny * g_y)
             assert abs(theta[n] - np.exp(1j * phase)) < 1e-13
 
 
@@ -213,7 +217,7 @@ class TestGains:
         ris = make_ris(8, 12)
         zeta = (0.37, -0.81)
         plan = PartitionPlan(column_counts=[12],
-                             gradients=[PhaseGradient(*zeta)], psi=[1.9])
+                             gradients=[zeta], psi=[1.9])
         g = gain_closed_form(plan, ris, zeta)
         assert abs(g - np.exp(1.9j)) < 1e-12
 
@@ -228,7 +232,7 @@ class TestGains:
     def test_asymptotic_selects_aligned(self):
         ris = make_ris(4, 10)
         zeta = (0.25, -0.5)
-        grads = [PhaseGradient(*zeta), PhaseGradient(0.9, 0.9)]
+        grads = [zeta, (0.9, 0.9)]
         plan = PartitionPlan(column_counts=[3, 7], gradients=grads,
                              psi=[0.0, 2.0])
         assert abs(gain_asymptotic(plan, ris, zeta) - 0.3) < 1e-15
@@ -239,7 +243,7 @@ class TestGains:
 
     def test_converges_to_asymptotic(self):
         zeta = (0.25, -0.5)
-        grads = [PhaseGradient(*zeta), PhaseGradient(0.9, -0.15)]
+        grads = [zeta, (0.9, -0.15)]
         t = np.array([0.4, 0.6])
         psi = np.array([1.0, 2.5])
         gaps = []
@@ -260,7 +264,7 @@ class TestTilePlan:
         ris = make_ris(4, 12)
         plan = PartitionPlan(
             column_counts=[4, 8],
-            gradients=[PhaseGradient(0.3, -0.8), PhaseGradient(-1.1, 0.25)],
+            gradients=[(0.3, -0.8), (-1.1, 0.25)],
             psi=[0.5, 4.0])
         tiles = TilePlan.from_partition_plan(plan, ris, tiles_x=2, tiles_y=6)
         # phases share the plan's origin reference, so they copy over
@@ -276,8 +280,7 @@ class TestTilePlan:
     def test_tile_gain_matches_direct_sum(self):
         rng = np.random.default_rng(7)
         ris = make_ris(4, 6)
-        grads = [PhaseGradient(rng.uniform(-2, 2), rng.uniform(-2, 2))
-                 for _ in range(3)]
+        grads = rng.uniform(-2, 2, (3, 2))
         assignment = rng.integers(0, 3, size=(2, 3))
         psi_tiles = rng.uniform(0, 2 * np.pi, size=(2, 3))
         tiles = TilePlan(tiles_x=2, tiles_y=3, assignment=assignment,
@@ -289,7 +292,7 @@ class TestTilePlan:
 
     def test_tile_subsurface_is_one_linear_profile(self):
         ris = make_ris(4, 6)
-        grads = [PhaseGradient(0.3, -0.8), PhaseGradient(-1.1, 0.25)]
+        grads = [(0.3, -0.8), (-1.1, 0.25)]
         psi = [1.2, 0.4]
         tiles = TilePlan(tiles_x=2, tiles_y=3,
                          assignment=[[0, 0, 0], [1, 1, 1]], gradients=grads,
@@ -304,8 +307,7 @@ class TestTilePlan:
     def test_tile_asymptotic(self):
         zeta = (0.25, -0.5)
         tiles = TilePlan(tiles_x=2, tiles_y=2, assignment=[[0, 0], [1, 1]],
-                         gradients=[PhaseGradient(*zeta),
-                                    PhaseGradient(0.9, 0.9)],
+                         gradients=[zeta, (0.9, 0.9)],
                          psi_tiles=[[1.2, 1.2], [0.0, 0.0]])
         g = gain_asymptotic(tiles, make_ris(4, 6), zeta)
         assert abs(g - 0.5 * np.exp(1.2j)) < 1e-14
@@ -313,8 +315,7 @@ class TestTilePlan:
     def test_tiled_gain_converges_to_limit(self):
         zeta = (0.25, -0.37)
         tiles = TilePlan(tiles_x=2, tiles_y=2, assignment=[[0, 0], [1, 1]],
-                         gradients=[PhaseGradient(*zeta),
-                                    PhaseGradient(-0.6, 0.45)],
+                         gradients=[zeta, (-0.6, 0.45)],
                          psi_tiles=[[1.2, 1.2], [0.3, 0.3]])
         gaps = []
         for side in (4, 16, 64, 256):
@@ -326,37 +327,36 @@ class TestTilePlan:
 
     def test_tile_grid_must_divide_ris(self):
         tiles = TilePlan(tiles_x=2, tiles_y=2, assignment=[[0, 0], [1, 1]],
-                         gradients=[PhaseGradient(0, 0), PhaseGradient(1, 1)],
+                         gradients=[(0, 0), (1, 1)],
                          psi_tiles=[[0.0, 0.0], [1.0, 1.0]])
         with pytest.raises(ValueError, match="divide"):
             gain_closed_form(tiles, make_ris(5, 6), (0.0, 0.0))
         plan = PartitionPlan(column_counts=[6],
-                             gradients=[PhaseGradient(0, 0)], psi=[0.0])
+                             gradients=[(0, 0)], psi=[0.0])
         with pytest.raises(ValueError, match="divide"):
             TilePlan.from_partition_plan(plan, make_ris(4, 6), 3, 2)
 
     def test_from_partition_plan_requires_realized(self):
         # realized on this RIS: the column counts cover its Ny columns
         plan = PartitionPlan(column_counts=[2, 2],
-                             gradients=[PhaseGradient(0, 0),
-                                        PhaseGradient(1, 1)],
-                             psi=[0.0, 1.0])
+                             gradients=[(0, 0), (1, 1)], psi=[0.0, 1.0])
         with pytest.raises(ValueError, match="sum to Ny"):
             TilePlan.from_partition_plan(plan, make_ris(4, 6), 2, 3)
 
     def test_column_blocks_must_align_with_tiles(self):
         plan = PartitionPlan(column_counts=[3, 3],
-                             gradients=[PhaseGradient(0, 0),
-                                        PhaseGradient(1, 1)],
-                             psi=[0.0, 1.0])
+                             gradients=[(0, 0), (1, 1)], psi=[0.0, 1.0])
         with pytest.raises(ValueError, match="align"):
             TilePlan.from_partition_plan(plan, make_ris(4, 6), 2, 3)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shape"):
             TilePlan(tiles_x=2, tiles_y=3, assignment=np.zeros((2, 3)),
-                     gradients=[PhaseGradient(0, 0)],
-                     psi_tiles=np.zeros((3, 2)))
+                     gradients=[(0, 0)], psi_tiles=np.zeros((3, 2)))
+        for gradients in ([0.0, 1.0], [(0, 0, 0)], np.zeros((2, 2, 1))):
+            with pytest.raises(ValueError, match="S, 2"):
+                TilePlan(tiles_x=2, tiles_y=3, assignment=np.zeros((2, 3)),
+                         gradients=gradients, psi_tiles=np.zeros((2, 3)))
 
     @pytest.mark.parametrize("index", [-1, 2])
     def test_assignment_index_out_of_range(self, index):
@@ -364,5 +364,5 @@ class TestTilePlan:
         assignment[1, 1] = index
         with pytest.raises(ValueError, match="valid sub-surface"):
             TilePlan(tiles_x=2, tiles_y=2, assignment=assignment,
-                     gradients=[PhaseGradient(0, 0), PhaseGradient(1, 1)],
+                     gradients=[(0, 0), (1, 1)],
                      psi_tiles=np.zeros((2, 2)))

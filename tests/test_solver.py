@@ -238,8 +238,8 @@ class TestDualRoots:
             with monkeypatch.context() as patch:
                 patch.setattr(solver, "_dual_roots", bisect_dual_roots)
                 ref = solve(prob)
-            assert (sol.s_active, sol.i_active) == (ref.s_active,
-                                                    ref.i_active)
+            assert (sol.s_min_star, sol.direct) == (ref.s_min_star,
+                                                    ref.direct)
             assert abs(sol.rate - ref.rate) <= 1e-12 * ref.rate
         assert np.mean(evaluations) <= 8 and max(evaluations) <= 58
 
@@ -304,13 +304,13 @@ class TestLmSolve:
 
     def test_cold_start_single_block(self):
         prob = AsymptoticProblem(m_r=[16.0], m_d=[], power=1.0)
-        sol, res = lm_solve(prob, [0], [])
+        sol, res = lm_solve(prob, 1, 0)
         assert abs(sol.rate - np.log2(17.0)) < 1e-9
         assert res.max_abs < 1e-6
 
     def test_pattern_membership(self):
         prob = AsymptoticProblem(m_r=[50.0, 40.0], m_d=[], power=1.0)
-        sol, _ = lm_solve(prob, [0, 1], [])
+        sol, _ = lm_solve(prob, 2, 0)
         a = sol.allocation
         for s in range(2):
             m_tilde = prob.m_r[s] * a.p_r[s]
@@ -322,7 +322,7 @@ class TestLmSolve:
     def test_raises_when_not_converged(self):
         prob = AsymptoticProblem(m_r=[50.0, 40.0], m_d=[30.0], power=1.0)
         with pytest.raises(LmDivergenceError):
-            lm_solve(prob, [0, 1], [0], max_iter=1)
+            lm_solve(prob, 2, 1, max_iter=1)
 
 
 class TestKktResidual:
@@ -332,8 +332,8 @@ class TestKktResidual:
         v = 16.0 / 17.0
         w = 32.0 / 17.0
         return prob, Solution(problem=prob, allocation=alloc, v=v, w=w,
-                              rate=rate(prob, alloc), s_active=[0],
-                              i_active=[])
+                              rate=rate(prob, alloc), s_min_star=1,
+                              direct=0)
 
     def test_exact_point(self):
         prob, sol = self.analytic_single()
@@ -361,10 +361,10 @@ class TestSolve:
         for _ in range(15):
             prob = random_problem(rng)
             sol = solve(prob)
-            if not sol.s_active:
+            if not sol.s_min_star:
                 continue
             try:
-                polished, _ = lm_solve(prob, sol.s_active, sol.i_active,
+                polished, _ = lm_solve(prob, sol.s_min_star, sol.direct,
                                        sol.allocation)
             except LmDivergenceError:
                 continue
@@ -381,6 +381,41 @@ class TestSolve:
             assert lm.rate >= sol.rate - 5e-3 * max(1.0, abs(sol.rate))
             assert lm.rate <= sol.rate + 1e-9 * max(1.0, sol.rate)
 
+    def test_near_tie_keeps_fewer_paths(self):
+        # the two-path block leads the single-path point by less than the
+        # 1e-12 tie tolerance, so the fewer activated paths are kept
+        prob = AsymptoticProblem(m_r=[200.0, 53.264974899961935], m_d=[],
+                                 power=1.0)
+        k = np.array([2])
+        p_r, _, _, _ = solver._block_powers(prob,
+                                            bisect_dual_roots(prob, k), k)
+        t = p_r[0] / p_r.sum()
+        lead = (np.log2(1.0 + prob.m_r * p_r[0] * t ** 2).sum()
+                - np.log2(201.0))
+        assert 0.0 < lead < 1e-12
+        sol = solve(prob)
+        assert sol.s_min_star == 1 and sol.rate == np.log2(201.0)
+
+    def test_existence_admits_rounding_at_the_edge(self, monkeypatch):
+        # the winning block's weakest constant a reads as 4/27 rounded up
+        # by 5e-13 relative, within the 1e-12 existence tolerance: the
+        # block still exists and still wins
+        prob = AsymptoticProblem(m_r=[200.0, 180.0], m_d=[], power=1.0)
+        expected = solve(prob)
+        assert expected.s_min_star == 2
+        block_powers = solver._block_powers
+
+        def at_edge(problem, v, k):
+            p_r, p_d, budget_r, a = block_powers(problem, v, k)
+            weakest = np.arange(a.shape[-1]) == np.asarray(k)[..., None] - 1
+            return (p_r, p_d, budget_r,
+                    np.where(weakest, A_MAX * (1.0 + 5e-13), a))
+
+        monkeypatch.setattr(solver, "_block_powers", at_edge)
+        sol = solve(prob)
+        assert sol.s_min_star == 2
+        assert abs(sol.rate - expected.rate) <= 1e-12 * expected.rate
+
     def test_pattern_labels(self):
         # active ratios take the plus root 1/w + sqrt(1/w^2 - 1/(m_s p_s))
         # of their KKT equation, well apart from the minus root; the
@@ -388,7 +423,7 @@ class TestSolve:
         for m_r, active in (([3.0, 2.0], 1), ([200.0, 180.0], 2)):
             sol = solve(AsymptoticProblem(m_r=m_r, m_d=[], power=1.0))
             a = sol.allocation
-            assert sol.s_active == list(range(active))
+            assert sol.s_min_star == active
             root = np.sqrt(1.0 / sol.w ** 2
                            - 1.0 / (np.array(m_r[:active]) * a.p_r[:active]))
             np.testing.assert_allclose(a.t[:active], 1.0 / sol.w + root,
@@ -425,5 +460,5 @@ def test_exact_kkt_point_over_the_whole_range(m_r, m_d, power_exp):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(solver, "_dual_roots", bisect_dual_roots)
         ref = solve(prob)
-    assert (sol.s_active, sol.i_active) == (ref.s_active, ref.i_active)
+    assert (sol.s_min_star, sol.direct) == (ref.s_min_star, ref.direct)
     assert abs(sol.rate - ref.rate) <= 1e-12 * ref.rate
