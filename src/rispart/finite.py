@@ -11,18 +11,17 @@ asymptotic prediction.
 The rate is evaluated in the path domain, without an N- or M-sized array.
 The effective channel is ``H = B_rx K(psi) B_tx^H``: ``B_tx`` and ``B_rx``
 hold the terminal steering vectors of the Tx-RIS and direct paths, and
-the ``(L2+L3) x (L1+L3)`` core ``K`` is block diagonal.  Its cascaded
-block is ``c_r diag(beta) (sum_s exp(j psi_s) G_s) diag(alpha)`` with
-``G_s[v, u]`` the Dirichlet-kernel gain of sub-surface s alone at
-``zeta = u(dep_v) - u(arr_u)``, and its direct block is
-``c_d diag(gamma)``.  With ``Q = W W^H``, ``W = B_tx[:, basis]
-diag(sqrt(p))`` of rank r (the activated paths), Sylvester's identity
-turns the M_r x M_r log-det into an r x r one:
-``log2 det(I + T^H K^H R K T / sigma^2)`` with ``T = B_tx^H W`` and
-``R = B_rx^H B_rx``, Grams that ``channel.steering_gram`` gives in closed
-form.  The dense model (Q, ``build_theta`` with ``oracle.dense_channels``,
-``oracle.effective_channel`` and ``oracle.logdet_rate``) is the reference
-in :mod:`rispart.oracle`.
+the ``(L2+L3) x (L1+L3)`` core is ``K(psi) = sum_s exp(j psi_s) core[s]
++ core[S]``: block s < S is ``c_r diag(beta) G_s diag(alpha)`` top left,
+with ``G_s[v, u]`` the Dirichlet-kernel gain of sub-surface s alone at
+``zeta = u(dep_v) - u(arr_u)``, and block S is ``diag(c_d gamma)`` bottom
+right.  With ``Q = W W^H``, ``W = B_tx[:, basis] diag(sqrt(p))`` of rank r
+(the activated paths), Sylvester's identity turns the M_r x M_r log-det
+into an r x r one: ``log2 det(I + T^H K^H R K T / sigma^2)`` with
+``T = B_tx^H W`` and ``R = B_rx^H B_rx``, Grams that ``channel.steering_gram``
+gives in closed form.  The dense model (Q, ``build_theta`` with
+``oracle.dense_channels``, ``oracle.effective_channel`` and
+``oracle.logdet_rate``) is the reference in :mod:`rispart.oracle`.
 
 ``refine_common_phases`` moves one phase ``x = exp(j psi_s)`` at a time, so
 the trial Grams of a step are one pencil ``G0 + x E + conj(x) E^H``: one
@@ -52,34 +51,28 @@ logger = logging.getLogger("rispart")
 class PathModel:
     """The finite model of one realized plan in the path domain.
 
-    ``cascaded[s]`` is sub-surface s's scaled gain block
-    ``c_r diag(beta) G_s diag(alpha)`` (L2 x L1), ``direct`` the diagonal
-    ``c_d gamma`` (L3), ``tx_weights`` is ``T = B_tx^H W`` ((L1+L3) x r)
-    and ``rx_gram`` is ``R = B_rx^H B_rx`` ((L2+L3) x (L2+L3)).
+    ``core`` stacks the S+1 blocks of K ((L2+L3) x (L1+L3) each), so that
+    ``K(psi) = [exp(j psi), 1] @ core``: sub-surface s's scaled gain block
+    ``c_r diag(beta) G_s diag(alpha)`` fills the top-left L2 x L1 corner
+    of ``core[s]``, the direct ``diag(c_d gamma)`` the bottom-right L3 x L3
+    corner of ``core[S]``, and the rest is zero.  ``tx_weights`` is
+    ``T = B_tx^H W`` ((L1+L3) x r) and ``rx_gram`` ``R = B_rx^H B_rx``.
     """
 
-    cascaded: np.ndarray
-    direct: np.ndarray
+    core: np.ndarray
     tx_weights: np.ndarray
     rx_gram: np.ndarray
     noise_power: float
 
     def rates(self, psi: np.ndarray) -> np.ndarray:
         """Exact rates in bit/s/Hz for a batch of common phases (n x S)."""
-        psi = np.atleast_2d(np.asarray(psi, dtype=float))
-        l1 = self.cascaded.shape[2]
-        core = np.tensordot(np.exp(1j * psi), self.cascaded, axes=(1, 0))
-        direct = self.direct[:, None] * self.tx_weights[l1:]
-        kt = np.concatenate(
-            [core @ self.tx_weights[:l1],
-             np.broadcast_to(direct, (psi.shape[0],) + direct.shape)],
-            axis=1)
+        psi = np.atleast_2d(psi)
+        weights = np.exp(1j * np.hstack([psi, np.zeros((len(psi), 1))]))
+        kt = np.tensordot(weights, self.core, axes=(1, 0)) @ self.tx_weights
         gram = kt.conj().transpose(0, 2, 1) @ self.rx_gram @ kt
-        gram = (np.eye(self.tx_weights.shape[1])
-                + gram / self.noise_power)
-        _, logdet = np.linalg.slogdet(
-            (gram + gram.conj().transpose(0, 2, 1)) / 2.0)
-        return logdet / np.log(2.0)
+        gram = np.eye(kt.shape[2]) + gram / self.noise_power
+        gram = (gram + gram.conj().transpose(0, 2, 1)) / 2.0
+        return np.linalg.slogdet(gram)[1] / np.log(2.0)
 
 
 @dataclass
@@ -129,12 +122,14 @@ def path_model(realization: ChannelRealization, plan: PartitionPlan,
     scale = config.steering_scale
     phi_tx = scale * np.sin(np.concatenate([tx.departure, direct.departure]))
     phi_rx = scale * np.sin(np.concatenate([rx.arrival, direct.arrival]))
+    core = np.zeros((plan.s + 1, phi_rx.size, phi_tx.size), complex)
+    core[:-1, :rx.count, :tx.count] = (c_r * rx.gains[:, None] * gains
+                                       * tx.gains)
+    core[-1, rx.count:, tx.count:] = np.diag(c_d * direct.gains)
     return PathModel(
-        cascaded=c_r * rx.gains[:, None] * gains * tx.gains[None, :],
-        direct=c_d * direct.gains,
+        core=core, rx_gram=steering_gram(phi_rx, phi_rx, m_r),
         tx_weights=(steering_gram(phi_tx, phi_tx[basis_paths], m_t)
                     * np.sqrt(powers)),
-        rx_gram=steering_gram(phi_rx, phi_rx, m_r),
         noise_power=config.noise_watts)
 
 
@@ -208,26 +203,22 @@ def adapt_solution(solution: Solution, realization: ChannelRealization,
 def _phase_pencil(model: PathModel, x: np.ndarray):
     """Trial rates ``rates(psi, s)``: ``psi`` with entry s set to
     ``angle(x)``, for each unit-modulus x.  With ``A0`` the rows of ``K T``
-    at ``psi`` without sub-surface s and ``B = [C_s T1; 0]`` those of s, a
+    at ``psi`` without sub-surface s and ``B = core[s] T`` those of s, a
     trial Gram is ``G0 + x E + conj(x) E^H``, where
     ``G0 = I + (A0^H R A0 + B^H R B)/sigma^2`` and ``E = A0^H R B/sigma^2``.
     """
-    s_max, l2, l1 = model.cascaded.shape
-    t = model.tx_weights
     # rows of K T and of R K T / sigma^2: each sub-surface's, then direct
-    kt = np.zeros((s_max + 1, l2 + model.direct.size, t.shape[1]), complex)
-    kt[:-1, :l2] = model.cascaded @ t[:l1]
-    kt[-1, l2:] = model.direct[:, None] * t[l1:]
+    kt = model.core @ model.tx_weights
     rkt = model.rx_gram @ kt / model.noise_power
     brb = kt.conj().transpose(0, 2, 1) @ rkt
-    flat = np.stack([kt, rkt], axis=1).reshape(s_max + 1, -1)
+    flat = np.stack([kt, rkt], axis=1).reshape(len(kt), -1)
     coeffs = np.stack([np.ones_like(x), x, x.conj()], axis=1)
 
     def rates(psi: np.ndarray, s: int) -> np.ndarray:
         others = np.append(np.exp(1j * psi), 1.0)
         others[s] = 0.0
         a0, ra0 = (others @ flat).reshape((2,) + kt.shape[1:])
-        g0 = np.eye(t.shape[1]) + a0.conj().T @ ra0 + brb[s]
+        g0 = np.eye(kt.shape[2]) + a0.conj().T @ ra0 + brb[s]
         e = a0.conj().T @ rkt[s]
         pencil = np.stack([(g0 + g0.conj().T) / 2.0, e, e.conj().T])
         grams = (coeffs @ pencil.reshape(3, -1)).reshape(x.size, *g0.shape)

@@ -59,6 +59,14 @@ def round_partition(t, ny: int) -> np.ndarray:
             raise ValueError("no sub-surface survived rounding")
 
 
+def _check_phases(gradients: np.ndarray, psi: np.ndarray) -> None:
+    """Finite gradients and common phases in [0, 2*pi); NaN fails both."""
+    if not np.all(np.isfinite(gradients)):
+        raise ValueError("phase gradients must be finite")
+    if not np.all((psi >= 0) & (psi < 2 * np.pi)):
+        raise ValueError("common phases must lie in [0, 2*pi)")
+
+
 class Blocks(NamedTuple):
     """A plan as rectangular element blocks, one entry per block.
 
@@ -101,8 +109,7 @@ class PartitionPlan:
                              "must have equal length")
         if np.any(self.column_counts < 0):
             raise ValueError("column counts must be nonnegative")
-        if not np.all((self.psi >= 0) & (self.psi < 2 * np.pi)):
-            raise ValueError("common phases must lie in [0, 2*pi)")
+        _check_phases(self.gradients, self.psi)
 
     @property
     def s(self) -> int:
@@ -230,6 +237,7 @@ class TilePlan:
             raise ValueError("assignment/psi_tiles shape mismatch")
         if self.gradients.ndim != 2 or self.gradients.shape[1] != 2:
             raise ValueError("gradients must be an (S, 2) array")
+        _check_phases(self.gradients, self.psi_tiles)
         s = len(self.gradients)
         if self.assignment.min() < 0 or self.assignment.max() >= s:
             raise ValueError("every tile must map to a valid sub-surface")

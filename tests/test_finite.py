@@ -273,8 +273,9 @@ class TestRefineCommonPhases:
         # trial ties and the input comes back
         cfg, re, prob, sol = pipeline(seed=3, l1=1)
         ev = adapt_solution(sol, re, psi=[0.0])
-        model = dataclasses.replace(ev.model,
-                                    direct=np.zeros_like(ev.model.direct))
+        core = ev.model.core.copy()
+        core[-1] = 0.0
+        model = dataclasses.replace(ev.model, core=core)
         ev = dataclasses.replace(ev, model=model,
                                  rate=float(model.rates(ev.plan.psi)[0]))
         assert refine_common_phases(ev) is ev
@@ -290,9 +291,9 @@ class TestRefineCommonPhases:
         sol = Solution(problem=prob, allocation=alloc, v=1.0, w=1.0,
                        rate=rate(prob, alloc), s_min_star=2, direct=0)
         ev = adapt_solution(sol, re, psi=np.array([0.3, 0.3]))
-        cascaded = ev.model.cascaded.copy()
-        cascaded[0] = 0.0
-        model = dataclasses.replace(ev.model, cascaded=cascaded)
+        core = ev.model.core.copy()
+        core[0] = 0.0
+        model = dataclasses.replace(ev.model, core=core)
         tied = _phase_pencil(model, np.exp(1j * GRID))(ev.plan.psi, 0)
         assert np.ptp(tied) == 0.0
         ev = dataclasses.replace(ev, model=model, rate=float(tied[0]))

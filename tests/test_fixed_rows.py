@@ -6,6 +6,7 @@ the benchmark cannot drift apart.  A row is digested with every time
 field (a name ending in ``_ms``) zeroed: the sha256 of ``repr(rows)``,
 first 16 hex digits, one digest per seed and workload.  A change that moves any
 other row field fails here; declare its new digests with the change.
+``python tests/test_fixed_rows.py`` prints the current digests.
 """
 
 import dataclasses
@@ -14,24 +15,21 @@ import importlib
 import sys
 from pathlib import Path
 
-import pytest
-
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 DIGESTS = {
     1: {"sweep-paper": "c9a99e0959053f67",
-        "refine-paper": "703c997f24b55903",
+        "refine-paper": "36897318e2f54a9e",
         "paths-8x8": "5f77bbe549ad8438"},
-    2: {"sweep-paper": "7e20dddc8de99a4d",
+    2: {"sweep-paper": "750bb7b2f3e6888c",
         "refine-paper": "62e1faa9e8ea111a",
         "paths-8x8": "ce112e8edf234bdc"},
-    3: {"sweep-paper": "08ac310dd0b16bbb",
+    3: {"sweep-paper": "aa2d1b17b2f82f9e",
         "refine-paper": "c323746fb0da1074",
         "paths-8x8": "6b4ae4a2c56864a0"},
 }
 
 
-@pytest.fixture(scope="module")
-def bench():
+def load_bench():
     sys.path.insert(0, str(PERFBENCH))
     try:
         return importlib.import_module("bench")
@@ -50,8 +48,18 @@ def rows_digest(bench, seed, workload) -> str:
     return hashlib.sha256(repr(rows).encode()).hexdigest()[:16]
 
 
-def test_fixed_set_rows_pinned(bench):
-    got = {seed: {name: rows_digest(bench, seed, workload)
-                  for name, workload in bench.WORKLOADS.items()}
-           for seed in DIGESTS}
-    assert got == DIGESTS
+def digests(bench) -> dict:
+    return {seed: {name: rows_digest(bench, seed, workload)
+                   for name, workload in bench.WORKLOADS.items()}
+            for seed in DIGESTS}
+
+
+def test_fixed_set_rows_pinned():
+    assert digests(load_bench()) == DIGESTS
+
+
+if __name__ == "__main__":
+    # print the current digests, one line per seed and workload
+    for seed, row in digests(load_bench()).items():
+        for name, digest in row.items():
+            print(seed, name, digest)

@@ -95,6 +95,12 @@ class TestPartitionPlan:
         with pytest.raises(ValueError, match="sum to Ny"):
             build_theta(plan, make_ris(4, 6))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_gradients_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match="gradients must be finite"):
+            PartitionPlan(column_counts=[3, 3], gradients=[(0, 0), (1, bad)],
+                          psi=[0.0, 1.0])
+
     @pytest.mark.parametrize("gradients", [
         [0.0, 1.0], [(0, 0)], [(0, 0, 0), (1, 1, 1)], np.zeros((2, 2, 1))])
     def test_gradients_must_be_s_by_2(self, gradients):
@@ -357,6 +363,21 @@ class TestTilePlan:
             with pytest.raises(ValueError, match="S, 2"):
                 TilePlan(tiles_x=2, tiles_y=3, assignment=np.zeros((2, 3)),
                          gradients=gradients, psi_tiles=np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_gradients_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match="gradients must be finite"):
+            TilePlan(tiles_x=2, tiles_y=2, assignment=[[0, 0], [1, 1]],
+                     gradients=[(0, 0), (bad, 1)],
+                     psi_tiles=np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -5.0, -1e-300,
+                                     2 * np.pi])
+    def test_phases_in_range(self, bad):
+        with pytest.raises(ValueError, match="2\\*pi"):
+            TilePlan(tiles_x=2, tiles_y=2, assignment=[[0, 0], [1, 1]],
+                     gradients=[(0, 0), (1, 1)],
+                     psi_tiles=[[0.0, 1.0], [bad, 2.0]])
 
     @pytest.mark.parametrize("index", [-1, 2])
     def test_assignment_index_out_of_range(self, index):
