@@ -61,11 +61,11 @@ def _cmd_simulate(args) -> int:
         if args.seed is not None:
             updates["config"] = dataclasses.replace(spec.config,
                                                     seed=args.seed)
+        spec = dataclasses.replace(spec, **updates)
+        rows, summary = run_experiment(spec, jobs=args.jobs)
     except (OSError, ValueError, KeyError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    spec = dataclasses.replace(spec, **updates)
-    rows, summary = run_experiment(spec, jobs=args.jobs)
     for value, stats in summary.items():
         print(f"{spec.sweep}={value:g}: "
               f"rate_asym={stats['mean_rate_asymptotic']:.4f} "

@@ -57,21 +57,29 @@ class ExperimentSpec:
                 v >= 1 and float(v).is_integer() for v in self.values):
             raise ValueError(f"swept {self.sweep} values must be positive "
                              f"integers, got {self.values}")
-        # a swept value the config rejects fails here, not per row
-        for value in self.values:
-            try:
-                _apply_sweep(self.config, self.sweep, value)
-            except ValueError as exc:
-                raise ValueError(f"swept {self.sweep} = {value!r}: {exc}"
-                                 ) from exc
         if self.psi_mode not in PSI_MODES:
             raise ValueError(f"unknown psi mode {self.psi_mode!r}")
-        if self.realizations is not None and self.realizations < 1:
-            raise ValueError("realization count must be >= 1")
+        if (self.realizations is not None
+                and not 1 <= self.realizations < 2 ** 63):
+            raise ValueError(f"realizations must be positive and below "
+                             f"2**63, got {self.realizations!r}")
+        self.sweep_configs()  # a swept value the config rejects fails here
 
     @property
     def runs_per_value(self) -> int:
         return self.realizations or self.config.realizations
+
+    def sweep_configs(self) -> list[SimulationConfig]:
+        """The config of each sweep value, in value order; a ValueError
+        names the value the config rejects."""
+        configs = []
+        for value in self.values:
+            try:
+                configs.append(_apply_sweep(self.config, self.sweep, value))
+            except ValueError as exc:
+                raise ValueError(f"swept {self.sweep} = {value!r}: {exc}"
+                                 ) from exc
+        return configs
 
 
 @dataclass(slots=True)
@@ -81,9 +89,11 @@ class ResultRow:
     ``draws`` and ``margin`` are the path sampler's diagnostics (see
     :class:`rispart.channel.ChannelRealization`): the larger of the two
     terminal sides' candidate counts and the smaller of their separations
-    in units of 1/M, which meets the contract at 2.  They read 0 when the
-    realization failed before its channels were sampled.  A failed row
-    keeps 0 rates and counts and names the failing stage in ``error``.
+    in units of 1/M, which meets the contract at 2.  They read 0 only
+    when sampling failed.  A failed row keeps 0 rates and counts, and its
+    ``error`` names the failing stage: ``realize_channels``,
+    ``coefficients``, ``solve``, ``adapt_solution`` or
+    ``refine_common_phases``.
     """
 
     seed: int
@@ -151,15 +161,13 @@ def _finite_rate(result):
 
 
 def _run_one(task) -> ResultRow:
-    config, sweep, value, index, psi_mode = task
+    config, value, index, psi_mode = task
     start = time.perf_counter()
     row = ResultRow(seed=index, sweep_value=value)
-    stage = "config"
+    stage = "realize_channels"
     try:
-        cfg = _apply_sweep(config, sweep, value)
-        stage = "realize_channels"
-        rng = realization_rng(cfg.seed, index)
-        realization = realize_channels(cfg, rng)
+        rng = realization_rng(config.seed, index)
+        realization = realize_channels(config, rng)
         row.draws, row.margin = realization.draws, realization.margin
         stage = "coefficients"
         problem = coefficients(realization)
@@ -181,15 +189,21 @@ def _run_one(task) -> ResultRow:
 
 def run_experiment(spec: ExperimentSpec, jobs: int = 1,
                    ) -> tuple[list[ResultRow], dict]:
-    """Execute the sweep and return sorted rows plus a summary.
+    """Execute the sweep and return its rows plus a summary.
 
-    The summary maps each sweep value to its mean rates and mean activated
-    path counts (failed rows excluded).  Rows are sorted by (sweep value
-    order, seed), so worker scheduling never changes the output.
+    Before the first realization, a sweep value the config rejects or an
+    output path that cannot be written raises ValueError.  Each value's
+    config is resolved once.  Rows come in (sweep value order, seed)
+    order at any ``jobs``.  The summary maps each sweep value to its mean
+    rates and mean activated path counts (failed rows excluded).
     """
+    if spec.out and (Path(spec.out).is_dir()
+                     or not Path(spec.out).parent.is_dir()):
+        raise ValueError(f"cannot write results to {spec.out!r}: it is a "
+                         f"directory or its directory does not exist")
     runs = spec.runs_per_value
-    tasks = [(spec.config, spec.sweep, value, vi * runs + r,
-              spec.psi_mode)
+    configs = spec.sweep_configs()
+    tasks = [(configs[vi], value, vi * runs + r, spec.psi_mode)
              for vi, value in enumerate(spec.values)
              for r in range(runs)]
     if jobs > 1:
@@ -200,8 +214,6 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1,
     else:
         rows = [_run_one(t) for t in tasks]
 
-    order = {v: i for i, v in enumerate(spec.values)}
-    rows.sort(key=lambda r: (order[r.sweep_value], r.seed))
     summary = {}
     for value in spec.values:
         good = [r for r in rows if r.sweep_value == value and not r.error]

@@ -45,31 +45,10 @@ _MAX_STEPS = 100
 
 @dataclass
 class KktResidual:
-    """First-order optimality diagnostics at a primal/dual point, each
-    unchanged when the coefficients scale by c and the power and the
-    powers of the point by 1/c.
+    """First-order optimality of a primal/dual point: ``max_abs`` (see
+    :func:`kkt_residual`) is 0 at an exact KKT point."""
 
-    Stationarity residuals are zero at an exact KKT point; on activated
-    entries they equal the gradient-minus-dual gap relative to the dual
-    (v for the powers, w for the ratios), on inactive entries only a
-    positive gap (a violation of dual feasibility) is reported.
-    ``primal`` holds (relative budget violation, ratio-sum violation,
-    worst negative power over P, worst negative ratio); ``slackness`` the
-    relative multipliers times the powers over P and times the ratios.
-    """
-
-    stationarity_p_r: np.ndarray
-    stationarity_p_d: np.ndarray
-    stationarity_t: np.ndarray
-    primal: np.ndarray
-    slackness: np.ndarray
-
-    @property
-    def max_abs(self) -> float:
-        parts = [self.stationarity_p_r, self.stationarity_p_d,
-                 self.stationarity_t, self.primal, self.slackness]
-        return float(max((np.max(np.abs(p)) for p in parts if p.size),
-                         default=0.0))
+    max_abs: float
 
 
 def water_filling(m, budget: float) -> tuple[np.ndarray, float]:
@@ -291,11 +270,18 @@ def _dual_roots(problem: AsymptoticProblem, k: np.ndarray) -> np.ndarray:
 
 def kkt_residual(problem: AsymptoticProblem,
                  solution: Solution) -> KktResidual:
-    """Stationarity, primal-feasibility, and slackness diagnostics, each
-    free of the scale of the problem (see :class:`KktResidual`).
+    """Stationarity, primal-feasibility, and slackness residuals, each
+    unchanged when the coefficients scale by c and the power and the
+    powers of the point by 1/c.
 
-    A power counts as activated above ``_ACTIVE_TOL * P`` and a ratio above
-    ``_ACTIVE_TOL``.
+    On activated entries stationarity is the gradient-minus-dual gap
+    relative to the dual (v for the powers, w for the ratios); on inactive
+    entries only a positive gap (a violation of dual feasibility) counts.
+    Primal feasibility is the relative budget violation, the ratio-sum
+    violation, the worst negative power over P and the worst negative
+    ratio; slackness the relative multipliers times the powers over P and
+    times the ratios.  A power counts as activated above
+    ``_ACTIVE_TOL * P`` and a ratio above ``_ACTIVE_TOL``.
     """
     a = solution.allocation
     v, w, power = solution.v, solution.w, problem.power
@@ -322,8 +308,9 @@ def kkt_residual(problem: AsymptoticProblem,
         max(0.0, -min(a.p_r.min(), a.p_d.min(initial=0.0))) / power,
         max(0.0, -a.t.min()),
     ])
-    return KktResidual(*stationarity, primal=primal,
-                       slackness=np.concatenate(slackness))
+    parts = [*stationarity, primal, np.concatenate(slackness)]
+    return KktResidual(float(max((np.max(np.abs(p)) for p in parts if p.size),
+                                 default=0.0)))
 
 
 def solve(problem: AsymptoticProblem) -> Solution:

@@ -122,6 +122,19 @@ class TestExperimentSpec:
         with pytest.raises(ValueError, match="solver"):
             load_experiment(str(path))
 
+    @pytest.mark.parametrize("count", [0, 2 ** 63, 10 ** 30])
+    def test_realizations_bounded(self, count):
+        with pytest.raises(ValueError, match=r"below 2\*\*63"):
+            small_spec(realizations=count)
+
+    def test_load_rejects_realizations_beyond_int64(self, tmp_path):
+        # used to load, and a run then built 2**63 tasks
+        path = tmp_path / "exp.cfg"
+        path.write_text(EXPERIMENT_TEXT.removesuffix("realizations = 2\n")
+                        + f"realizations = {2 ** 63}\n")
+        with pytest.raises(ValueError, match=r"below 2\*\*63"):
+            load_experiment(str(path))
+
     def test_load_requires_experiment_section(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("[sim]\nM_t = 8\n")
@@ -195,18 +208,56 @@ class TestRunExperiment:
             text=True, check=True).stdout
         assert out.strip() == "False"
 
-    def test_failures_flagged_not_raised(self):
-        # -5000 dBm underflows to 0 W; the spec rejects it, so it is set
-        # after validation to reach the per-row config-stage failure
-        spec = small_spec(sweep="P", values=[30.0])
-        spec.values = [30.0, -5000.0]
-        rows, summary = run_experiment(spec)
-        bad = [r for r in rows if r.sweep_value == -5000.0]
-        assert bad and all(r.error.startswith("config: ValueError: ")
-                           and (r.draws, r.margin) == (0, 0.0) for r in bad)
-        assert summary[-5000.0]["failures"] == len(bad)
+    def test_failures_flagged_not_raised(self, monkeypatch):
+        # the sampler fails every realization of one sweep value; the
+        # sweep flags those rows and keeps going
+        realize = harness.realize_channels
+
+        def failing_at_20_dbm(config, rng):
+            if config.power_watts == dbm_to_watts(20.0):
+                raise RuntimeError("no paths")
+            return realize(config, rng)
+
+        monkeypatch.setattr(harness, "realize_channels", failing_at_20_dbm)
+        rows, summary = run_experiment(small_spec(values=[20.0, 30.0]))
+        bad = [r for r in rows if r.sweep_value == 20.0]
+        assert bad and all(
+            r.error == "realize_channels: RuntimeError: no paths"
+            and (r.draws, r.margin, r.rate_finite) == (0, 0.0, 0.0)
+            for r in bad)
+        assert summary[20.0]["failures"] == len(bad)
+        assert math.isnan(summary[20.0]["mean_rate_finite"])
         good = [r for r in rows if r.sweep_value == 30.0]
-        assert all(not r.error for r in good)
+        assert good and not any(r.error for r in good)
+        assert summary[30.0]["failures"] == 0
+
+    def test_sweep_applied_once_per_value(self, monkeypatch):
+        spec = small_spec(values=[20.0, 30.0], realizations=3)
+        applied = []
+
+        def counting(config, sweep, value):
+            applied.append(value)
+            return _apply_sweep(config, sweep, value)
+
+        monkeypatch.setattr(harness, "_apply_sweep", counting)
+        rows, _ = run_experiment(spec)
+        assert applied == [20.0, 30.0] and len(rows) == 6
+
+    def test_spec_edited_after_validation_raises(self):
+        # -5000 dBm underflows to 0 W; the spec rejects it, so it is set
+        # after validation, and the run rejects it before any realization
+        spec = small_spec(values=[30.0])
+        spec.values = [30.0, -5000.0]
+        with pytest.raises(ValueError, match="swept P = -5000.0: power"):
+            run_experiment(spec)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_rows_in_value_then_seed_order(self, jobs):
+        rows, summary = run_experiment(
+            small_spec(values=[30.0, 20.0], realizations=2), jobs=jobs)
+        assert [(r.sweep_value, r.seed) for r in rows] == [
+            (30.0, 0), (30.0, 1), (20.0, 2), (20.0, 3)]
+        assert list(summary) == [30.0, 20.0]
 
     def test_error_names_failing_stage(self, monkeypatch):
         def boom(*args, **kwargs):
@@ -234,7 +285,8 @@ class TestRunExperiment:
         # has an M- or N-sized axis, so its memory is the default config's
         config = SimulationConfig(m_t=4096, m_r=4096, n_x=3000, n_y=9000,
                                   seed=3)
-        row, peak = _traced_run(config, "P", 30.0, "refine")
+        row, peak = _traced_run(_apply_sweep(config, "P", 30.0), 30.0,
+                                "refine")
         assert not row.error and row.rate_finite > 0
         assert peak < 2 * 2 ** 20, peak
 
@@ -490,6 +542,26 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and message in err
 
+    @pytest.mark.parametrize("where", ["flag", "file"])
+    @pytest.mark.parametrize("target", ["missing/x.csv", ""])
+    def test_simulate_unwritable_out_exits_2(self, tmp_path, capsys,
+                                             monkeypatch, where, target):
+        # a missing directory or a directory used to run the whole sweep,
+        # then exit 1 with a traceback
+        def unreached(*args):
+            raise AssertionError("a realization ran")
+
+        monkeypatch.setattr(harness, "realize_channels", unreached)
+        out = str(tmp_path / target)
+        path = tmp_path / "exp.cfg"
+        path.write_text(EXPERIMENT_TEXT + (f"out = {out}\n"
+                                           if where == "file" else ""))
+        argv = ["--out", out] if where == "flag" else []
+        assert main(["simulate", str(path), *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: cannot write results")
+        assert not captured.out
+
     def test_simulate(self, tmp_path, capsys):
         path = tmp_path / "exp.cfg"
         path.write_text(EXPERIMENT_TEXT)
@@ -501,16 +573,17 @@ class TestCli:
 
 # stages a row's error may name, and one value per sweep kind; N and M
 # keep the small config's sizes
-FUZZ_STAGES = ("config", "realize_channels", "coefficients", "solve",
+FUZZ_STAGES = ("realize_channels", "coefficients", "solve",
                "adapt_solution", "refine_common_phases")
 FUZZ_SWEEPS = (("N", 24.0), ("M", 8.0), ("P", 30.0), ("SNR", 100.0))
 
 
-def _traced_run(config, sweep, value, psi_mode):
-    """``_run_one``'s row and its tracemalloc peak in bytes."""
+def _traced_run(config, value, psi_mode):
+    """``_run_one``'s row on the resolved ``config`` of sweep value
+    ``value``, and its tracemalloc peak in bytes."""
     tracemalloc.start()
     try:
-        row = harness._run_one((config, sweep, value, 0, psi_mode))
+        row = harness._run_one((config, value, 0, psi_mode))
         return row, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -518,8 +591,9 @@ def _traced_run(config, sweep, value, psi_mode):
 
 def fails_loudly_or_runs(tmp_path, key, value) -> int:
     """Check that ``key = value`` on a small config fails the config, or
-    runs every sweep kind and psi mode to finite positive rates or to an
-    error naming its stage.  Returns the largest ``_run_one`` peak."""
+    that each sweep kind is rejected or runs every psi mode to finite
+    positive rates or to an error naming its stage.  Returns the largest
+    ``_run_one`` peak."""
     keys = {"M_t": 8, "M_r": 8, "N_x": 4, "N_y": 6, "L1": 2, "L2": 2,
             "L3": 1, key: value}
     path = tmp_path / "fuzz.cfg"
@@ -531,9 +605,12 @@ def fails_loudly_or_runs(tmp_path, key, value) -> int:
         return 0
     peak = 0
     for sweep, sweep_value in FUZZ_SWEEPS:
+        try:
+            swept = _apply_sweep(config, sweep, sweep_value)
+        except ValueError:  # a rejected sweep fails loudly
+            continue
         for psi_mode in PSI_MODES:
-            row, row_peak = _traced_run(config, sweep, sweep_value,
-                                        psi_mode)
+            row, row_peak = _traced_run(swept, sweep_value, psi_mode)
             peak = max(peak, row_peak)
             if row.error:
                 assert row.error.split(":")[0] in FUZZ_STAGES, row.error

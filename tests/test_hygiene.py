@@ -1,7 +1,8 @@
 """Source hygiene, in place of a linter: no unused top-level imports, no
 module importing another module's private names, no public name in a
 pipeline module that nothing in the package uses, no oracle that nothing
-checks, and no pipeline module but ``channel`` naming ``steering``."""
+checks, no pipeline module but ``channel`` naming ``steering``, and no
+growth of ``src/rispart`` past the seed's size."""
 
 import ast
 from pathlib import Path
@@ -16,6 +17,8 @@ PIPELINE = ("channel", "partition", "asymptotic", "solver", "finite",
 # limit, and the tile plans that criterion 10 builds with
 # ``TilePlan.from_partition_plan``.
 PAPER_ONLY = {"gain_asymptotic", "TilePlan"}
+# Lines of src/rispart/*.py in the seed: a change that adds code offsets it
+SEED_SRC_LINES = 2791
 
 
 def _ids(paths):
@@ -113,3 +116,9 @@ def test_no_steering_matrix_in_the_pipeline():
         if stem != "channel" and "steering" in names:
             users.append(stem)
     assert not users, users
+
+
+def test_src_below_seed_size():
+    lines = sum(len(p.read_text().splitlines())
+                for p in ROOT.glob("src/rispart/*.py"))
+    assert lines < SEED_SRC_LINES, lines
