@@ -4,7 +4,7 @@ In the large-array limit the effective MIMO link decouples into parallel
 scalar channels: one per paired cascaded path (served by an aligned
 sub-surface) and one per direct Tx-Rx path.  The whole optimization input
 reduces to two sorted coefficient vectors and the power budget; the rate is
-a sum of logs over these channels.
+a sum of logs over these channels, defined on valid allocations only.
 """
 
 from __future__ import annotations
@@ -112,9 +112,10 @@ def coefficients(realization: ChannelRealization) -> AsymptoticProblem:
     return AsymptoticProblem(m_r=m_r, m_d=m_d, power=config.power_watts)
 
 
-def validate_allocation(problem: AsymptoticProblem, alloc: Allocation,
-                        rtol: float = 1e-9) -> None:
+def validate_allocation(problem: AsymptoticProblem,
+                        alloc: Allocation) -> None:
     """Constraint check: nonnegativity, exact budget, ratios summing to 1."""
+    rtol = 1e-9  # of the budget for powers
     if not np.all(alloc.p_r >= -rtol * problem.power):
         raise ValueError("cascaded powers must be nonnegative")
     if not np.all(alloc.p_d >= -rtol * problem.power):
@@ -129,14 +130,12 @@ def validate_allocation(problem: AsymptoticProblem, alloc: Allocation,
         raise ValueError("allocation length mismatch")
 
 
-def rate(problem: AsymptoticProblem, alloc: Allocation,
-         validate: bool = True) -> float:
-    """Asymptotic achievable rate in bit/s/Hz.
+def rate(problem: AsymptoticProblem, alloc: Allocation) -> float:
+    """Asymptotic achievable rate in bit/s/Hz of a valid allocation.
 
     ``sum_s log2(1 + m_s^r p_s^r t_s^2) + sum_i log2(1 + m_i^d p_i^d)``.
     """
-    if validate:
-        validate_allocation(problem, alloc)
+    validate_allocation(problem, alloc)
     r = np.sum(np.log2(1 + problem.m_r * np.maximum(alloc.p_r, 0)
                        * np.maximum(alloc.t, 0) ** 2))
     r += np.sum(np.log2(1 + problem.m_d * np.maximum(alloc.p_d, 0)))

@@ -82,14 +82,6 @@ class RisGeometry:
         return 2.0 * np.pi * self.element_spacing / self.wavelength
 
 
-# Each angle is ``(1 - u) * high`` for a uniform u, on the half-open
-# interval (0, high]: terminal ("tx"/"rx") boresight angles use the full
-# azimuth range, so their direction cosines cover [-1, 1]; a RIS endpoint
-# has an elevation on (0, pi/2] and an azimuth on (0, 2*pi].
-_HIGH = {"tx": 2.0 * np.pi, "rx": 2.0 * np.pi, "ris_elev": np.pi / 2.0,
-         "ris_azim": 2.0 * np.pi}
-
-
 @dataclass
 class PathSet:
     """Angles and complex gains for one propagation hop.
@@ -120,29 +112,6 @@ class PathSet:
     def count(self) -> int:
         return self.gains.size
 
-    @classmethod
-    def from_draws(cls, normals: np.ndarray,
-                   **uniforms: np.ndarray) -> PathSet:
-        """One hop's path set from its draws.
-
-        ``uniforms`` maps each angle block of the hop's endpoints to its L
-        draws of ``rng.random``: ``tx`` or ``rx`` for a terminal, and
-        ``ris_elev`` and ``ris_azim`` for the RIS.  ``normals`` holds 2L
-        standard normals, the real parts of the gains and then the
-        imaginary parts.  Paths are sorted by non-increasing gain
-        magnitude.
-        """
-        angles = {name: (1.0 - u) * _HIGH[name]
-                  for name, u in uniforms.items()}
-        ris = (np.column_stack([angles["ris_elev"], angles["ris_azim"]])
-               if "ris_elev" in angles else None)
-        departure, arrival = angles.get("tx", ris), angles.get("rx", ris)
-        l = normals.size // 2
-        gains = (normals[:l] + 1j * normals[l:]) / np.sqrt(2)
-        order = np.argsort(-np.abs(gains), kind="stable")
-        return cls(gains=gains[order],
-                   departure=departure[order], arrival=arrival[order])
-
 
 @dataclass
 class ChannelRealization:
@@ -171,24 +140,27 @@ class ChannelRealization:
                    margin: float) -> ChannelRealization:
         """The realization whose terminal angles come from the uniforms
         ``tx`` (the L1 + L3 Tx angles of the tx_ris and tx_rx hops) and
-        ``rx`` (the L2 + L3 Rx angles of the ris_rx and tx_rx hops).  One
-        ``rng.random(2*(L1 + L2))`` call then draws the RIS elevations and
-        azimuths (tx_ris, then ris_rx) and one ``rng.standard_normal(2*(L1
-        + L2 + L3))`` call the gains, hop after hop (see
-        :meth:`PathSet.from_draws`)."""
+        ``rx`` (the L2 + L3 Rx angles of the ris_rx and tx_rx hops) by
+        :func:`_terminal_angles`.  One ``rng.random(2*(L1 + L2))`` call then
+        draws the RIS elevations and azimuths (tx_ris, then ris_rx), each
+        ``(1 - u)`` times pi/2 or 2 pi, and one ``rng.standard_normal(2*(L1
+        + L2 + L3))`` call the gains, hop after hop, real parts first.  A
+        hop's paths are sorted by non-increasing gain magnitude."""
         l1, l2, l3 = config.l1, config.l2, config.l3
-        elev1, azim1, elev2, azim2 = np.split(rng.random(2 * (l1 + l2)),
-                                              np.cumsum([l1, l1, l2]))
-        g1, g2, g3 = np.split(rng.standard_normal(2 * (l1 + l2 + l3)),
-                              [2 * l1, 2 * (l1 + l2)])
-        return cls(
-            path_sets={
-                HOP_TX_RIS: PathSet.from_draws(
-                    g1, tx=tx[:l1], ris_elev=elev1, ris_azim=azim1),
-                HOP_RIS_RX: PathSet.from_draws(
-                    g2, ris_elev=elev2, ris_azim=azim2, rx=rx[:l2]),
-                HOP_TX_RX: PathSet.from_draws(g3, tx=tx[l1:], rx=rx[l2:])},
-            config=config, draws=draws, margin=margin)
+        tx, rx = _terminal_angles(tx), _terminal_angles(rx)
+        ris1, ris2 = (u.reshape(2, -1).T * [np.pi / 2.0, 2.0 * np.pi]
+                      for u in np.split(1.0 - rng.random(2 * (l1 + l2)),
+                                        [2 * l1]))
+        normals = np.split(rng.standard_normal(2 * (l1 + l2 + l3)),
+                           [2 * l1, 2 * (l1 + l2)])
+        ends = zip(normals, (tx[:l1], ris2, tx[l1:]), (ris1, rx[:l2], rx[l2:]))
+        path_sets = {}
+        for kind, (g, departure, arrival) in zip(HOP_KINDS, ends):
+            gains = (g[:g.size // 2] + 1j * g[g.size // 2:]) / np.sqrt(2)
+            order = np.argsort(-np.abs(gains), kind="stable")
+            path_sets[kind] = PathSet(gains[order], departure[order],
+                                      arrival[order])
+        return cls(path_sets, config=config, draws=draws, margin=margin)
 
 
 @dataclass(frozen=True)
@@ -424,6 +396,11 @@ def realization_rng(master_seed: int, index: int) -> np.random.Generator:
 SAMPLE_CHUNK = 128
 
 
+def _terminal_angles(uniforms: np.ndarray) -> np.ndarray:
+    """Tx or Rx boresight angles ``(1 - u) 2 pi``, on (0, 2 pi], of u."""
+    return (1.0 - uniforms) * (2.0 * np.pi)
+
+
 def _min_cosine_gaps(angles: np.ndarray, scale: float) -> np.ndarray:
     """Smallest pairwise distance between steering arguments, per row.
 
@@ -459,8 +436,7 @@ def _kept_row(rows: np.ndarray, m: int, scale: float,
     counting every row, with a DEBUG record naming the ``side``."""
     best, best_margin = 0, -np.inf
     for start in range(0, len(rows), SAMPLE_CHUNK):
-        # Tx and Rx angles share the range (0, 2*pi]
-        angles = (1.0 - rows[start:start + SAMPLE_CHUNK]) * _HIGH["tx"]
+        angles = _terminal_angles(rows[start:start + SAMPLE_CHUNK])
         margins = _min_cosine_gaps(angles, scale) * m
         accepted = np.flatnonzero(margins >= 2.0)
         row = accepted[0] if accepted.size else np.argmax(margins)

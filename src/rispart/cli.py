@@ -4,7 +4,7 @@ Subcommands: ``simulate`` runs a sweep experiment from a spec file,
 ``solve`` solves a single coefficient problem file, ``fig3`` prints the
 pattern existence/optimality region table, and ``verify`` runs the named
 property-check suite.  Exit codes: 0 success, 1 verification/solve failure,
-2 usage or configuration error.
+2 usage or configuration error (an ``--out`` path is checked before any work).
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ import numpy as np
 
 from rispart.asymptotic import AsymptoticProblem
 from rispart.checks import SUITES, verify
-from rispart.harness import (PSI_MODES, fig3_regions, load_experiment,
-                             run_experiment)
+from rispart.harness import (PSI_MODES, check_out_path, fig3_regions,
+                             load_experiment, run_experiment)
 from rispart.solver import solve
 
 
@@ -166,6 +166,11 @@ def main(argv=None) -> int:
     p.set_defaults(func=_cmd_verify)
 
     args = parser.parse_args(argv)
+    try:
+        check_out_path(getattr(args, "out", None))
+    except ValueError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     return args.func(args)
 
 

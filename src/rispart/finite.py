@@ -23,9 +23,9 @@ gives in closed form.  The dense model (Q, ``build_theta`` with
 ``oracle.dense_channels``, ``oracle.effective_channel`` and
 ``oracle.logdet_rate``) is the reference in :mod:`rispart.oracle`.
 
-``refine_common_phases`` moves one phase ``x = exp(j psi_s)`` at a time, so
-the trial Grams of a step are one pencil ``G0 + x E + conj(x) E^H``: one
-matrix product forms them all, and one batched ``slogdet`` scores them.
+``refine_common_phases`` moves one phase ``x = exp(j psi_s)`` at a time over
+one fixed grid, so the trial Grams of a step are one pencil ``G0 + x E +
+conj(x) E^H``: one matrix product forms them all, one ``slogdet`` scores them.
 """
 
 from __future__ import annotations
@@ -45,6 +45,9 @@ from rispart.asymptotic import Solution
 from rispart.solver import water_filling
 
 logger = logging.getLogger("rispart")
+
+REFINE_SWEEPS = 2
+REFINE_GRID = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
 
 
 @dataclass
@@ -143,11 +146,11 @@ def adapt_solution(solution: Solution, realization: ChannelRealization,
     ratios non-increasing and the positive direct powers a prefix.  Rounds
     the positive ratios to integer column counts (dropping the weakest, if
     any), gives surviving sub-surface s the gradient from Tx-RIS path s to
-    RIS-Rx path s, draws common phases uniformly (unless given), sends the
-    powers on the eigenmodes of the activated paths, and evaluates the
-    exact log-det rate in the path domain.  If rounding drops a
-    sub-surface, the power is re-allocated by water-filling over the
-    surviving channels.
+    RIS-Rx path s, takes the common phases ``psi`` or else draws them
+    uniformly from ``rng`` (ValueError with neither), sends the powers on
+    the eigenmodes of the activated paths, and evaluates the exact log-det
+    rate in the path domain.  If rounding drops a sub-surface, the power
+    is re-allocated by water-filling over the surviving channels.
     """
     problem = solution.problem
     alloc = solution.allocation
@@ -158,7 +161,8 @@ def adapt_solution(solution: Solution, realization: ChannelRealization,
                          "a prefix, with non-increasing ratios")
     if not active:
         raise ValueError("solution has no active sub-surface")
-    rng = rng or np.random.default_rng(0)
+    if rng is None and psi is None:
+        raise ValueError("common phases psi or a generator rng required")
 
     tx = realization.path_sets[HOP_TX_RIS]
     rx = realization.path_sets[HOP_RIS_RX]
@@ -227,30 +231,26 @@ def _phase_pencil(model: PathModel, x: np.ndarray):
     return rates
 
 
-def refine_common_phases(evaluation: FiniteEvaluation, sweeps: int = 2,
-                         grid_points: int = 64) -> FiniteEvaluation:
+def refine_common_phases(evaluation: FiniteEvaluation) -> FiniteEvaluation:
     """Cyclic coordinate ascent on the common phases.
 
-    For each sub-surface in turn the phase is set to the best of
-    ``grid_points`` equally spaced values: the first maximum, and only if
-    it is strictly above the current rate, scored on the Gram pencil of
-    :func:`_phase_pencil`.  ``sweeps`` full passes.  The rate is
+    For each sub-surface in turn the phase is set to the best of the
+    ``REFINE_GRID`` phases: the first maximum, and only if it is strictly
+    above the current rate, scored on the Gram pencil of
+    :func:`_phase_pencil`.  ``REFINE_SWEEPS`` full passes.  The rate is
     ``model.rates`` at the chosen phases; unless that is strictly above
     ``evaluation.rate`` the input is returned, so it never decreases.
     """
-    if sweeps < 0 or grid_points < 1:
-        raise ValueError("sweeps must be >= 0 and grid_points >= 1")
     psi = evaluation.plan.psi.copy()
     best_rate = evaluation.rate
-    grid = np.linspace(0.0, 2.0 * np.pi, grid_points, endpoint=False)
-    trial_rates = _phase_pencil(evaluation.model, np.exp(1j * grid))
-    for _ in range(sweeps):
+    trial_rates = _phase_pencil(evaluation.model, np.exp(1j * REFINE_GRID))
+    for _ in range(REFINE_SWEEPS):
         for s in range(psi.size):
             rates = trial_rates(psi, s)
             best = int(np.argmax(rates))
             if rates[best] > best_rate:
                 best_rate = float(rates[best])
-                psi[s] = grid[best]
+                psi[s] = REFINE_GRID[best]
     rate = float(evaluation.model.rates(psi)[0])
     if not rate > evaluation.rate:
         return evaluation

@@ -187,29 +187,35 @@ def _run_one(task) -> ResultRow:
     return row
 
 
+def check_out_path(path: str | None) -> None:
+    """ValueError if ``path`` is a directory or in a missing directory."""
+    if path and (Path(path).is_dir() or not Path(path).parent.is_dir()):
+        raise ValueError(f"cannot write results to {path!r}: it is a "
+                         f"directory or its directory does not exist")
+
+
 def run_experiment(spec: ExperimentSpec, jobs: int = 1,
                    ) -> tuple[list[ResultRow], dict]:
     """Execute the sweep and return its rows plus a summary.
 
     Before the first realization, a sweep value the config rejects or an
     output path that cannot be written raises ValueError.  Each value's
-    config is resolved once.  Rows come in (sweep value order, seed)
-    order at any ``jobs``.  The summary maps each sweep value to its mean
-    rates and mean activated path counts (failed rows excluded).
+    config is resolved once.  With ``jobs`` and the task count above 1,
+    ``min(jobs, tasks, usable CPUs)`` worker processes run the tasks; rows
+    keep (sweep value, seed) order.  The summary maps each sweep value to
+    its mean rates and mean activated path counts (failed rows excluded).
     """
-    if spec.out and (Path(spec.out).is_dir()
-                     or not Path(spec.out).parent.is_dir()):
-        raise ValueError(f"cannot write results to {spec.out!r}: it is a "
-                         f"directory or its directory does not exist")
+    check_out_path(spec.out)
     runs = spec.runs_per_value
     configs = spec.sweep_configs()
     tasks = [(configs[vi], value, vi * runs + r, spec.psi_mode)
              for vi, value in enumerate(spec.values)
              for r in range(runs)]
-    if jobs > 1:
+    if jobs > 1 and len(tasks) > 1:
         # imported here so that a serial run does not load multiprocessing
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        workers = min(jobs, len(tasks), len(os.sched_getaffinity(0)))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_run_one, tasks))
     else:
         rows = [_run_one(t) for t in tasks]

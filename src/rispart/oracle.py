@@ -25,7 +25,7 @@ from rispart.channel import (HOP_RIS_RX, HOP_TX_RIS, HOP_TX_RX,
                              ChannelRealization, PathSet, RisGeometry,
                              SimulationConfig, path_loss, ris_cosines,
                              steering)
-from rispart.finite import FiniteEvaluation
+from rispart.finite import REFINE_GRID, REFINE_SWEEPS, FiniteEvaluation
 from rispart.partition import build_theta, largest_remainder
 from rispart.solver import (KktResidual, budget_residual, kkt_residual,
                             solve, water_filling)
@@ -402,9 +402,8 @@ def dense_rate(evaluation: FiniteEvaluation,
                        evaluation.plan.psi if psi is None else psi)
 
 
-def dense_refine(evaluation: FiniteEvaluation, sweeps: int = 2,
-                 grid_points: int = 64) -> tuple[np.ndarray, float]:
-    """Reference cyclic coordinate ascent on the common phases.
+def dense_refine(evaluation: FiniteEvaluation) -> tuple[np.ndarray, float]:
+    """Reference for ``finite.refine_common_phases``, on its schedule.
 
     One dense rate per candidate, taken in grid order; a candidate
     replaces the current phase only if it beats the best rate so far.
@@ -414,10 +413,9 @@ def dense_refine(evaluation: FiniteEvaluation, sweeps: int = 2,
     q = transmit_covariance(evaluation)
     psi = evaluation.plan.psi.copy()
     best_rate = _dense_rate(evaluation, channels, q, psi)
-    grid = np.linspace(0.0, 2.0 * np.pi, grid_points, endpoint=False)
-    for _ in range(sweeps):
+    for _ in range(REFINE_SWEEPS):
         for s in range(psi.size):
-            for cand in grid:
+            for cand in REFINE_GRID:
                 trial = psi.copy()
                 trial[s] = cand
                 r = _dense_rate(evaluation, channels, q, trial)

@@ -148,3 +148,12 @@ class TestRate:
             validate_allocation(problem, nan)
         with pytest.raises(ValueError, match="nonnegative"):
             rate(problem, nan)
+
+    def test_validation_rejects_negative_ratios_and_lengths(self):
+        prob = AsymptoticProblem(m_r=[4.0, 2.0], m_d=[2.0], power=1.0)
+        with pytest.raises(ValueError, match="ratios must be nonnegative"):
+            rate(prob, Allocation(p_r=[0.5, 0.0], p_d=[0.5], t=[1.5, -0.5]))
+        with pytest.raises(ValueError, match="allocation length mismatch"):
+            rate(prob, Allocation(p_r=[1.0], p_d=[0.0], t=[1.0]))
+        with pytest.raises(ValueError, match="t and p_r"):
+            Allocation(p_r=[0.5, 0.5], p_d=[], t=[1.0])

@@ -118,6 +118,11 @@ class TestArrayResponses:
         with pytest.raises(ValueError, match="finite and positive"):
             RisGeometry(2, 2, spacing, wavelength)
 
+    @pytest.mark.parametrize("nx, ny", [(0, 2), (2, 0), (-1, 3)])
+    def test_ris_geometry_needs_an_element(self, nx, ny):
+        with pytest.raises(ValueError, match="nx and ny must be >= 1"):
+            RisGeometry(nx, ny, 0.5, 1.0)
+
     def test_ris_kron_structure(self):
         g = RisGeometry(nx=4, ny=6, element_spacing=0.5, wavelength=1.0)
         angles = np.array([(0.8, 2.1), (0.3, 5.0)])
@@ -170,20 +175,16 @@ class TestSynthChannel:
                                    np.ones((2, 2)), atol=1e-14)
 
     def test_rank_bound(self):
-        cfg = small_config(m_t=16, m_r=16)
-        rng = np.random.default_rng(4)
-        p = PathSet.from_draws(rng.standard_normal(6), tx=rng.random(3),
-                               rx=rng.random(3))
+        cfg = small_config(m_t=16, m_r=16, l3=3)
+        p = realize_channels(cfg, realization_rng(4, 0)).path_sets[HOP_TX_RX]
         h = synth_channel(p, _ula(p.departure, 16, cfg),
                           _ula(p.arrival, 16, cfg))
         assert h.shape == (16, 16)
         assert np.linalg.matrix_rank(h, tol=1e-10) <= 3
 
     def test_matches_direct_sum(self):
-        cfg = small_config()
-        rng = np.random.default_rng(6)
-        p = PathSet.from_draws(rng.standard_normal(6), tx=rng.random(3),
-                               ris_elev=rng.random(3), ris_azim=rng.random(3))
+        cfg = small_config(l1=3, l3=1)
+        p = realize_channels(cfg, realization_rng(6, 0)).path_sets[HOP_TX_RIS]
         ris = cfg.ris_geometry
         h = synth_channel(p, _ula(p.departure, cfg.m_t, cfg),
                           ris_response(p.arrival, ris))
@@ -338,7 +339,8 @@ class TestRealization:
         assert np.all((ris[:, 1] > 0) & (ris[:, 1] <= 2 * np.pi))
         assert abs(np.mean(np.abs(np.concatenate(gains)) ** 2) - 1.0) < 0.05
         with pytest.raises(ValueError, match="at least one path"):
-            PathSet.from_draws(np.empty(0), tx=np.empty(0), rx=np.empty(0))
+            PathSet(gains=np.empty(0), departure=np.empty(0),
+                    arrival=np.empty(0))
 
     def test_scoring_memory_linear_in_paths(self):
         # 260 Tx and 260 Rx angles a row: scoring all pairs of a chunk of
@@ -587,6 +589,28 @@ class TestSamplerLaw:
     BLOCKS = {HOP_TX_RIS: ("tx", "ris_elev", "ris_azim"),
               HOP_RIS_RX: ("ris_elev", "ris_azim", "rx"),
               HOP_TX_RX: ("tx", "rx")}
+    # Each angle is ``(1 - u) * HIGH[block]`` for a uniform u, on (0, high]:
+    # terminal boresight angles cover the full azimuth range, and a RIS
+    # endpoint has an elevation on (0, pi/2] and an azimuth on (0, 2*pi].
+    HIGH = {"tx": 2.0 * np.pi, "rx": 2.0 * np.pi, "ris_elev": np.pi / 2.0,
+            "ris_azim": 2.0 * np.pi}
+
+    @classmethod
+    def path_set(cls, kind, uniforms, normals):
+        """One candidate's path set of hop ``kind``: ``uniforms`` holds its
+        angle blocks in ``BLOCKS`` order, and ``normals`` the real parts
+        of its L gains and then the imaginary parts.  Paths are sorted by
+        non-increasing gain magnitude."""
+        angles = {name: (1.0 - u) * cls.HIGH[name]
+                  for name, u in zip(cls.BLOCKS[kind], uniforms)}
+        ris = (np.column_stack([angles["ris_elev"], angles["ris_azim"]])
+               if "ris_elev" in angles else None)
+        departure, arrival = angles.get("tx", ris), angles.get("rx", ris)
+        l = normals.size // 2
+        gains = (normals[:l] + 1j * normals[l:]) / np.sqrt(2)
+        order = np.argsort(-np.abs(gains), kind="stable")
+        return PathSet(gains=gains[order], departure=departure[order],
+                       arrival=arrival[order])
 
     @staticmethod
     def margin(config, path_sets):
@@ -613,7 +637,7 @@ class TestSamplerLaw:
         call for every candidate's angle uniforms and one
         ``rng.standard_normal`` call for their gains, so each candidate has
         its own RIS angles and gains.  A terminal angle is ``(1 - u) 2 pi``,
-        as in ``PathSet.from_draws``, and a block is scored with
+        as in :meth:`path_set`, and a block is scored with
         ``oracle.min_cosine_gap``.
         """
         scale = 2.0 * config.spacing_wavelengths
@@ -646,9 +670,7 @@ class TestSamplerLaw:
             i = int(met[0]) if met.size else int(np.argmax(margins))
             if margins[i] > best_margin:
                 best_margin = margins[i]
-                best = {kind: PathSet.from_draws(
-                            normals[i],
-                            **dict(zip(cls.BLOCKS[kind], uniforms[i])))
+                best = {kind: cls.path_set(kind, uniforms[i], normals[i])
                         for kind, (uniforms, normals) in draws.items()}
             if met.size:
                 return best, best_margin, start + i + 1, max(firsts)

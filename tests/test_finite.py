@@ -11,14 +11,13 @@ import pytest
 from rispart.asymptotic import Allocation, Solution, coefficients, rate
 from rispart.channel import (SimulationConfig, dbm_to_watts, realization_rng,
                              realize_channels, ris_cosines, steering)
-from rispart.finite import (_phase_pencil, adapt_solution,
+from rispart.finite import (REFINE_GRID, _phase_pencil, adapt_solution,
                             refine_common_phases)
 from rispart.oracle import (dense_rate, dense_refine, eigenmode_covariance,
                             logdet_rate, transmit_covariance)
 from rispart.solver import solve, water_filling
 
 P0 = dbm_to_watts(60.1030)
-GRID = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
 
 
 def pipeline(seed=0, m=16, n_x=10, n_y=12, l1=2, l2=2, l3=2, **cfg_kw):
@@ -150,6 +149,22 @@ class TestAdaptSolution:
         b = adapt_solution(sol, re, psi=psi)
         assert a.rate == b.rate
 
+    def test_needs_psi_or_rng(self):
+        # the common phases are a design input or a seeded draw, never
+        # a hidden fixed seed
+        cfg, re, prob, sol = pipeline(seed=2)
+        with pytest.raises(ValueError, match="psi or a generator rng"):
+            adapt_solution(sol, re)
+
+    def test_rejects_solution_without_active_subsurface(self):
+        cfg, re, prob, sol = pipeline(seed=2)
+        alloc = Allocation(p_r=np.zeros(prob.s_max),
+                           p_d=np.eye(prob.l3)[0] * prob.power,
+                           t=np.zeros(prob.s_max))
+        idle = dataclasses.replace(sol, allocation=alloc)
+        with pytest.raises(ValueError, match="no active sub-surface"):
+            adapt_solution(idle, re, psi=[])
+
     def test_rejects_wrong_psi_length(self):
         cfg, re, prob, sol = pipeline(seed=2)
         k = sum(1 for t in sol.allocation.t if t > 0)
@@ -248,7 +263,7 @@ class TestRefineCommonPhases:
     def test_never_decreases(self):
         cfg, re, prob, sol = pipeline(seed=7)
         ev = adapt_solution(sol, re, rng=np.random.default_rng(15))
-        refined = refine_common_phases(ev, sweeps=1, grid_points=16)
+        refined = refine_common_phases(ev)
         assert refined.rate >= ev.rate
 
     @pytest.mark.filterwarnings("ignore:path counts")
@@ -263,7 +278,7 @@ class TestRefineCommonPhases:
             assert refined.rate >= ev.rate
             assert refined.rate == refined.model.rates(refined.plan.psi)[0]
             psi = refined.plan.psi
-            assert np.all((psi == ev.plan.psi) | np.isin(psi, GRID))
+            assert np.all((psi == ev.plan.psi) | np.isin(psi, REFINE_GRID))
             seen |= cases(cfg, ev)
             moved += refined.rate > ev.rate
         assert seen == ALL_CASES
@@ -294,27 +309,13 @@ class TestRefineCommonPhases:
         core = ev.model.core.copy()
         core[0] = 0.0
         model = dataclasses.replace(ev.model, core=core)
-        tied = _phase_pencil(model, np.exp(1j * GRID))(ev.plan.psi, 0)
+        tied = _phase_pencil(model, np.exp(1j * REFINE_GRID))(ev.plan.psi, 0)
         assert np.ptp(tied) == 0.0
         ev = dataclasses.replace(ev, model=model, rate=float(tied[0]))
         refined = refine_common_phases(ev)
         assert refined.rate > ev.rate
         assert refined.plan.psi[0] == 0.3 and refined.plan.psi[1] != 0.3
 
-    def test_zero_sweeps_is_identity(self):
-        cfg, re, prob, sol = pipeline(seed=8)
-        ev = adapt_solution(sol, re, rng=np.random.default_rng(16))
-        refined = refine_common_phases(ev, sweeps=0)
-        assert refined.rate == ev.rate
-        np.testing.assert_array_equal(refined.plan.psi, ev.plan.psi)
-
-    def test_input_validation(self):
-        cfg, re, prob, sol = pipeline(seed=9)
-        ev = adapt_solution(sol, re, rng=np.random.default_rng(17))
-        with pytest.raises(ValueError, match="grid_points >= 1"):
-            refine_common_phases(ev, grid_points=0)
-        with pytest.raises(ValueError, match="sweeps must be >= 0"):
-            refine_common_phases(ev, sweeps=-1)
 
 
 @pytest.mark.filterwarnings("ignore:path counts")
@@ -345,11 +346,11 @@ class TestPathDomain:
         evaluations.append(adapt_solution(sol, re, rng))
         assert evaluations[-1].plan.s >= 10
         for ev in evaluations:
-            trial_rates = _phase_pencil(ev.model, np.exp(1j * GRID))
+            trial_rates = _phase_pencil(ev.model, np.exp(1j * REFINE_GRID))
             psi = rng.uniform(0, 2 * np.pi, ev.plan.s)
             for s in range(ev.plan.s):
-                trials = np.tile(psi, (GRID.size, 1))
-                trials[:, s] = GRID
+                trials = np.tile(psi, (REFINE_GRID.size, 1))
+                trials[:, s] = REFINE_GRID
                 np.testing.assert_allclose(
                     trial_rates(psi, s),
                     ev.model.rates(trials), rtol=1e-12, atol=0)

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from rispart import checks, harness
+from rispart import checks, cli, harness
 from rispart.channel import (SimulationConfig, dbm_to_watts, load_config,
                              realization_rng, realize_channels)
 from rispart.checks import SUITES, verify
@@ -197,6 +197,39 @@ class TestRunExperiment:
         serial, _ = run_experiment(spec, jobs=1)
         parallel, _ = run_experiment(spec, jobs=2)
         assert [row_key(r) for r in serial] == [row_key(r) for r in parallel]
+
+    @pytest.mark.parametrize("jobs, cpus, workers", [
+        (100_000, 8, 4), (3, 8, 3), (100_000, 2, 2), (2, 1, 1),
+        (1, 8, None)])
+    def test_pool_size_capped(self, monkeypatch, jobs, cpus, workers):
+        # at most min(jobs, tasks, usable CPUs) workers, and no pool at
+        # jobs = 1; the fake pool records its size and maps in this
+        # process, so no process starts
+        import concurrent.futures
+        sizes = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            FakePool)
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)))
+        spec = small_spec()  # 2 values x 2 realizations: 4 tasks
+        rows, _ = run_experiment(spec, jobs=jobs)
+        assert sizes == ([] if workers is None else [workers])
+        serial, _ = run_experiment(spec)
+        assert [row_key(r) for r in rows] == [row_key(r) for r in serial]
 
     def test_serial_import_leaves_out_multiprocessing(self):
         # the process pool is imported only when jobs > 1
@@ -461,6 +494,43 @@ class TestCli:
         assert captured.err.startswith("config error: ")
         assert "rate =" not in captured.out
 
+    def test_solve_skips_comments_and_headers(self, tmp_path, capsys):
+        problem = tmp_path / "problem.txt"
+        problem.write_text("m_r = 16,4\nm_d = 2\nP = 1\n")
+        assert main(["solve", str(problem)]) == 0
+        plain = capsys.readouterr().out
+        problem.write_text("# coefficients\n[problem]\nm_r = 16,4\n"
+                           "m_d = 2\nP = 1\n")
+        assert main(["solve", str(problem)]) == 0
+        assert capsys.readouterr().out == plain
+
+    @pytest.mark.parametrize("command", ["solve", "fig3"])
+    @pytest.mark.parametrize("target", ["missing/x.txt", ""])
+    def test_unwritable_out_exits_2(self, tmp_path, capsys, monkeypatch,
+                                    command, target):
+        # a missing directory or a directory used to do the work, then
+        # exit 1 with a traceback
+        def unreached(*args):
+            raise AssertionError("the command ran")
+
+        monkeypatch.setattr(cli, "solve", unreached)
+        monkeypatch.setattr(cli, "fig3_regions", unreached)
+        problem = tmp_path / "problem.txt"
+        problem.write_text("m_r = 16,4\nm_d = 2\nP = 1\n")
+        argv = [command, *([str(problem)] if command == "solve" else []),
+                "--out", str(tmp_path / target)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: cannot write results")
+        assert not captured.out
+
+    def test_fig3_out_writes_table(self, tmp_path, capsys):
+        out = tmp_path / "fig3.csv"
+        assert main(["fig3", "--snr", "0:1:0.5", "--out", str(out)]) == 0
+        table = capsys.readouterr().out
+        assert table.startswith("snr_db,") and len(table.splitlines()) == 4
+        assert out.read_text() == table
+
     def test_solve_missing_file(self, tmp_path, capsys):
         assert main(["solve", str(tmp_path / "nope.txt")]) == 2
 
@@ -561,6 +631,41 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.err.startswith("config error: cannot write results")
         assert not captured.out
+
+    def test_simulate_missing_spec_exits_2(self, tmp_path, capsys):
+        assert main(["simulate", str(tmp_path / "nope.cfg")]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+
+    def test_simulate_psi_refine(self, tmp_path):
+        # the same realizations and drawn phases, then refined: no row's
+        # finite rate is lower than without refinement
+        path = tmp_path / "exp.cfg"
+        path.write_text(EXPERIMENT_TEXT)
+        rates = {}
+        for psi in PSI_MODES:
+            out = tmp_path / f"{psi}.csv"
+            assert main(["simulate", str(path), "--psi", psi,
+                         "--out", str(out)]) == 0
+            with open(out, newline="") as fh:
+                rates[psi] = [float(r["rate_finite"])
+                              for r in csv.DictReader(fh)]
+            meta = json.loads(Path(f"{out}.meta.json").read_text())
+            assert meta["psi_mode"] == psi
+        assert len(rates["refine"]) == 4
+        assert all(r >= q for r, q in zip(rates["refine"], rates["random"]))
+
+    def test_simulate_reports_flagged_rows(self, tmp_path, capsys,
+                                           monkeypatch):
+        def fail(*args):
+            raise RuntimeError("no paths")
+
+        monkeypatch.setattr(harness, "realize_channels", fail)
+        path = tmp_path / "exp.cfg"
+        path.write_text(EXPERIMENT_TEXT)
+        assert main(["simulate", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.count("failures=2") == 2
+        assert captured.err == "4 realizations flagged\n"
 
     def test_simulate(self, tmp_path, capsys):
         path = tmp_path / "exp.cfg"

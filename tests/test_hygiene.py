@@ -1,8 +1,9 @@
 """Source hygiene, in place of a linter: no unused top-level imports, no
 module importing another module's private names, no public name in a
 pipeline module that nothing in the package uses, no oracle that nothing
-checks, no pipeline module but ``channel`` naming ``steering``, and no
-growth of ``src/rispart`` past the seed's size."""
+checks, no pipeline module but ``channel`` naming ``steering``, no
+default that every call leaves in place, and no growth of ``src/rispart``
+past the seed's size."""
 
 import ast
 from pathlib import Path
@@ -19,6 +20,14 @@ PIPELINE = ("channel", "partition", "asymptotic", "solver", "finite",
 PAPER_ONLY = {"gain_asymptotic", "TilePlan"}
 # Lines of src/rispart/*.py in the seed: a change that adds code offsets it
 SEED_SRC_LINES = 2791
+# Defaulted parameters of pipeline functions that no call under src/rispart
+# passes, each kept for a reason of its own.
+DEFAULT_ONLY = {
+    # the tests drive the sampler to exhaustion through it
+    "channel.realize_channels.max_tries",
+    # the paper's common phases as a design input, in place of random ones
+    "finite.adapt_solution.psi",
+}
 
 
 def _ids(paths):
@@ -122,3 +131,55 @@ def test_src_below_seed_size():
     lines = sum(len(p.read_text().splitlines())
                 for p in ROOT.glob("src/rispart/*.py"))
     assert lines < SEED_SRC_LINES, lines
+
+
+def _defaulted(tree: ast.Module):
+    """``(name, parameter, position)`` of each defaulted parameter of the
+    public functions and methods of a module; ``position`` counts the
+    positional arguments a call needs to pass it (None: keyword only)."""
+    for node in tree.body:
+        methods = isinstance(node, ast.ClassDef)
+        for func in node.body if methods else [node]:
+            if (not isinstance(func, ast.FunctionDef)
+                    or func.name.startswith("_")):
+                continue
+            args = func.args
+            positional = [*args.posonlyargs, *args.args]
+            # a method's call passes its self or cls implicitly
+            skip = methods and not any(
+                getattr(d, "id", None) == "staticmethod"
+                for d in func.decorator_list)
+            for i, arg in enumerate(positional):
+                if i >= len(positional) - len(args.defaults):
+                    yield func.name, arg.arg, i + 1 - skip
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    yield func.name, arg.arg, None
+
+
+def test_no_default_only_keywords():
+    # Every defaulted parameter of a public pipeline function is passed,
+    # by keyword or by position, by some call under src/rispart: a
+    # default that every call leaves in place is a setting nothing uses.
+    calls = [node for p in ROOT.glob("src/rispart/*.py")
+             for node in ast.walk(ast.parse(p.read_text()))
+             if isinstance(node, ast.Call)]
+
+    def passed(name, param, position):
+        for call in calls:
+            callee = getattr(call.func, "id", getattr(call.func, "attr", ""))
+            if callee != name:
+                continue
+            if any(k.arg in (param, None) for k in call.keywords):
+                return True
+            if any(isinstance(a, ast.Starred) for a in call.args) or (
+                    position is not None and len(call.args) >= position):
+                return True
+        return False
+
+    unused = [f"{stem}.{name}.{param}" for stem in PIPELINE
+              for name, param, position in _defaulted(
+                  ast.parse((ROOT / f"src/rispart/{stem}.py").read_text()))
+              if not passed(name, param, position)]
+    assert sorted(set(unused) - DEFAULT_ONLY) == [], unused
+    assert DEFAULT_ONLY <= set(unused), "an allowlisted default is passed"

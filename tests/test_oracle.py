@@ -85,7 +85,7 @@ class TestBruteForceP3:
             sol = solve(prob)
             assert sol.rate >= oracle * (1 - 1e-3)
             snapped = snap_allocation(prob, sol.allocation)
-            assert oracle >= rate(prob, snapped, validate=False) - 1e-9
+            assert oracle >= rate(prob, snapped) - 1e-9
 
 
 class TestEnumeratePairings:

@@ -81,6 +81,14 @@ class TestRounding:
             with pytest.raises(ValueError):
                 round_partition(t, 10)
 
+    def test_rejects_ratios_off_the_simplex(self):
+        with pytest.raises(ValueError, match="sum to 1"):
+            round_partition([0.5, 0.4], 10)
+
+    def test_no_columns_no_survivor(self):
+        with pytest.raises(ValueError, match="no sub-surface survived"):
+            round_partition([1.0], 0)
+
 
 class TestPartitionPlan:
     def test_validation(self):
