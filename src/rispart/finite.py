@@ -11,19 +11,20 @@ asymptotic prediction.
 The rate is evaluated in the path domain, without an N- or M-sized array.
 The effective channel is ``H = B_rx K(psi) B_tx^H``: ``B_tx`` and ``B_rx``
 hold the terminal steering vectors of the Tx-RIS and direct paths, and
-the ``(L2+L3) x (L1+L3)`` core is ``K(psi) = sum_s exp(j psi_s) core[s]
-+ core[S]``: block s < S is ``c_r diag(beta) G_s diag(alpha)`` top left,
-with ``G_s[v, u]`` the Dirichlet-kernel gain of sub-surface s alone at
-``zeta = u(dep_v) - u(arr_u)``, and block S is ``diag(c_d gamma)`` bottom
-right.  With ``Q = W W^H``, ``W = B_tx[:, basis] diag(sqrt(p))`` of rank r
-(the activated paths), Sylvester's identity turns the M_r x M_r log-det
-into an r x r one: ``log2 det(I + T^H K^H R K T / sigma^2)`` with
+the ``(L2+L3) x (L1+L3)`` core is ``K(psi) = sum_b exp(j psi_b) core[b]
++ core[B]``, one block b < B per plan block, ``c_r diag(beta) G_b
+diag(alpha)`` top left with ``G_b[v, u]`` the Dirichlet-kernel gain of
+plan block b alone at ``zeta = u(dep_v) - u(arr_u)`` (derived inside
+``path_model``), and block B is ``diag(c_d gamma)`` bottom right.  With
+``Q = W W^H``, ``W = B_tx[:, basis] diag(sqrt(p))`` of rank r (the
+activated paths), Sylvester's identity turns the M_r x M_r log-det into
+an r x r one: ``log2 det(I + T^H K^H R K T / sigma^2)`` with
 ``T = B_tx^H W`` and ``R = B_rx^H B_rx``, Grams that ``channel.steering_gram``
 gives in closed form.  The dense model (Q, ``build_theta`` with
 ``oracle.dense_channels``, ``oracle.effective_channel`` and
 ``oracle.logdet_rate``) is the reference in :mod:`rispart.oracle`.
 
-``refine_common_phases`` moves one phase ``x = exp(j psi_s)`` at a time over
+``refine_common_phases`` moves one phase ``x = exp(j psi_b)`` at a time over
 one fixed grid, so the trial Grams of a step are one pencil ``G0 + x E +
 conj(x) E^H``: one matrix product forms them all, one ``slogdet`` scores them.
 """
@@ -39,7 +40,7 @@ import numpy as np
 from rispart.channel import (HOP_RIS_RX, HOP_TX_RIS, HOP_TX_RX,
                              ChannelRealization, path_loss, ris_cosines,
                              steering_gram)
-from rispart.partition import (PartitionPlan, round_partition,
+from rispart.partition import (PartitionPlan, TilePlan, round_partition,
                                subsurface_gains)
 from rispart.asymptotic import Solution
 from rispart.solver import water_filling
@@ -54,11 +55,11 @@ REFINE_GRID = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
 class PathModel:
     """The finite model of one realized plan in the path domain.
 
-    ``core`` stacks the S+1 blocks of K ((L2+L3) x (L1+L3) each), so that
-    ``K(psi) = [exp(j psi), 1] @ core``: sub-surface s's scaled gain block
-    ``c_r diag(beta) G_s diag(alpha)`` fills the top-left L2 x L1 corner
-    of ``core[s]``, the direct ``diag(c_d gamma)`` the bottom-right L3 x L3
-    corner of ``core[S]``, and the rest is zero.  ``tx_weights`` is
+    ``core`` stacks the B+1 blocks of K ((L2+L3) x (L1+L3) each), so that
+    ``K(psi) = [exp(j psi), 1] @ core``: plan block b's scaled gain block
+    ``c_r diag(beta) G_b diag(alpha)`` fills the top-left L2 x L1 corner
+    of ``core[b]``, the direct ``diag(c_d gamma)`` the bottom-right L3 x L3
+    corner of ``core[B]``, and the rest is zero.  ``tx_weights`` is
     ``T = B_tx^H W`` ((L1+L3) x r) and ``rx_gram`` ``R = B_rx^H B_rx``.
     """
 
@@ -68,7 +69,7 @@ class PathModel:
     noise_power: float
 
     def rates(self, psi: np.ndarray) -> np.ndarray:
-        """Exact rates in bit/s/Hz for a batch of common phases (n x S)."""
+        """Exact rates in bit/s/Hz for a batch of common phases (n x B)."""
         psi = np.atleast_2d(psi)
         weights = np.exp(1j * np.hstack([psi, np.zeros((len(psi), 1))]))
         kt = np.tensordot(weights, self.core, axes=(1, 0)) @ self.tx_weights
@@ -82,13 +83,14 @@ class PathModel:
 class FiniteEvaluation:
     """Realized plan, eigenmodes, and the achieved exact rate.
 
-    ``basis_paths`` index the columns of ``B_tx = [A_tx1 | A_tx3]`` (direct
-    paths offset by L1) that carry the eigenmodes, with ``powers``: Tx-RIS
-    paths ``0 .. plan.s-1``, one per surviving sub-surface, then direct
-    paths ``0 .. j-1``, the activated prefix.
+    ``model`` holds one core block per plan block.  ``basis_paths`` index
+    the columns of ``B_tx = [A_tx1 | A_tx3]`` (direct paths offset by L1)
+    that carry the eigenmodes, with ``powers``: Tx-RIS paths ``0 .. S-1``,
+    one per surviving sub-surface, then direct paths ``0 .. j-1``, the
+    activated prefix.
     """
 
-    plan: PartitionPlan
+    plan: PartitionPlan | TilePlan
     basis_paths: list[int]
     powers: np.ndarray
     rate: float
@@ -104,19 +106,20 @@ class FiniteEvaluation:
         return abs(self.rate - ref) / ref if ref > 0 else 0.0
 
 
-def path_model(realization: ChannelRealization, plan: PartitionPlan,
-               zeta: tuple[np.ndarray, np.ndarray], basis_paths: list[int],
+def path_model(realization: ChannelRealization,
+               plan: PartitionPlan | TilePlan, basis_paths: list[int],
                powers: np.ndarray) -> PathModel:
     """Path-domain model of a realized plan on the RIS of
-    ``realization.config``.
-
-    ``zeta`` holds the x and y direction-cosine differences (L2 x L1) of
-    every RIS-Rx departure v and Tx-RIS arrival u.  ``basis_paths`` and
-    ``powers`` are those of :class:`FiniteEvaluation`.
+    ``realization.config``: one core block per plan block, its gains at
+    the direction-cosine differences zeta (L2 x L1) of every RIS-Rx
+    departure v and Tx-RIS arrival u.  ``basis_paths`` and ``powers`` are
+    those of :class:`FiniteEvaluation`.
     """
     config = realization.config
     tx, rx, direct = (realization.path_sets[kind]
                       for kind in (HOP_TX_RIS, HOP_RIS_RX, HOP_TX_RX))
+    zeta = map(np.subtract.outer, ris_cosines(rx.departure),
+               ris_cosines(tx.arrival))
     gains = subsurface_gains(plan, config.ris_geometry, *zeta)
     m_t, m_r = config.m_t, config.m_r
     pl_r, pl_d = path_loss(config)
@@ -125,7 +128,7 @@ def path_model(realization: ChannelRealization, plan: PartitionPlan,
     scale = config.steering_scale
     phi_tx = scale * np.sin(np.concatenate([tx.departure, direct.departure]))
     phi_rx = scale * np.sin(np.concatenate([rx.arrival, direct.arrival]))
-    core = np.zeros((plan.s + 1, phi_rx.size, phi_tx.size), complex)
+    core = np.zeros((len(gains) + 1, phi_rx.size, phi_tx.size), complex)
     core[:-1, :rx.count, :tx.count] = (c_r * rx.gains[:, None] * gains
                                        * tx.gains)
     core[-1, rx.count:, tx.count:] = np.diag(c_d * direct.gains)
@@ -164,11 +167,6 @@ def adapt_solution(solution: Solution, realization: ChannelRealization,
     if rng is None and psi is None:
         raise ValueError("common phases psi or a generator rng required")
 
-    tx = realization.path_sets[HOP_TX_RIS]
-    rx = realization.path_sets[HOP_RIS_RX]
-    arr_x, arr_y = ris_cosines(tx.arrival)
-    dep_x, dep_y = ris_cosines(rx.departure)
-    zeta = (dep_x[:, None] - arr_x, dep_y[:, None] - arr_y)
     if psi is None:
         psi = rng.uniform(0.0, 2.0 * np.pi, size=active)
     psi = np.asarray(psi, dtype=float)
@@ -178,10 +176,11 @@ def adapt_solution(solution: Solution, realization: ChannelRealization,
     counts = round_partition(alloc.t[:active], n_y)
     kept = int(np.count_nonzero(counts))  # rounding drops the weakest
     rewaterfilled = kept < active
-    plan = PartitionPlan(
-        column_counts=counts[:kept],
-        gradients=np.diagonal(zeta, axis1=1, axis2=2).T[:kept],
-        psi=psi[:kept])
+    tx, rx = (realization.path_sets[k] for k in (HOP_TX_RIS, HOP_RIS_RX))
+    gradients = np.subtract(ris_cosines(rx.departure[:kept]),
+                            ris_cosines(tx.arrival[:kept])).T
+    plan = PartitionPlan(column_counts=counts[:kept], gradients=gradients,
+                         psi=psi[:kept])
 
     if rewaterfilled:
         logger.debug("column rounding dropped %d of %d sub-surfaces; "
@@ -195,7 +194,7 @@ def adapt_solution(solution: Solution, realization: ChannelRealization,
         powers = np.concatenate([alloc.p_r[:kept], alloc.p_d[:direct]])
 
     basis_paths = [*range(kept), *range(tx.count, tx.count + direct)]
-    model = path_model(realization, plan, zeta, basis_paths, powers)
+    model = path_model(realization, plan, basis_paths, powers)
     return FiniteEvaluation(plan=plan, basis_paths=basis_paths,
                             powers=powers,
                             rate=float(model.rates(plan.psi)[0]),
@@ -207,11 +206,11 @@ def adapt_solution(solution: Solution, realization: ChannelRealization,
 def _phase_pencil(model: PathModel, x: np.ndarray):
     """Trial rates ``rates(psi, s)``: ``psi`` with entry s set to
     ``angle(x)``, for each unit-modulus x.  With ``A0`` the rows of ``K T``
-    at ``psi`` without sub-surface s and ``B = core[s] T`` those of s, a
+    at ``psi`` without plan block s and ``B = core[s] T`` those of s, a
     trial Gram is ``G0 + x E + conj(x) E^H``, where
     ``G0 = I + (A0^H R A0 + B^H R B)/sigma^2`` and ``E = A0^H R B/sigma^2``.
     """
-    # rows of K T and of R K T / sigma^2: each sub-surface's, then direct
+    # rows of K T and of R K T / sigma^2: each plan block's, then direct
     kt = model.core @ model.tx_weights
     rkt = model.rx_gram @ kt / model.noise_power
     brb = kt.conj().transpose(0, 2, 1) @ rkt
@@ -234,7 +233,7 @@ def _phase_pencil(model: PathModel, x: np.ndarray):
 def refine_common_phases(evaluation: FiniteEvaluation) -> FiniteEvaluation:
     """Cyclic coordinate ascent on the common phases.
 
-    For each sub-surface in turn the phase is set to the best of the
+    For each plan block in turn the phase is set to the best of the
     ``REFINE_GRID`` phases: the first maximum, and only if it is strictly
     above the current rate, scored on the Gram pencil of
     :func:`_phase_pencil`.  ``REFINE_SWEEPS`` full passes.  The rate is

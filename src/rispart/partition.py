@@ -5,10 +5,11 @@ A sub-surface carries a common phase shift and a phase gradient: the
 slope (g_x, g_y) that reflects a Tx-RIS arrival into a RIS-Rx departure,
 the difference of their ``channel.ris_cosines``.  Column partitions
 (:class:`PartitionPlan`) and tilings (:class:`TilePlan`) are both laid out
-as :class:`Blocks`, phases referenced to the RIS origin, so one theta
-builder serves both, as does each gain: the direct element-wise sum, the
-closed form from Dirichlet-kernel ratios, and the large-surface limit
-where only aligned sub-surfaces contribute.
+as :class:`Blocks`, each plan holding one common phase per block in
+``psi``, referenced to the RIS origin, so one theta builder serves both,
+as does each gain: the direct element-wise sum, the closed form from
+Dirichlet-kernel ratios, and the large-surface limit where only aligned
+sub-surfaces contribute.
 """
 
 from __future__ import annotations
@@ -38,9 +39,9 @@ def largest_remainder(t: np.ndarray, total: int) -> np.ndarray:
 def round_partition(t, ny: int) -> np.ndarray:
     """Largest-remainder apportionment of ``ny`` columns to ratios ``t``.
 
-    A sub-surface with positive ratio that receives zero columns is dropped
+    A sub-surface with positive ratio that receives no columns is dropped
     (its count stays 0) and its mass re-apportioned among the survivors.
-    Counts always sum to ``ny``.
+    Counts always sum to ``ny``; with ``ny < 1`` none survives (ValueError).
     """
     t = np.asarray(t, dtype=float)
     if not np.all(t >= 0):  # a NaN ratio too
@@ -51,7 +52,7 @@ def round_partition(t, ny: int) -> np.ndarray:
     while True:
         counts = np.zeros(t.size, dtype=int)
         counts[active] = largest_remainder(t[active] / t[active].sum(), ny)
-        dropped = active & (counts == 0)
+        dropped = active & (counts <= 0)
         if not dropped.any():
             return counts
         active &= ~dropped
@@ -72,9 +73,9 @@ class Blocks(NamedTuple):
 
     Block b covers rows ``x0[b] .. x0[b]+ex[b]-1`` and columns
     ``y0[b] .. y0[b]+ey[b]-1`` of the RIS grid and belongs to sub-surface
-    ``owner[b]``.  Its common phase ``psi[b]`` is referenced to the RIS
-    origin element (0, 0): element (n_x, n_y) of the block, 0-based, gets
-    ``psi[b] + k*(n_x*g_x + n_y*g_y)`` with its sub-surface's gradient.
+    ``owner[b]``.  The plan's common phase ``psi[b]`` is referenced to the
+    RIS origin element (0, 0): element (n_x, n_y) of the block, 0-based,
+    gets ``psi[b] + k*(n_x*g_x + n_y*g_y)`` with its sub-surface's gradient.
     """
 
     x0: np.ndarray
@@ -82,7 +83,6 @@ class Blocks(NamedTuple):
     ex: np.ndarray
     ey: np.ndarray
     owner: np.ndarray
-    psi: np.ndarray
 
 
 @dataclass
@@ -100,15 +100,18 @@ class PartitionPlan:
     psi: np.ndarray
 
     def __post_init__(self):
-        self.column_counts = np.asarray(self.column_counts, dtype=int)
+        counts = np.asarray(self.column_counts, dtype=float)
+        if not np.all((0 <= counts) & (counts < np.inf)
+                      & (counts == np.round(counts))):  # NaN fails too
+            raise ValueError("column counts must be nonnegative integers")
+        self.column_counts = counts.astype(int)
         self.gradients = np.asarray(self.gradients, dtype=float)
         self.psi = np.asarray(self.psi, dtype=float)
         s = self.column_counts.size
-        if self.gradients.shape != (s, 2) or self.psi.size != s:
-            raise ValueError("column_counts, gradients (S x 2), and psi "
-                             "must have equal length")
-        if np.any(self.column_counts < 0):
-            raise ValueError("column counts must be nonnegative")
+        if self.gradients.shape != (s, 2) or not (
+                self.column_counts.shape == self.psi.shape == (s,)):
+            raise ValueError("column_counts and psi must be flat (S,) "
+                             "arrays, gradients S x 2")
         _check_phases(self.gradients, self.psi)
 
     @property
@@ -123,7 +126,7 @@ class PartitionPlan:
         return Blocks(x0=np.zeros(self.s, dtype=int),
                       y0=np.cumsum(counts) - counts,
                       ex=np.full(self.s, ris.nx), ey=counts,
-                      owner=np.arange(self.s), psi=self.psi)
+                      owner=np.arange(self.s))
 
 
 def build_theta(plan: PartitionPlan | TilePlan,
@@ -136,7 +139,7 @@ def build_theta(plan: PartitionPlan | TilePlan,
     :mod:`rispart.channel` layout note).
     """
     phase = np.empty((ris.nx, ris.ny))
-    for x0, y0, ex, ey, owner, psi in zip(*plan.blocks(ris)):
+    for x0, y0, ex, ey, owner, psi in zip(*plan.blocks(ris), plan.psi):
         g_x, g_y = plan.gradients[owner]
         phase[x0:x0 + ex, y0:y0 + ey] = psi + ris.k * (
             np.arange(x0, x0 + ex)[:, None] * g_x
@@ -164,13 +167,12 @@ def gain_direct_sum(theta: np.ndarray, ris: RisGeometry,
 
 def subsurface_gains(plan: PartitionPlan | TilePlan, ris: RisGeometry,
                      zeta_x, zeta_y) -> np.ndarray:
-    """Closed-form gain of each block alone, common phase at zero.
+    """Closed-form gain of each plan block alone, common phase at zero.
 
     Shape ``(B,)`` plus the broadcast shape of ``zeta_x`` and ``zeta_y``,
-    over the blocks of :meth:`PartitionPlan.blocks` (its sub-surfaces, in
-    order) or :meth:`TilePlan.blocks` (its tiles).  The plan's gain is
-    ``exp(j*psi_b) @ subsurface_gains(...)``, so only this factor depends
-    on the layout and the gradients.
+    one entry per block of ``plan.blocks``.  The plan's gain is
+    ``exp(j*plan.psi) @ subsurface_gains(...)``, so only this factor
+    depends on the layout and the gradients.
     """
     zx, zy = np.broadcast_arrays(np.asarray(zeta_x, dtype=float),
                                  np.asarray(zeta_y, dtype=float))
@@ -194,8 +196,7 @@ def gain_closed_form(plan: PartitionPlan | TilePlan, ris: RisGeometry,
     Exact (matching :func:`gain_direct_sum` of :func:`build_theta`) for
     any plan.
     """
-    return complex(np.exp(1j * plan.blocks(ris).psi)
-                   @ subsurface_gains(plan, ris, *zeta))
+    return complex(np.exp(1j * plan.psi) @ subsurface_gains(plan, ris, *zeta))
 
 
 def gain_asymptotic(plan: PartitionPlan | TilePlan, ris: RisGeometry,
@@ -207,7 +208,7 @@ def gain_asymptotic(plan: PartitionPlan | TilePlan, ris: RisGeometry,
     aligned = ((np.abs(g_x - zeta[0]) < ALIGN_TOL)
                & (np.abs(g_y - zeta[1]) < ALIGN_TOL))
     share = b.ex * b.ey / ris.n
-    return complex(np.exp(1j * b.psi[aligned]) @ share[aligned])
+    return complex(np.exp(1j * plan.psi[aligned]) @ share[aligned])
 
 
 @dataclass
@@ -216,8 +217,9 @@ class TilePlan:
 
     The RIS is cut into a ``tiles_x x tiles_y`` grid of equal tiles; each
     tile carries its own common phase and belongs to exactly one
-    sub-surface.  ``psi_tiles[m_x, m_y]`` is referenced to the RIS origin
-    element, as ``PartitionPlan.psi`` is (see :class:`Blocks`), so tiles of
+    sub-surface.  ``psi[m_x*tiles_y + m_y]``, flat in the raster order of
+    :meth:`blocks`, is tile (m_x, m_y)'s, referenced to the RIS origin
+    element as ``PartitionPlan.psi`` is (see :class:`Blocks`), so tiles of
     one sub-surface with equal phases form one linear phase profile.
     ``gradients[s] = (g_x, g_y)`` is sub-surface s's, an ``(S, 2)`` array.
     """
@@ -226,21 +228,22 @@ class TilePlan:
     tiles_y: int
     assignment: np.ndarray  # (tiles_x, tiles_y) sub-surface indices
     gradients: np.ndarray   # (S, 2)
-    psi_tiles: np.ndarray   # (tiles_x, tiles_y)
+    psi: np.ndarray         # (tiles_x * tiles_y,) in raster order
 
     def __post_init__(self):
-        self.assignment = np.asarray(self.assignment, dtype=int)
+        self.assignment = np.asarray(self.assignment)
         self.gradients = np.asarray(self.gradients, dtype=float)
-        self.psi_tiles = np.asarray(self.psi_tiles, dtype=float)
-        shape = (self.tiles_x, self.tiles_y)
-        if self.assignment.shape != shape or self.psi_tiles.shape != shape:
-            raise ValueError("assignment/psi_tiles shape mismatch")
+        self.psi = np.asarray(self.psi, dtype=float)
+        if (min(self.tiles_x, self.tiles_y) < 1
+                or self.assignment.shape != (self.tiles_x, self.tiles_y)
+                or self.psi.shape != (self.assignment.size,)):
+            raise ValueError("no tiles, or assignment/psi shape mismatch")
         if self.gradients.ndim != 2 or self.gradients.shape[1] != 2:
             raise ValueError("gradients must be an (S, 2) array")
-        _check_phases(self.gradients, self.psi_tiles)
-        s = len(self.gradients)
-        if self.assignment.min() < 0 or self.assignment.max() >= s:
+        _check_phases(self.gradients, self.psi)
+        if not np.isin(self.assignment, np.arange(len(self.gradients))).all():
             raise ValueError("every tile must map to a valid sub-surface")
+        self.assignment = self.assignment.astype(int)
 
     @classmethod
     def from_partition_plan(cls, plan: PartitionPlan, ris: RisGeometry,
@@ -254,19 +257,16 @@ class TilePlan:
         counts = plan.blocks(ris).ey  # raises unless the counts cover Ny
         if np.any(counts % ey):
             raise ValueError("column blocks must align with tile columns")
-        owner_cols = np.repeat(np.arange(plan.s), counts // ey)
-        assignment = np.tile(owner_cols, (tiles_x, 1))
-        return cls(tiles_x=tiles_x, tiles_y=tiles_y, assignment=assignment,
-                   gradients=plan.gradients.copy(),
-                   psi_tiles=plan.psi[assignment])
+        owner = np.repeat(np.arange(plan.s), counts // ey)  # tile columns
+        return cls(tiles_x, tiles_y, np.tile(owner, (tiles_x, 1)),
+                   plan.gradients.copy(), np.tile(plan.psi[owner], tiles_x))
 
     def blocks(self, ris: RisGeometry) -> Blocks:
         """One block per tile, in raster order."""
         ex, ey = _tile_extents(ris, self.tiles_x, self.tiles_y)
         mx, my = np.indices(self.assignment.shape).reshape(2, -1)
         return Blocks(x0=mx * ex, y0=my * ey, ex=np.full(mx.size, ex),
-                      ey=np.full(mx.size, ey), owner=self.assignment.ravel(),
-                      psi=self.psi_tiles.ravel())
+                      ey=np.full(mx.size, ey), owner=self.assignment.ravel())
 
 
 def _tile_extents(ris: RisGeometry, tiles_x: int,

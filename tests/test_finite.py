@@ -12,9 +12,10 @@ from rispart.asymptotic import Allocation, Solution, coefficients, rate
 from rispart.channel import (SimulationConfig, dbm_to_watts, realization_rng,
                              realize_channels, ris_cosines, steering)
 from rispart.finite import (REFINE_GRID, _phase_pencil, adapt_solution,
-                            refine_common_phases)
+                            path_model, refine_common_phases)
 from rispart.oracle import (dense_rate, dense_refine, eigenmode_covariance,
                             logdet_rate, transmit_covariance)
+from rispart.partition import TilePlan
 from rispart.solver import solve, water_filling
 
 P0 = dbm_to_watts(60.1030)
@@ -73,6 +74,22 @@ def cases(cfg, ev):
 
 
 ALL_CASES = {"S=1", "dropped", "no direct", "r < M_t", "r >= M_t"}
+
+
+def tiled(ev, tiles_x, tiles_y):
+    """``ev`` with its column plan laid out as a stripe tiling of
+    ``tiles_x x tiles_y`` tiles, modelled and rated anew."""
+    tiles = TilePlan.from_partition_plan(
+        ev.plan, ev.realization.config.ris_geometry, tiles_x, tiles_y)
+    model = path_model(ev.realization, tiles, ev.basis_paths, ev.powers)
+    return dataclasses.replace(ev, plan=tiles, model=model,
+                               rate=float(model.rates(tiles.psi)[0]))
+
+
+def coarsest_stripes(ev):
+    """Tile counts of the coarsest stripe tiling of ``ev``'s plan: one tile
+    row, tile columns as wide as the column counts' common divisor."""
+    return 1, ev.realization.config.n_y // np.gcd.reduce(ev.plan.column_counts)
 
 
 class TestEigenmodeCovariance:
@@ -380,6 +397,61 @@ class TestPathDomain:
             assert abs(refined.model.rates(psi)[0]
                        - refined.rate) <= 1e-12 * refined.rate
         assert min(surfaces) >= 2 and max(surfaces) >= 4
+
+    def test_tile_plans_reproduce_the_column_rate(self):
+        # the same surface as 1x1 tiles, as element rows of stripes, and
+        # as the coarsest stripes: one core block per tile, the same rate
+        rng = np.random.default_rng(27)
+        seen = set()
+        for _ in range(30):
+            cfg, ev = random_evaluation(rng)
+            _, tiles_y = coarsest_stripes(ev)
+            for shape in ((cfg.n_x, cfg.n_y), (cfg.n_x, tiles_y),
+                          (1, tiles_y)):
+                tev = tiled(ev, *shape)
+                assert tev.model.core.shape[0] == shape[0] * shape[1] + 1
+                assert abs(tev.rate - ev.rate) <= 1e-12 * ev.rate
+            seen |= cases(cfg, ev)
+        assert seen == ALL_CASES
+
+    def test_tile_rate_matches_dense_oracle(self):
+        # every tile its own phase, refined or drawn, and the same rate on
+        # the dense channels: 10 realizations at M = 16, 6x18, L = 3/4/2
+        cfg = SimulationConfig(m_t=16, m_r=16, n_x=6, n_y=18, l1=3, l2=4,
+                               l3=2, seed=3)
+        rng = np.random.default_rng(28)
+        worst = 0.0
+        for i in range(10):
+            re = realize_channels(cfg, realization_rng(cfg.seed, i))
+            ev = adapt_solution(solve(coefficients(re)), re, rng)
+            for tev in (tiled(ev, 6, 18), tiled(ev, 3, 6),
+                        refine_common_phases(tiled(ev, 1, 18))):
+                psi = rng.uniform(0, 2 * np.pi, tev.plan.psi.size)
+                for fast, ref in ((tev.rate, dense_rate(tev)),
+                                  (tev.model.rates(psi)[0],
+                                   dense_rate(tev, psi))):
+                    worst = max(worst, abs(fast - ref) / ref)
+        assert worst <= 1e-12, worst
+
+    def test_tile_refinement_matches_dense_ascent(self):
+        # each of up to 18 tiles takes its turn; the ascent never lowers
+        # the rate and picks the phases of the dense reference
+        cfg = SimulationConfig(m_t=16, m_r=16, n_x=6, n_y=18, l1=3, l2=4,
+                               l3=2, seed=3)
+        rng = np.random.default_rng(29)
+        moved = 0
+        for i in range(3):
+            re = realize_channels(cfg, realization_rng(cfg.seed, i))
+            ev = adapt_solution(solve(coefficients(re)), re, rng)
+            for tev in (tiled(ev, 1, 18), tiled(ev, *coarsest_stripes(ev))):
+                assert tev.plan.psi.size <= 18
+                refined = refine_common_phases(tev)
+                assert refined.rate >= tev.rate
+                psi, best = dense_refine(tev)
+                np.testing.assert_array_equal(refined.plan.psi, psi)
+                assert abs(refined.rate - best) <= 1e-10 * best
+                moved += refined.rate > tev.rate
+        assert moved
 
     def test_million_element_surface_in_small_memory(self):
         cfg = SimulationConfig(n_x=1000, n_y=1000, seed=3)

@@ -89,6 +89,13 @@ class TestRounding:
         with pytest.raises(ValueError, match="no sub-surface survived"):
             round_partition([1.0], 0)
 
+    @pytest.mark.parametrize("ny", [-1, -3, -10])
+    def test_negative_columns_rejected(self, ny):
+        # no negative counts: fewer than one column leaves no survivor
+        for t in ([1.0], [0.5, 0.5], [0.7, 0.2, 0.1]):
+            with pytest.raises(ValueError, match="no sub-surface survived"):
+                round_partition(t, ny)
+
 
 class TestPartitionPlan:
     def test_validation(self):
@@ -102,6 +109,26 @@ class TestPartitionPlan:
                              psi=[0.0, 1.0])
         with pytest.raises(ValueError, match="sum to Ny"):
             build_theta(plan, make_ris(4, 6))
+
+    @pytest.mark.parametrize("counts, psi", [
+        ([3, 3], [[0.0, 1.0]]), ([[3, 3]], [0.0, 1.0]), ([3, 3], [0.0])])
+    def test_counts_and_phases_must_be_flat(self, counts, psi):
+        # a (1, S) phase row would zip against the blocks as one entry,
+        # leaving the other blocks' theta unset
+        with pytest.raises(ValueError, match="flat"):
+            PartitionPlan(column_counts=counts, gradients=[(0, 0), (1, 1)],
+                          psi=psi)
+
+    @pytest.mark.parametrize("counts", [
+        [2.7, 3.3], [3.0, 3.0000001], [np.nan, 6], [np.inf, 0]])
+    def test_counts_must_be_integers(self, counts):
+        # a fractional count is not truncated to a column run
+        with pytest.raises(ValueError, match="integers"):
+            PartitionPlan(column_counts=counts, gradients=[(0, 0), (1, 1)],
+                          psi=[0.0, 1.0])
+        plan = PartitionPlan(column_counts=[3.0, 3.0],
+                             gradients=[(0, 0), (1, 1)], psi=[0.0, 1.0])
+        assert plan.column_counts.dtype.kind == "i"
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_gradients_must_be_finite(self, bad):
@@ -282,8 +309,8 @@ class TestTilePlan:
             psi=[0.5, 4.0])
         tiles = TilePlan.from_partition_plan(plan, ris, tiles_x=2, tiles_y=6)
         # phases share the plan's origin reference, so they copy over
-        np.testing.assert_array_equal(tiles.psi_tiles,
-                                      plan.psi[tiles.assignment])
+        np.testing.assert_array_equal(tiles.psi,
+                                      plan.psi[tiles.assignment.ravel()])
         np.testing.assert_array_equal(build_theta(tiles, ris),
                                       build_theta(plan, ris))
         for _ in range(5):
@@ -296,9 +323,9 @@ class TestTilePlan:
         ris = make_ris(4, 6)
         grads = rng.uniform(-2, 2, (3, 2))
         assignment = rng.integers(0, 3, size=(2, 3))
-        psi_tiles = rng.uniform(0, 2 * np.pi, size=(2, 3))
+        psi = rng.uniform(0, 2 * np.pi, size=6)
         tiles = TilePlan(tiles_x=2, tiles_y=3, assignment=assignment,
-                         gradients=grads, psi_tiles=psi_tiles)
+                         gradients=grads, psi=psi)
         for _ in range(5):
             zeta = (rng.uniform(-1, 1), rng.uniform(-1, 1))
             direct = gain_direct_sum(build_theta(tiles, ris), ris, zeta)
@@ -310,7 +337,7 @@ class TestTilePlan:
         psi = [1.2, 0.4]
         tiles = TilePlan(tiles_x=2, tiles_y=3,
                          assignment=[[0, 0, 0], [1, 1, 1]], gradients=grads,
-                         psi_tiles=[[1.2, 1.2, 1.2], [0.4, 0.4, 0.4]])
+                         psi=[1.2, 1.2, 1.2, 0.4, 0.4, 0.4])
         theta = build_theta(tiles, ris).reshape(4, 6)
         for s, rows in enumerate((slice(0, 2), slice(2, 4))):
             whole = PartitionPlan(column_counts=[6], gradients=[grads[s]],
@@ -322,7 +349,7 @@ class TestTilePlan:
         zeta = (0.25, -0.5)
         tiles = TilePlan(tiles_x=2, tiles_y=2, assignment=[[0, 0], [1, 1]],
                          gradients=[zeta, (0.9, 0.9)],
-                         psi_tiles=[[1.2, 1.2], [0.0, 0.0]])
+                         psi=[1.2, 1.2, 0.0, 0.0])
         g = gain_asymptotic(tiles, make_ris(4, 6), zeta)
         assert abs(g - 0.5 * np.exp(1.2j)) < 1e-14
 
@@ -330,7 +357,7 @@ class TestTilePlan:
         zeta = (0.25, -0.37)
         tiles = TilePlan(tiles_x=2, tiles_y=2, assignment=[[0, 0], [1, 1]],
                          gradients=[zeta, (-0.6, 0.45)],
-                         psi_tiles=[[1.2, 1.2], [0.3, 0.3]])
+                         psi=[1.2, 1.2, 0.3, 0.3])
         gaps = []
         for side in (4, 16, 64, 256):
             ris = make_ris(side, side)
@@ -342,7 +369,7 @@ class TestTilePlan:
     def test_tile_grid_must_divide_ris(self):
         tiles = TilePlan(tiles_x=2, tiles_y=2, assignment=[[0, 0], [1, 1]],
                          gradients=[(0, 0), (1, 1)],
-                         psi_tiles=[[0.0, 0.0], [1.0, 1.0]])
+                         psi=[0.0, 0.0, 1.0, 1.0])
         with pytest.raises(ValueError, match="divide"):
             gain_closed_form(tiles, make_ris(5, 6), (0.0, 0.0))
         plan = PartitionPlan(column_counts=[6],
@@ -366,18 +393,26 @@ class TestTilePlan:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shape"):
             TilePlan(tiles_x=2, tiles_y=3, assignment=np.zeros((2, 3)),
-                     gradients=[(0, 0)], psi_tiles=np.zeros((3, 2)))
+                     gradients=[(0, 0)], psi=np.zeros(5))
         for gradients in ([0.0, 1.0], [(0, 0, 0)], np.zeros((2, 2, 1))):
             with pytest.raises(ValueError, match="S, 2"):
                 TilePlan(tiles_x=2, tiles_y=3, assignment=np.zeros((2, 3)),
-                         gradients=gradients, psi_tiles=np.zeros((2, 3)))
+                         gradients=gradients, psi=np.zeros(6))
+
+    @pytest.mark.parametrize("tiles_x, tiles_y", [(0, 2), (2, 0), (0, 0)])
+    def test_empty_tile_grid_rejected(self, tiles_x, tiles_y):
+        # a grid without tiles has no block to lay out or divide the RIS by
+        with pytest.raises(ValueError, match="no tiles"):
+            TilePlan(tiles_x=tiles_x, tiles_y=tiles_y,
+                     assignment=np.zeros((tiles_x, tiles_y)),
+                     gradients=[(0, 0)], psi=[])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_gradients_must_be_finite(self, bad):
         with pytest.raises(ValueError, match="gradients must be finite"):
             TilePlan(tiles_x=2, tiles_y=2, assignment=[[0, 0], [1, 1]],
                      gradients=[(0, 0), (bad, 1)],
-                     psi_tiles=np.zeros((2, 2)))
+                     psi=np.zeros(4))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -5.0, -1e-300,
                                      2 * np.pi])
@@ -385,7 +420,16 @@ class TestTilePlan:
         with pytest.raises(ValueError, match="2\\*pi"):
             TilePlan(tiles_x=2, tiles_y=2, assignment=[[0, 0], [1, 1]],
                      gradients=[(0, 0), (1, 1)],
-                     psi_tiles=[[0.0, 1.0], [bad, 2.0]])
+                     psi=[0.0, 1.0, bad, 2.0])
+
+    @pytest.mark.parametrize("index", [0.7, 1.5, np.nan, np.inf])
+    def test_assignment_must_be_integral(self, index):
+        # a fractional index is not truncated to a sub-surface
+        assignment = np.zeros((2, 2))
+        assignment[0, 0] = index
+        with pytest.raises(ValueError, match="valid sub-surface"):
+            TilePlan(tiles_x=2, tiles_y=2, assignment=assignment,
+                     gradients=[(0, 0), (1, 1)], psi=np.zeros(4))
 
     @pytest.mark.parametrize("index", [-1, 2])
     def test_assignment_index_out_of_range(self, index):
@@ -394,4 +438,4 @@ class TestTilePlan:
         with pytest.raises(ValueError, match="valid sub-surface"):
             TilePlan(tiles_x=2, tiles_y=2, assignment=assignment,
                      gradients=[(0, 0), (1, 1)],
-                     psi_tiles=np.zeros((2, 2)))
+                     psi=np.zeros(4))
