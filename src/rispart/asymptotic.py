@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from rispart.channel import ChannelRealization, path_loss
+from rispart.channel import HOP_KINDS, ChannelRealization, path_loss
 
 
 @dataclass
@@ -96,8 +96,7 @@ def coefficients(realization: ChannelRealization) -> AsymptoticProblem:
     M_r * |gamma_i|^2 / (L3 * sigma^2)``, in path order.
     """
     config = realization.config
-    tx, rx, direct = (realization.path_sets[kind]
-                      for kind in ("tx_ris", "ris_rx", "tx_rx"))
+    tx, rx, direct = (realization.path_sets[kind] for kind in HOP_KINDS)
     pl_r, pl_d = path_loss(config)
     sigma2, m_t, m_r_dim = config.noise_watts, config.m_t, config.m_r
 

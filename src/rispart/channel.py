@@ -165,7 +165,9 @@ class ChannelRealization:
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """System, channel, and simulation parameters (linear units internally)."""
+    """System, channel, and simulation parameters (linear units internally).
+    The one owner of the integer settings: each is checked and stored as an
+    int, so ``64.0`` gives 64 and ``32.5`` raises ValueError."""
 
     m_t: int = 32
     m_r: int = 32
@@ -187,19 +189,22 @@ class SimulationConfig:
 
     def __post_init__(self):
         for name in ("m_t", "m_r", "n_x", "n_y", "l1", "l2", "l3",
-                     "realizations"):
+                     "realizations", "seed"):
             value = getattr(self, name)
-            if not 1 <= value < 2 ** 63:  # numpy takes no larger int
-                raise ValueError(f"{name} must be positive and below 2**63, "
+            low = 0 if name == "seed" else 1
+            if not low <= value < 2 ** 63:  # numpy takes no larger int
+                sign = "nonnegative" if low == 0 else "positive"
+                raise ValueError(f"{name} must be {sign} and below 2**63, "
                                  f"got {value!r}")
+            if value != int(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         for name in ("spacing_wavelengths", "carrier_frequency", "d1", "d2",
                      "d3", "path_loss_exponent", "power_watts", "noise_watts"):
             value = getattr(self, name)
             if not (np.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and positive, "
                                  f"got {value!r}")
-        if not self.seed >= 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed!r}")
         try:
             # the largest steering phase pi*m*phi, which also bounds twice
             # the scale, the largest difference of two steering arguments
@@ -246,36 +251,33 @@ class SimulationConfig:
         return RisGeometry(self.n_x, self.n_y, self.spacing, self.wavelength)
 
 
+def _number(raw: str) -> int | float:
+    """An integer literal as an exact int, any other number as a float."""
+    try:
+        return int(raw)
+    except ValueError:
+        return float(raw)
+
+
 _CONFIG_KEYS = {
-    "M_t": ("m_t", int),
-    "M_r": ("m_r", int),
-    "N_x": ("n_x", int),
-    "N_y": ("n_y", int),
-    "L1": ("l1", int),
-    "L2": ("l2", int),
-    "L3": ("l3", int),
+    "M_t": ("m_t", _number),
+    "M_r": ("m_r", _number),
+    "N_x": ("n_x", _number),
+    "N_y": ("n_y", _number),
+    "L1": ("l1", _number),
+    "L2": ("l2", _number),
+    "L3": ("l3", _number),
     "d": ("spacing_wavelengths", float),
     "f": ("carrier_frequency", float),
     "d1": ("d1", float),
     "d2": ("d2", float),
     "d3": ("d3", float),
     "path_loss_exponent": ("path_loss_exponent", float),
-    "realizations": ("realizations", int),
-    "seed": ("seed", int),
+    "realizations": ("realizations", _number),
+    "seed": ("seed", _number),
     "P": ("power_watts", lambda raw: dbm_to_watts(float(raw))),
     "sigma2": ("noise_watts", lambda raw: dbm_to_watts(float(raw))),
 }
-
-
-def _integer(name: str, raw: str) -> int:
-    """Integer config value; integral floats such as ``1e3`` are accepted."""
-    try:
-        return int(raw)
-    except ValueError:
-        value = float(raw)
-    if not value.is_integer():
-        raise ValueError(f"{name} must be an integer, got {raw!r}")
-    return int(value)
 
 
 def read_config_file(path: str) -> configparser.ConfigParser:
@@ -299,7 +301,8 @@ def load_config(path: str, ignore_sections: tuple[str, ...] = ()) -> SimulationC
     (dBm), ``L1``/``L2``/``L3``, ``d1``/``d2``/``d3`` (m),
     ``path_loss_exponent``, ``realizations``, ``seed``.  Section names are
     ignored (``ignore_sections`` are skipped entirely); keys must be unique
-    across the remaining file.
+    across the remaining file.  Integer keys read ``1e3`` as 1000, and
+    the config rejects ``8.5``; an integer literal keeps all its digits.
     """
     parser = read_config_file(path)
     names = {name.lower(): name for name in _CONFIG_KEYS}
@@ -311,8 +314,7 @@ def load_config(path: str, ignore_sections: tuple[str, ...] = ()) -> SimulationC
             if key not in names:
                 raise ValueError(f"unknown config key {key!r}")
             attr, cast = _CONFIG_KEYS[names[key]]
-            kwargs[attr] = (_integer(names[key], raw) if cast is int
-                            else cast(raw))
+            kwargs[attr] = cast(raw)
     return SimulationConfig(**kwargs)
 
 

@@ -36,16 +36,20 @@ THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 @dataclass
 class ExperimentSpec:
-    """One sweep: base config, swept variable and values, run options."""
+    """One sweep: base config, swept variable and distinct values, run
+    options; a constructor-only ``realizations`` replaces the config's."""
 
     config: SimulationConfig
     sweep: str
     values: list[float]
     psi_mode: str = "random"
     out: str | None = None
-    realizations: int | None = None
+    realizations: dataclasses.InitVar[int | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, realizations):
+        if realizations not in (None, self.config.realizations):
+            self.config = dataclasses.replace(self.config,
+                                              realizations=realizations)
         if self.sweep not in SWEEPS:
             raise ValueError(f"unknown sweep variable {self.sweep!r}")
         if not self.values:
@@ -53,21 +57,12 @@ class ExperimentSpec:
         if not np.isfinite(self.values).all():
             raise ValueError(f"sweep values must be finite, got "
                              f"{self.values}")
-        if self.sweep in ("M", "N") and not all(
-                v >= 1 and float(v).is_integer() for v in self.values):
-            raise ValueError(f"swept {self.sweep} values must be positive "
-                             f"integers, got {self.values}")
+        repeated = sorted({v for v in self.values if self.values.count(v) > 1})
+        if repeated:
+            raise ValueError(f"sweep values {repeated} are repeated")
         if self.psi_mode not in PSI_MODES:
             raise ValueError(f"unknown psi mode {self.psi_mode!r}")
-        if (self.realizations is not None
-                and not 1 <= self.realizations < 2 ** 63):
-            raise ValueError(f"realizations must be positive and below "
-                             f"2**63, got {self.realizations!r}")
         self.sweep_configs()  # a swept value the config rejects fails here
-
-    @property
-    def runs_per_value(self) -> int:
-        return self.realizations or self.config.realizations
 
     def sweep_configs(self) -> list[SimulationConfig]:
         """The config of each sweep value, in value order; a ValueError
@@ -128,19 +123,17 @@ def load_experiment(path: str) -> ExperimentSpec:
         sweep=exp["sweep"],
         values=[float(x) for x in exp["values"].split(",")],
         psi_mode=exp.get("psi", "random"), out=exp.get("out"),
-        realizations=exp.getint("realizations"))
+        realizations=exp.getfloat("realizations"))
 
 
 def _apply_sweep(config: SimulationConfig, sweep: str,
                  value: float) -> SimulationConfig:
     if sweep == "N":
-        n = int(value)
-        if n % config.n_x:
-            raise ValueError(f"{n} is not divisible by Nx={config.n_x}")
-        return dataclasses.replace(config, n_y=n // config.n_x)
+        if value % config.n_x:
+            raise ValueError(f"{value} is not divisible by Nx={config.n_x}")
+        return dataclasses.replace(config, n_y=value // config.n_x)
     if sweep == "M":
-        m = int(value)
-        return dataclasses.replace(config, m_t=m, m_r=m)
+        return dataclasses.replace(config, m_t=value, m_r=value)
     if sweep == "P":
         return dataclasses.replace(config, power_watts=dbm_to_watts(value))
     # SNR in dB over the configured noise power; the config rejects a power
@@ -206,7 +199,7 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1,
     its mean rates and mean activated path counts (failed rows excluded).
     """
     check_out_path(spec.out)
-    runs = spec.runs_per_value
+    runs = spec.config.realizations
     configs = spec.sweep_configs()
     tasks = [(configs[vi], value, vi * runs + r, spec.psi_mode)
              for vi, value in enumerate(spec.values)
@@ -252,7 +245,8 @@ def _git_describe() -> str:
 def write_results(spec: ExperimentSpec, rows: list[ResultRow],
                   summary: dict) -> None:
     """CSV table plus a JSON sidecar with the resolved configuration, the
-    commit, and the versions and BLAS threads the run depended on."""
+    commit, and the versions and BLAS threads the run depended on; the
+    sidecar's ``config.realizations`` is the count per value that ran."""
     with open(spec.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
@@ -269,7 +263,6 @@ def write_results(spec: ExperimentSpec, rows: list[ResultRow],
         "sweep": spec.sweep,
         "values": spec.values,
         "psi_mode": spec.psi_mode,
-        "realizations": spec.runs_per_value,
         "git": _git_describe(),
         "environment": {
             "python": platform.python_version(), "numpy": np.__version__,

@@ -5,12 +5,13 @@ channel and effective channel assembly of the reference model."""
 
 import dataclasses
 import hashlib
+import re
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from rispart.channel import (HOP_KINDS, SAMPLE_CHUNK, ChannelRealization,
@@ -254,6 +255,11 @@ class TestEffectiveChannel:
         theta[0] = 0.5
         with pytest.raises(ValueError):
             effective_channel(re, channels, theta)
+
+    def test_rejects_wrong_length_theta(self):
+        cfg, re, channels = self.make_realization(np.random.default_rng(11))
+        with pytest.raises(ValueError, match="theta length"):
+            effective_channel(re, channels, np.ones(cfg.n - 1, dtype=complex))
 
     def test_dense_channels_match_synthesis(self):
         cfg, re, (h1, h2, h3) = self.make_realization(
@@ -770,7 +776,7 @@ class TestConfig:
     def test_non_integral_integer_key_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("[sim]\nM_t = 32.7\n")
-        with pytest.raises(ValueError, match="M_t must be an integer"):
+        with pytest.raises(ValueError, match="m_t must be an integer"):
             load_config(str(path))
 
     def test_integral_float_accepted(self, tmp_path):
@@ -778,3 +784,30 @@ class TestConfig:
         path.write_text("[sim]\nM_t = 32.0\nrealizations = 1e3\n")
         cfg = load_config(str(path))
         assert cfg.m_t == 32 and cfg.realizations == 1000
+
+    INTEGER_FIELDS = ("m_t", "m_r", "n_x", "n_y", "l1", "l2", "l3",
+                      "realizations", "seed")
+
+    @pytest.mark.filterwarnings("ignore:path counts")
+    @given(name=st.sampled_from(INTEGER_FIELDS),
+           value=st.integers(1, 2 ** 53).map(float))
+    @example(name="m_t", value=64.0)
+    @example(name="realizations", value=1e3)
+    @settings(max_examples=200, deadline=None)
+    def test_integral_float_stored_as_int(self, name, value):
+        got = getattr(SimulationConfig(**{name: value}), name)
+        assert type(got) is int and got == value
+
+    @pytest.mark.filterwarnings("ignore:path counts")
+    @given(name=st.sampled_from(INTEGER_FIELDS),
+           value=st.floats(1.0, 2.0 ** 52).filter(
+               lambda x: not x.is_integer()))
+    @example(name="m_t", value=32.5)
+    @example(name="seed", value=1.5)
+    @settings(max_examples=200, deadline=None)
+    def test_non_integral_value_rejected(self, name, value):
+        # m_t = 32.5 used to give a rate for an array that cannot exist,
+        # and n_y = 90.5, l1 = 5.5 or seed = 1.5 a later TypeError
+        message = f"{name} must be an integer, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SimulationConfig(**{name: value})

@@ -143,6 +143,11 @@ class TestLogdetRate:
             1 + np.linalg.eigvalsh(h @ q @ h.conj().T).clip(0) / sigma2))
         assert abs(logdet_rate(h, q, sigma2) - expected) < 1e-9
 
+    def test_rejects_non_square_q(self):
+        with pytest.raises(ValueError, match="square"):
+            logdet_rate(np.eye(2, dtype=complex),
+                        np.ones((2, 3), dtype=complex), 1.0)
+
     def test_rejects_indefinite_q(self):
         h = np.eye(2, dtype=complex)
         with pytest.raises(ValueError):

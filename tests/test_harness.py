@@ -107,7 +107,7 @@ class TestExperimentSpec:
         spec = load_experiment(str(path))
         assert spec.sweep == "P"
         assert spec.values == [20.0, 30.0]
-        assert spec.runs_per_value == 2
+        assert spec.config.realizations == 2
         assert spec.config.m_t == 8 and spec.config.seed == 1
 
     def test_values_taken_literally(self, tmp_path):
@@ -134,6 +134,18 @@ class TestExperimentSpec:
                         + f"realizations = {2 ** 63}\n")
         with pytest.raises(ValueError, match=r"below 2\*\*63"):
             load_experiment(str(path))
+
+    def test_repeated_sweep_values_rejected(self):
+        # 30, 30 used to merge both entries' rows under one summary key
+        with pytest.raises(ValueError,
+                           match=r"sweep values \[30\.0\] are repeated"):
+            small_spec(values=[30.0, 20.0, 30])
+
+    def test_replace_keeps_the_realization_count(self, tmp_path):
+        spec = small_spec(values=[30.0], realizations=3)
+        rows, _ = run_experiment(dataclasses.replace(
+            spec, out=str(tmp_path / "res.csv")))
+        assert len(rows) == 3
 
     def test_load_requires_experiment_section(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -343,6 +355,28 @@ class TestRunExperiment:
         assert meta["config"]["m_t"] == 8
         assert "git" in meta
 
+    def test_metadata_holds_the_count_that_ran(self, tmp_path):
+        # the sidecar used to keep the base config's count next to the one
+        # that ran
+        out = tmp_path / "res.csv"
+        rows, _ = run_experiment(small_spec(out=str(out), values=[30.0],
+                                            realizations=1))
+        meta = json.loads((tmp_path / "res.csv.meta.json").read_text())
+        assert meta["config"]["realizations"] == len(rows) == 1
+        assert "realizations" not in meta
+
+    def test_experiment_count_read_as_integral_float(self, tmp_path):
+        # [experiment] realizations = 2e0 used to exit 2: invalid literal
+        # for int()
+        path = tmp_path / "exp.cfg"
+        path.write_text(EXPERIMENT_TEXT.replace(
+            "seed = 1\nrealizations = 2", "seed = 1\nrealizations = 1"
+        ).replace("realizations = 2\n", "realizations = 2e0\n"))
+        spec = load_experiment(str(path))
+        rows, _ = run_experiment(spec)
+        assert [r.sweep_value for r in rows] == [20.0, 20.0, 30.0, 30.0]
+        assert type(spec.config.realizations) is int
+
     def test_metadata_records_environment(self, tmp_path, monkeypatch):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
         monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
@@ -377,6 +411,13 @@ class TestRunExperiment:
         meta = json.loads((tmp_path / "res.csv.meta.json").read_text())
         assert meta["git"] == harness._git_describe()
         assert not other.startswith(meta["git"].removesuffix("-dirty"))
+
+    def test_metadata_without_git(self, monkeypatch):
+        def missing(*args, **kwargs):
+            raise FileNotFoundError("git")
+
+        monkeypatch.setattr(harness.subprocess, "run", missing)
+        assert harness._git_describe() == "unknown"
 
 
 class TestFig3Regions:
@@ -550,9 +591,19 @@ class TestCli:
         path = tmp_path / "exp.cfg"
         path.write_text(EXPERIMENT_TEXT.replace("M_t = 8", "M_t = 8.5"))
         assert main(["simulate", str(path)]) == 2
-        assert "M_t must be an integer" in capsys.readouterr().err
+        assert "m_t must be an integer" in capsys.readouterr().err
         path.write_text(EXPERIMENT_TEXT + "solver = grid\n")
         assert main(["simulate", str(path)]) == 2
+
+    def test_simulate_repeated_values_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "exp.cfg"
+        path.write_text(EXPERIMENT_TEXT.replace("values = 20, 30",
+                                                "values = 30, 30"))
+        assert main(["simulate", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("config error: sweep values [30.0] are "
+                                "repeated\n")
+        assert not captured.out
 
     @pytest.mark.parametrize("argv", [
         ["verify", "all", "--seed", "-1"],
@@ -571,7 +622,7 @@ class TestCli:
         (("seed = 1", "seed = -1"), [], "seed must be nonnegative"),
         (("", ""), ["--seed", "-1"], "seed must be nonnegative"),
         (("sweep = P\nvalues = 20, 30", "sweep = M\nvalues = 16.9"), [],
-         "positive integers"),
+         "swept M = 16.9: m_t must be an integer, got 16.9"),
         (("sweep = P\nvalues = 20, 30", "sweep = N\nvalues = 33"), [],
          "divisible by Nx=4"),
         (("P = 30", "P = 5000"), [], "got 5000.0 dBm"),

@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-FILES = sorted([*ROOT.glob("src/rispart/*.py"), *ROOT.glob("tests/*.py")])
+FILES = sorted([*ROOT.glob("src/rispart/*.py"), *ROOT.glob("tests/*.py"),
+                *ROOT.glob("tools/*.py")])
 PIPELINE = ("channel", "partition", "asymptotic", "solver", "finite",
             "harness")
 # Kept only for a paper result that a test checks: the large-surface gain

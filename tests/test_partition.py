@@ -188,6 +188,11 @@ class TestGains:
         with pytest.raises(ValueError):
             gain_direct_sum(np.full(24, 0.5 + 0j), ris, (0.0, 0.0))
 
+    def test_rejects_wrong_length_theta(self):
+        with pytest.raises(ValueError, match="theta length"):
+            gain_direct_sum(np.ones(23, dtype=complex), make_ris(),
+                            (0.0, 0.0))
+
     def test_dirichlet_limits(self):
         assert dirichlet_ratio(0.0, 1.2) == 1.0
         assert abs(dirichlet_ratio(7, 1e-13) - 1.0) < 1e-9

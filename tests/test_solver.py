@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from rispart import solver
+from rispart import oracle, solver
 from rispart.asymptotic import (Allocation, AsymptoticProblem, Solution,
                                 coefficients, rate, validate_allocation)
 from rispart.channel import (SimulationConfig, realization_rng,
@@ -318,6 +318,21 @@ class TestLmSolve:
             dev = min(abs(a.t[s] - (1.0 / sol.w + root)),
                       abs(a.t[s] - (1.0 / sol.w - root)))
             assert dev < 1e-6
+
+    def test_rejects_no_cascaded_path(self):
+        prob = AsymptoticProblem(m_r=[50.0], m_d=[30.0], power=1.0)
+        with pytest.raises(ValueError, match="at least one cascaded path"):
+            lm_solve(prob, 0, 1)
+
+    def test_cold_start_raises_when_every_block_diverges(self, monkeypatch):
+        # with no direct path there is no water-filled fallback point
+        def diverge(*args, **kwargs):
+            raise LmDivergenceError("stub")
+
+        monkeypatch.setattr(oracle, "lm_solve", diverge)
+        prob = AsymptoticProblem(m_r=[50.0, 40.0], m_d=[], power=1.0)
+        with pytest.raises(LmDivergenceError, match="no activated block"):
+            lm_cold_start(prob)
 
     def test_raises_when_not_converged(self):
         prob = AsymptoticProblem(m_r=[50.0, 40.0], m_d=[30.0], power=1.0)
