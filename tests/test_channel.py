@@ -800,8 +800,8 @@ class TestConfig:
 
     @pytest.mark.filterwarnings("ignore:path counts")
     @given(name=st.sampled_from(INTEGER_FIELDS),
-           value=st.floats(1.0, 2.0 ** 52).filter(
-               lambda x: not x.is_integer()))
+           value=st.builds(lambda n, f: n + f, st.integers(1, 2 ** 40),
+                           st.floats(0.01, 0.99)))
     @example(name="m_t", value=32.5)
     @example(name="seed", value=1.5)
     @settings(max_examples=200, deadline=None)
