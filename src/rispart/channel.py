@@ -283,7 +283,8 @@ _CONFIG_KEYS = {
 def read_config_file(path: str) -> configparser.ConfigParser:
     """The sections of the file at ``path``, values taken literally;
     ValueError when a key or section is given twice or a key comes first."""
-    parser = configparser.ConfigParser(interpolation=None)
+    parser = configparser.ConfigParser(interpolation=None,
+                                       converters={"number": _number})
     try:
         read = parser.read(path)
     except configparser.Error as exc:

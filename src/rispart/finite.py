@@ -25,13 +25,14 @@ gives in closed form.  The dense model (Q, ``build_theta`` with
 ``oracle.logdet_rate``) is the reference in :mod:`rispart.oracle`.
 
 ``refine_common_phases`` moves one phase ``x = exp(j psi_b)`` at a time over
-one fixed grid, so the trial Grams of a step are one pencil ``G0 + x E +
-conj(x) E^H``: one matrix product forms them all, one ``slogdet`` scores them.
+one fixed grid.  A trial ``det(G0 + x E + conj(x) E^H)`` is a trigonometric
+polynomial of degree d = rank E <= min(r, L1, L2), so 2d+1 of them fix all.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import logging
 from dataclasses import dataclass, field
 
@@ -60,13 +61,14 @@ class PathModel:
     ``c_r diag(beta) G_b diag(alpha)`` fills the top-left L2 x L1 corner
     of ``core[b]``, the direct ``diag(c_d gamma)`` the bottom-right L3 x L3
     corner of ``core[B]``, and the rest is zero.  ``tx_weights`` is
-    ``T = B_tx^H W`` ((L1+L3) x r) and ``rx_gram`` ``R = B_rx^H B_rx``.
-    """
+    ``T = B_tx^H W`` ((L1+L3) x r), ``rx_gram`` ``R = B_rx^H B_rx``, and
+    ``block_rank`` = min(r, L1, L2) bounds the rank of ``core[b] T``."""
 
     core: np.ndarray
     tx_weights: np.ndarray
     rx_gram: np.ndarray
     noise_power: float
+    block_rank: int
 
     def rates(self, psi: np.ndarray) -> np.ndarray:
         """Exact rates in bit/s/Hz for a batch of common phases (n x B)."""
@@ -135,8 +137,8 @@ def path_model(realization: ChannelRealization,
     return PathModel(
         core=core, rx_gram=steering_gram(phi_rx, phi_rx, m_r),
         tx_weights=(steering_gram(phi_tx, phi_tx[basis_paths], m_t)
-                    * np.sqrt(powers)),
-        noise_power=config.noise_watts)
+                    * np.sqrt(powers)), noise_power=config.noise_watts,
+        block_rank=min(len(powers), tx.count, rx.count))
 
 
 def adapt_solution(solution: Solution, realization: ChannelRealization,
@@ -203,29 +205,45 @@ def adapt_solution(solution: Solution, realization: ChannelRealization,
                             rewaterfilled=rewaterfilled)
 
 
+@functools.lru_cache(maxsize=32)
+def _interpolation(n: int, trials: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """Pencil weights at n equispaced nodes, Dirichlet kernel to ``trials``."""
+    x = np.frombuffer(trials, complex)
+    kernel = np.eye(x.size)
+    if n < x.size:
+        nodes = 2.0 * np.pi * np.arange(n) / n
+        waves = np.multiply.outer(np.subtract.outer(np.angle(x), nodes),
+                                  np.arange(1, n // 2 + 1))
+        x, kernel = np.exp(1j * nodes), (1 + 2 * np.cos(waves).sum(-1)) / n
+    return np.stack([np.ones_like(x), x, x.conj()], axis=1), kernel
+
+
 def _phase_pencil(model: PathModel, x: np.ndarray):
     """Trial rates ``rates(psi, s)``: ``psi`` with entry s set to
     ``angle(x)``, for each unit-modulus x.  With ``A0`` the rows of ``K T``
     at ``psi`` without plan block s and ``B = core[s] T`` those of s, a
-    trial Gram is ``G0 + x E + conj(x) E^H``, where
-    ``G0 = I + (A0^H R A0 + B^H R B)/sigma^2`` and ``E = A0^H R B/sigma^2``.
-    """
+    trial Gram is ``G0 + x E + conj(x) E^H``: ``G0 = I + (A0^H R A0 + B^H R
+    B)/sigma^2``, ``E = A0^H R B/sigma^2`` of rank d <= ``block_rank``.  The
+    det, degree d in x, is taken at 2d+1 nodes (the x, kernel I, if no more)
+    and interpolated from the largest; one rounded to <= 0 reads as tiny."""
     # rows of K T and of R K T / sigma^2: each plan block's, then direct
     kt = model.core @ model.tx_weights
     rkt = model.rx_gram @ kt / model.noise_power
-    brb = kt.conj().transpose(0, 2, 1) @ rkt
+    base = np.eye(kt.shape[2]) + kt.conj().transpose(0, 2, 1) @ rkt
     flat = np.stack([kt, rkt], axis=1).reshape(len(kt), -1)
-    coeffs = np.stack([np.ones_like(x), x, x.conj()], axis=1)
+    coeffs, kernel = _interpolation(2 * model.block_rank + 1, x.tobytes())
 
     def rates(psi: np.ndarray, s: int) -> np.ndarray:
         others = np.append(np.exp(1j * psi), 1.0)
         others[s] = 0.0
         a0, ra0 = (others @ flat).reshape((2,) + kt.shape[1:])
-        g0 = np.eye(kt.shape[2]) + a0.conj().T @ ra0 + brb[s]
+        g0 = base[s] + a0.conj().T @ ra0
         e = a0.conj().T @ rkt[s]
-        pencil = np.stack([(g0 + g0.conj().T) / 2.0, e, e.conj().T])
-        grams = (coeffs @ pencil.reshape(3, -1)).reshape(x.size, *g0.shape)
-        return np.linalg.slogdet(grams)[1] / np.log(2.0)
+        pencil = np.concatenate([(g0 + g0.conj().T) / 2.0, e, e.conj().T])
+        grams = (coeffs @ pencil.reshape(3, -1)).reshape(-1, *g0.shape)
+        logdets = np.linalg.slogdet(grams)[1]
+        ratios = 1.0 + kernel @ np.expm1(logdets - (top := logdets.max()))
+        return (top + np.log(np.fmax(ratios, 1e-300))) / np.log(2.0)
 
     return rates
 
@@ -233,13 +251,11 @@ def _phase_pencil(model: PathModel, x: np.ndarray):
 def refine_common_phases(evaluation: FiniteEvaluation) -> FiniteEvaluation:
     """Cyclic coordinate ascent on the common phases.
 
-    For each plan block in turn the phase is set to the best of the
-    ``REFINE_GRID`` phases: the first maximum, and only if it is strictly
-    above the current rate, scored on the Gram pencil of
-    :func:`_phase_pencil`.  ``REFINE_SWEEPS`` full passes.  The rate is
-    ``model.rates`` at the chosen phases; unless that is strictly above
-    ``evaluation.rate`` the input is returned, so it never decreases.
-    """
+    Each plan block in turn takes the first maximum of its ``REFINE_GRID``
+    trial rates, scored from 2d+1 determinants (the grid's own if 2d+1 >=
+    its size) by :func:`_phase_pencil`, if strictly above the current rate
+    and the lowest trial (all tied: it stays), for ``REFINE_SWEEPS`` passes.
+    The input is returned unless ``model.rates`` there is above its rate."""
     psi = evaluation.plan.psi.copy()
     best_rate = evaluation.rate
     trial_rates = _phase_pencil(evaluation.model, np.exp(1j * REFINE_GRID))
@@ -247,7 +263,7 @@ def refine_common_phases(evaluation: FiniteEvaluation) -> FiniteEvaluation:
         for s in range(psi.size):
             rates = trial_rates(psi, s)
             best = int(np.argmax(rates))
-            if rates[best] > best_rate:
+            if rates[best] > max(best_rate, rates.min()):
                 best_rate = float(rates[best])
                 psi[s] = REFINE_GRID[best]
     rate = float(evaluation.model.rates(psi)[0])

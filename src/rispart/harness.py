@@ -123,7 +123,7 @@ def load_experiment(path: str) -> ExperimentSpec:
         sweep=exp["sweep"],
         values=[float(x) for x in exp["values"].split(",")],
         psi_mode=exp.get("psi", "random"), out=exp.get("out"),
-        realizations=exp.getfloat("realizations"))
+        realizations=exp.getnumber("realizations"))
 
 
 def _apply_sweep(config: SimulationConfig, sweep: str,

@@ -11,8 +11,10 @@ import pytest
 from rispart.asymptotic import Allocation, Solution, coefficients, rate
 from rispart.channel import (SimulationConfig, dbm_to_watts, realization_rng,
                              realize_channels, ris_cosines, steering)
-from rispart.finite import (REFINE_GRID, _phase_pencil, adapt_solution,
-                            path_model, refine_common_phases)
+from rispart import finite, oracle
+from rispart.finite import (REFINE_GRID, PathModel, _interpolation,
+                            _phase_pencil, adapt_solution, path_model,
+                            refine_common_phases)
 from rispart.oracle import (dense_rate, dense_refine, eigenmode_covariance,
                             logdet_rate, transmit_covariance)
 from rispart.partition import TilePlan
@@ -376,6 +378,71 @@ class TestPathDomain:
                 np.testing.assert_allclose(
                     trial_rates(psi, s),
                     ev.model.rates(trials), rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_pencil_interpolation_matches_slogdet(self, d):
+        # a random positive-definite G0 and E of rank d: 2d+1 node
+        # determinants give the 64 trial rates of one slogdet each
+        rng = np.random.default_rng(40 + d)
+
+        def draw(*shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        self.check_pencil(draw(12, 10), draw(12, d) @ draw(d, 10), d)
+
+    def test_pencil_interpolation_over_a_wide_range(self):
+        # a0 close to b: the determinant falls by e^60 and more from x = 1
+        # to x = -1, so the trials far below the best lose all their digits
+        # (some interpolate to a determinant <= 0), and the best and its
+        # neighbours keep theirs
+        rng = np.random.default_rng(49)
+        b = 12.0 * (rng.standard_normal((12, 8))
+                    + 1j * rng.standard_normal((12, 8)))
+        a0 = b + 0.01 * rng.standard_normal((12, 8))
+        assert self.check_pencil(a0, b, 8) >= 60.0
+
+    @staticmethod
+    def check_pencil(a0, b, d):
+        """Trial rates of block 0 (b) over the grid against one slogdet per
+        trial; block 1 holds a0, so a trial Gram is I + K^H K with
+        K = a0 + x b and E = a0^H b of rank <= d.  Returns their spread."""
+        r = b.shape[1]
+        model = PathModel(core=np.stack([b, a0]), tx_weights=np.eye(r),
+                          rx_gram=np.eye(len(b)), noise_power=1.0,
+                          block_rank=d)
+        x = np.exp(1j * REFINE_GRID)
+        kt = a0 + x[:, None, None] * b
+        exact = np.linalg.slogdet(
+            np.eye(r) + kt.conj().transpose(0, 2, 1) @ kt)[1] / np.log(2.0)
+        rates = _phase_pencil(model, x)(np.zeros(1), 0)
+        assert np.all(np.isfinite(rates))
+        assert np.argmax(rates) == np.argmax(exact)
+        near = exact >= exact.max() - 1.0
+        np.testing.assert_allclose(rates[near], exact[near], rtol=1e-12,
+                                   atol=0)
+        return np.ptp(exact) * np.log(2.0)
+
+    def test_identity_interpolation_matches_dense_ascent(self, monkeypatch):
+        # the default L = 5/7/4 on a 20x60 RIS: d = 5, so 2d+1 = 11 nodes
+        # are more than an 8-phase grid, the grid phases are the nodes and
+        # the kernel is I
+        grid = np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False)
+        monkeypatch.setattr(finite, "REFINE_GRID", grid)
+        monkeypatch.setattr(oracle, "REFINE_GRID", grid)
+        coeffs, kernel = _interpolation(11, np.exp(1j * grid).tobytes())
+        np.testing.assert_array_equal(coeffs[:, 1], np.exp(1j * grid))
+        np.testing.assert_array_equal(kernel, np.eye(8))
+        cfg = SimulationConfig(n_x=20, n_y=60, seed=3)
+        re = realize_channels(cfg, realization_rng(cfg.seed, 0))
+        ev = adapt_solution(solve(coefficients(re)), re,
+                            np.random.default_rng(30))
+        assert ev.model.block_rank == 5 and ev.plan.s >= 2
+        refined = refine_common_phases(ev)
+        assert refined.rate > ev.rate
+        psi, best = dense_refine(ev)
+        np.testing.assert_array_equal(refined.plan.psi, psi)
+        assert np.isin(psi, grid).any()
+        assert abs(refined.rate - best) <= 1e-10 * best
 
     def test_refinement_matches_dense_ascent(self):
         # seed 23, the first after 21 whose 20 instances all keep two or

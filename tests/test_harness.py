@@ -110,6 +110,15 @@ class TestExperimentSpec:
         assert spec.config.realizations == 2
         assert spec.config.m_t == 8 and spec.config.seed == 1
 
+    def test_experiment_count_keeps_its_digits(self, tmp_path):
+        # both sections read an integer literal exactly: above 2**53 a
+        # float count would lose its last digit
+        big = 2 ** 53 + 1
+        path = tmp_path / "exp.cfg"
+        path.write_text(EXPERIMENT_TEXT.replace("realizations = 2",
+                                                f"realizations = {big}"))
+        assert load_experiment(str(path)).config.realizations == big
+
     def test_values_taken_literally(self, tmp_path):
         # with interpolation a lone '%' raised a configparser error
         path = tmp_path / "exp.cfg"
